@@ -9,12 +9,20 @@ Monte-Carlo estimator is measured with both simulation engines (the legacy
 per-draw loop and the batched Gumbel top-k engine) at the paper-scale
 settings (n_runs=5, 10 count steps, 9 λ values).
 
+The ``bucket_search`` cells time the dynamic bucket estimator (the
+serving default) on continuous-valued samples of 160 to 10⁵ entities:
+the sorted prefix-sum search, and -- up to 10³ entities, since it is
+quadratic -- the materializing loop it replaces, reached through a
+search estimator without a vectorized scorer.  Where both run, their
+estimates must be byte-identical.
+
 Run standalone to emit ``BENCH_estimator_runtime.json`` so the performance
 trajectory is tracked across PRs::
 
     PYTHONPATH=src python benchmarks/bench_estimator_runtime.py [--quick]
 
-``--quick`` shrinks the Monte-Carlo settings and repeat counts for CI.
+``--quick`` shrinks the Monte-Carlo settings and repeat counts for CI, and
+times the loop only at the smallest bucket size.
 """
 
 from __future__ import annotations
@@ -26,12 +34,17 @@ import platform
 import time
 from pathlib import Path
 
+import numpy as np
+
 from repro.api.specs import build_estimator
 from repro.core.bucket import BucketEstimator
+from repro.core.estimator import SumEstimator
 from repro.core.frequency import FrequencyEstimator
 from repro.core.montecarlo import MonteCarloConfig, MonteCarloEstimator
 from repro.core.naive import NaiveEstimator
+from repro.data.sample import ObservedSample
 from repro.datasets import load_dataset
+from repro.serving.http import dumps_result
 
 #: Paper-scale Monte-Carlo settings (Algorithm 2/3 defaults).
 PAPER_MC = {"n_runs": 5, "n_count_steps": 10}
@@ -39,6 +52,72 @@ PAPER_MC = {"n_runs": 5, "n_count_steps": 10}
 QUICK_MC = {"n_runs": 2, "n_count_steps": 5}
 
 DEFAULT_OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_estimator_runtime.json"
+
+#: Best-of repeats of the closed-form estimator cells (milliseconds each).
+CLOSED_FORM_REPEATS = 20
+#: Entity counts of the bucket-search cells -> best-of repeats: many for
+#: the millisecond cells, so one scheduler hiccup cannot move a gated cell.
+BUCKET_SIZES = {160: 30, 1_000: 20, 10_000: 5, 100_000: 3}
+#: Sizes the quadratic loop is timed at -> repeats (quick mode: 160 only).
+LOOP_SIZES = {160: 3, 1_000: 1}
+
+
+class _LoopSearch(SumEstimator):
+    """Delegates ``estimate`` only: without a vectorized scorer the
+    dynamic bucketing falls back to its materializing loop."""
+
+    def __init__(self, inner: SumEstimator) -> None:
+        self.inner = inner
+        self.name = inner.name
+
+    def estimate(self, sample: ObservedSample, attribute: str):
+        return self.inner.estimate(sample, attribute)
+
+
+def continuous_sample(n_entities: int, seed: int = 0) -> ObservedSample:
+    """Log-normal(4, 1) values (all distinct) with geometric(0.5) counts."""
+    rng = np.random.default_rng(seed)
+    values = rng.lognormal(4.0, 1.0, n_entities).tolist()
+    counts = rng.geometric(0.5, n_entities).tolist()
+    return ObservedSample.from_entity_values(
+        [(f"e{i}", value, count) for i, (value, count) in enumerate(zip(values, counts))],
+        attribute="value",
+    )
+
+
+def _best_time(estimator: SumEstimator, sample: ObservedSample, repeats: int):
+    best, estimate = float("inf"), None
+    for _ in range(repeats):
+        start = time.perf_counter()
+        estimate = estimator.estimate(sample, "value")
+        best = min(best, time.perf_counter() - start)
+    return best, estimate
+
+
+def run_bucket_search(quick: bool = False) -> dict:
+    """Sorted search vs the loop on continuous-valued samples."""
+    loop_sizes = {160: LOOP_SIZES[160]} if quick else LOOP_SIZES
+    timings: dict[str, float] = {}
+    speedups: dict[str, float] = {}
+    n_buckets: dict[str, int] = {}
+    for size, repeats in BUCKET_SIZES.items():
+        sample = continuous_sample(size)
+        fast_s, fast = _best_time(BucketEstimator(), sample, repeats)
+        timings[f"sorted-{size}"] = round(fast_s, 6)
+        n_buckets[str(size)] = fast.details["n_buckets"]
+        if size in loop_sizes:
+            loop = BucketEstimator(search_base=_LoopSearch(NaiveEstimator()))
+            loop_s, oracle = _best_time(loop, sample, loop_sizes[size])
+            if dumps_result(fast.to_dict()) != dumps_result(oracle.to_dict()):
+                raise AssertionError(f"sorted search differs from the loop at {size}")
+            timings[f"loop-{size}"] = round(loop_s, 6)
+            speedups[str(size)] = round(loop_s / fast_s, 1)
+    return {
+        "sample": "log-normal(4, 1) values, geometric(0.5) counts, seed 0",
+        "timings_seconds": timings,
+        "speedup_vs_loop": speedups,
+        "n_buckets": n_buckets,
+    }
 
 
 def _paper_scale_estimators(mc_settings: dict) -> dict:
@@ -131,7 +210,8 @@ def run_suite(quick: bool = False) -> dict:
     estimates: dict[str, float] = {}
     for name, estimator in _paper_scale_estimators(mc_settings).items():
         best = float("inf")
-        for _ in range(repeats):
+        rounds = repeats if name.startswith("monte-carlo") else CLOSED_FORM_REPEATS
+        for _ in range(rounds):
             start = time.perf_counter()
             estimate = estimator.estimate(sample, attribute)
             best = min(best, time.perf_counter() - start)
@@ -139,6 +219,7 @@ def run_suite(quick: bool = False) -> dict:
         estimates[name] = float(estimate.corrected)
 
     speedup = timings["monte-carlo-loop"] / timings["monte-carlo-vectorized"]
+    bucket_search = run_bucket_search(quick)
     return {
         "benchmark": "estimator_runtime",
         "dataset": dataset.name,
@@ -148,11 +229,13 @@ def run_suite(quick: bool = False) -> dict:
             "n_sources": sample.num_sources,
             "mc_settings": mc_settings,
             "repeats": repeats,
+            "closed_form_repeats": CLOSED_FORM_REPEATS,
             "mode": "quick" if quick else "paper-scale",
         },
         "timings_seconds": {k: round(v, 6) for k, v in timings.items()},
         "corrected_estimates": estimates,
         "mc_vectorized_speedup_vs_loop": round(speedup, 2),
+        "bucket_search": bucket_search,
         "python": platform.python_version(),
         "machine": platform.machine(),
         # Machine-class marker for benchmarks/compare_bench.py: wall times

@@ -996,8 +996,9 @@ class _RouterHandler(BaseHTTPRequestHandler):
         leg dies (migration, rolling restart, crash respawn) it
         re-resolves the primary and reconnects with
         ``from_version=<last id + 1>``, deduplicating on the strictly
-        increasing ``id`` values -- the client sees one gapless stream
-        across worker churn, byte-identical to the single-server one.
+        increasing ``id`` values -- the client sees one monotonic,
+        duplicate-free stream that ends at the latest state, across
+        worker churn, byte-identical to the single-server one.
         """
         router = self.server.router
         query = parse_qs(split.query, keep_blank_values=False)

@@ -25,12 +25,18 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass
+from functools import partial
 from typing import Any
 
+import numpy as np
+
 from repro.core.estimator import Estimate, SumEstimator
+from repro.core.fstatistics import FrequencyStatistics
 from repro.core.incremental import SampleDelta
 from repro.core.naive import NaiveEstimator
+from repro.core.pieces import UNIT_ROUNDOFF, PieceStatistics
 from repro.data.sample import ObservedSample
 from repro.utils.exceptions import EstimationError, ValidationError
 
@@ -201,6 +207,12 @@ class DynamicBucketing(BucketingStrategy):
     diverges (all singletons) have an infinite objective and therefore never
     result from a chosen split unless they were already unavoidable.
 
+    When the search estimator provides a vectorized scorer (the naive and
+    frequency estimators do), the search runs on index ranges of the
+    value-sorted sample (:class:`_SortedSearch`); otherwise every candidate
+    split is materialized and estimated (:meth:`_candidate_splits`).  Both
+    make the same choices, so the buckets are identical.
+
     Parameters
     ----------
     max_depth:
@@ -217,41 +229,66 @@ class DynamicBucketing(BucketingStrategy):
     def build(
         self, sample: ObservedSample, attribute: str, base: SumEstimator
     ) -> list[Bucket]:
-        lo = float(sample.values(attribute).min())
-        hi = float(sample.values(attribute).max())
-        root = self._estimate_bucket(sample, lo, hi, attribute, base)
+        values = sample.values(attribute)
+        root = self._estimate_bucket(
+            sample, float(values.min()), float(values.max()), attribute, base
+        )
+        search = _SortedSearch.create(sample, values, base)
+        if search is None:
+            return self._search(
+                root, partial(self._best_candidate, attribute=attribute, base=base)
+            )
+        ranges = self._search(search.root(root), search.best_split)
+        return [search.bucket(node, root) for node in ranges]
 
+    def _search(self, root: Any, best_split: Any) -> list[Any]:
+        """Algorithm 1's main loop, shared by both split searches.
+
+        ``best_split(node, delta_rest, delta_min)`` returns the chosen
+        ``(left, right)`` pair (or ``None``) and the updated ``delta_min``.
+        """
         # delta_min tracks the best (smallest) total |Δ| over all buckets
         # discovered so far, exactly as Algorithm 1 does.
         delta_min = root.abs_delta
-        todo: list[tuple[Bucket, int]] = [(root, 0)]
-        final: list[Bucket] = []
-
+        todo: deque[tuple[Any, int]] = deque([(root, 0)])
+        final: list[Any] = []
         while todo:
-            bucket, depth = todo.pop(0)
-            if bucket.is_empty or bucket.size <= 1 or depth >= self.max_depth:
-                final.append(bucket)
+            node, depth = todo.popleft()
+            if node.size <= 1 or depth >= self.max_depth:
+                final.append(node)
                 continue
             # Total |Δ| over every bucket except this one; candidate splits
             # are judged by what they would make the new total.
-            delta_rest = delta_min - bucket.abs_delta
+            delta_rest = delta_min - node.abs_delta
             if not math.isfinite(delta_rest):
                 # The running total is infinite (e.g. the root bucket is all
                 # singletons); compare splits purely by their own objective.
                 delta_rest = 0.0
-                delta_min = bucket.abs_delta
-            best_pair: tuple[Bucket, Bucket] | None = None
-            for left, right in self._candidate_splits(bucket, attribute, base):
-                candidate_total = delta_rest + left.abs_delta + right.abs_delta
-                if candidate_total < delta_min:
-                    delta_min = candidate_total
-                    best_pair = (left, right)
-            if best_pair is None:
-                final.append(bucket)
+                delta_min = node.abs_delta
+            pair, delta_min = best_split(node, delta_rest, delta_min)
+            if pair is None:
+                final.append(node)
             else:
-                todo.append((best_pair[0], depth + 1))
-                todo.append((best_pair[1], depth + 1))
-        return sorted(final, key=lambda b: b.low)
+                todo.append((pair[0], depth + 1))
+                todo.append((pair[1], depth + 1))
+        return sorted(final, key=lambda node: node.low)
+
+    def _best_candidate(
+        self,
+        bucket: Bucket,
+        delta_rest: float,
+        delta_min: float,
+        attribute: str,
+        base: SumEstimator,
+    ) -> "tuple[tuple[Bucket, Bucket] | None, float]":
+        """First split (ascending) with the smallest total below ``delta_min``."""
+        best_pair: tuple[Bucket, Bucket] | None = None
+        for left, right in self._candidate_splits(bucket, attribute, base):
+            candidate_total = delta_rest + left.abs_delta + right.abs_delta
+            if candidate_total < delta_min:
+                delta_min = candidate_total
+                best_pair = (left, right)
+        return best_pair, delta_min
 
     def _candidate_splits(
         self, bucket: Bucket, attribute: str, base: SumEstimator
@@ -287,74 +324,213 @@ class DynamicBucketing(BucketingStrategy):
         return pairs
 
 
-class _MemoizedEstimator(SumEstimator):
-    """Whole-bucket memoization wrapper used by the incremental handle.
+@dataclass
+class _Range:
+    """A bucket during the sorted search: positions ``[start, stop)`` of
+    the value order, its value range and its exact ``|Δ̂|``."""
 
-    The bucket estimator's incremental path rebuilds the bucket
-    decomposition on every update, but most buckets do not change
-    between updates: their restriction of the sample has identical
-    counts, values and order (restrictions preserve the parent's
-    insertion order).  Wrapping the (deterministic, closed-form) base
-    estimator with a memo keyed on the exact bucket content makes every
-    unchanged bucket -- including every candidate split the dynamic
-    strategy re-evaluates -- a dictionary hit returning the *same*
-    :class:`Estimate` object as the previous round.
+    start: int
+    stop: int
+    low: float
+    high: float
+    abs_delta: float
+
+    @property
+    def size(self) -> int:
+        return self.stop - self.start
+
+
+class _RangeState:
+    """The batch path's estimator inputs for one index range.
+
+    Rows are taken back to insertion order, so the NumPy value sum, the
+    sequential singleton sum and the f-histogram are exactly those of
+    ``sample.restrict_to_entities(...)`` -- the state feeds the
+    estimator's own ``_estimate_from``.
     """
 
-    _MAX_ENTRIES = 8192
+    __slots__ = ("_values", "_counts")
 
-    def __init__(self, base: SumEstimator) -> None:
+    def __init__(self, search: "_SortedSearch", start: int, stop: int) -> None:
+        rows = np.sort(search.order[start:stop])
+        self._values = search.values[rows]
+        self._counts = search.counts[rows]
+
+    def statistics(self) -> FrequencyStatistics:
+        return FrequencyStatistics.from_counts(self._counts)
+
+    def observed_sum(self) -> float:
+        return float(self._values.sum())
+
+    def singleton_sum(self) -> float:
+        return float(sum(self._values[self._counts == 1].tolist()))
+
+
+class _SortedSearch:
+    """Algorithm 1's split search on index ranges of the value order.
+
+    The sample is sorted by value once (stably, so ties keep insertion
+    order) and every bucket is a range of that order.  All splits of a
+    range are scored at once by the estimator's vectorized scorer from
+    prefix sums of count, singleton flag, ``j(j−1)``, value, singleton
+    value and ``|value|``.  The scores only filter: every split the
+    error bound cannot rule out is re-scored exactly, in ascending split
+    order with the loop's strict ``<``, so the chosen splits and
+    ``delta_min`` are the loop's own (DESIGN.md, "Bucket search").
+    """
+
+    #: Value magnitudes outside this band fall back to the loop, so no
+    #: score can overflow or underflow and the error bound stays valid.
+    _MAX_ABS_SUM = 1e200
+    _MIN_ABS_VALUE = 1e-200
+
+    def __init__(
+        self, sample: ObservedSample, values: np.ndarray, counts: np.ndarray, base: SumEstimator
+    ) -> None:
+        self.sample = sample
+        self.entity_ids = sample.entity_ids
         self.base = base
-        self.name = base.name
-        self._memo: "dict[tuple, Estimate]" = {}
+        self.values = values
+        self.counts = counts
+        self.order = np.argsort(values, kind="stable")
+        x = values[self.order]
+        k = counts[self.order]
+        singleton = k == 1
+        self.ints = np.stack([k, singleton.astype(np.int64), k * (k - 1)])
+        self.floats = np.stack([x, np.where(singleton, x, 0.0), np.abs(x)])
+        #: Split positions: first index of every distinct value but the first.
+        self.breaks = np.flatnonzero(x[1:] != x[:-1]) + 1
+        # The value a split at breaks[i] is named by: the first (in
+        # insertion order) of the tied values before it, as the loop's
+        # sorted(set(...)) keeps it (this only matters for -0.0 / 0.0).
+        self.split_values = x[np.concatenate(([0], self.breaks[:-1]))].tolist()
 
-    def estimate(self, sample: ObservedSample, attribute: str) -> Estimate:
-        memo = self._memo
-        key = (
-            attribute,
-            tuple(sample.counts.items()),
-            sample.values(attribute).tobytes(),
-            sample.source_sizes,
+    @classmethod
+    def create(
+        cls, sample: ObservedSample, values: np.ndarray, base: SumEstimator
+    ) -> "_SortedSearch | None":
+        """The sorted search for ``base``, or ``None`` to use the loop."""
+        if getattr(base, "_score_pieces", None) is None:
+            return None
+        counts = np.fromiter(sample.counts.values(), dtype=np.int64, count=sample.c)
+        magnitudes = np.abs(values)
+        nonzero = magnitudes[magnitudes != 0]
+        if (
+            not np.all(np.isfinite(values))
+            or magnitudes.sum() > cls._MAX_ABS_SUM
+            or (nonzero.size and nonzero.min() < cls._MIN_ABS_VALUE)
+            or counts.sum() >= 2**31
+        ):
+            return None
+        return cls(sample, values, counts, base)
+
+    def root(self, bucket: Bucket) -> _Range:
+        return _Range(0, len(self.values), bucket.low, bucket.high, bucket.abs_delta)
+
+    def bucket(self, node: _Range, root: Bucket) -> Bucket:
+        """Materialize a final range (the unsplit root keeps its sample)."""
+        if node.size == len(self.values):
+            return root
+        entity_ids = self.entity_ids
+        rows = np.sort(self.order[node.start : node.stop]).tolist()
+        return Bucket(
+            low=node.low,
+            high=node.high,
+            sample=self.sample.restrict_to_entities([entity_ids[i] for i in rows]),
+            estimate=self._exact(node.start, node.stop),
         )
-        cached = memo.get(key)
-        if cached is None:
-            cached = self.base.estimate(sample, attribute)
-            if len(memo) >= self._MAX_ENTRIES:
-                memo.pop(next(iter(memo)))
-            memo[key] = cached
-        return cached
+
+    def _exact(self, start: int, stop: int) -> Estimate:
+        """What ``base.estimate`` returns for the range's sub-sample."""
+        return self.base._estimate_state(_RangeState(self, start, stop))
+
+    def best_split(
+        self, node: _Range, delta_rest: float, delta_min: float
+    ) -> "tuple[tuple[_Range, _Range] | None, float]":
+        """The loop's choice for ``node``, from scores plus exact re-checks."""
+        start, stop = node.start, node.stop
+        first = int(np.searchsorted(self.breaks, start, side="right"))
+        breaks = self.breaks[first : np.searchsorted(self.breaks, stop, side="left")]
+        if breaks.size == 0:
+            return None, delta_min
+        # Prefix sums over the range; column k-1 covers its first k rows.
+        ints = np.cumsum(self.ints[:, start:stop], axis=1)
+        floats = np.cumsum(self.floats[:, start:stop], axis=1)
+        cut = breaks - start - 1
+        left_i, whole_i = ints[:, cut], ints[:, -1:]
+        left_f, whole_f = floats[:, cut], floats[:, -1:]
+        size = stop - start
+        pieces = PieceStatistics.from_prefix_sums(
+            counts=np.concatenate([left_i, whole_i - left_i], axis=1),
+            c=np.concatenate([cut + 1, size - cut - 1]),
+            sums=np.concatenate([left_f[:2], whole_f[:2] - left_f[:2]], axis=1),
+            # |value| prefix sums bound the rounding of both prefixes a
+            # piece's sum is the difference of (the left prefix starts at 0).
+            abs_prefixes=np.concatenate(
+                [left_f[2], whole_f[2, 0] + left_f[2]]
+            ),
+            size=size,
+        )
+        score, err = self.base._score_pieces(pieces)
+        n_splits = breaks.size
+        left_abs, right_abs = score[:n_splits], score[n_splits:]
+        with np.errstate(invalid="ignore"):
+            total = (delta_rest + left_abs) + right_abs
+            piece_err = err[:n_splits] + err[n_splits:]
+            # Widened by 2x so that forming total ± bound cannot round
+            # past the exact total; a zero bound means the total is exact.
+            bound = np.where(
+                piece_err > 0,
+                2.0 * (piece_err + 8.0 * UNIT_ROUNDOFF * (abs(delta_rest) + left_abs + right_abs)),
+                0.0,
+            )
+            lower = total - bound
+            upper = total + bound
+        dead = np.isinf(left_abs) | np.isinf(right_abs)  # exact total is inf
+        undecided = ~dead & np.isnan(total)
+        finite = ~dead & ~undecided
+        recheck = undecided
+        if finite.any():
+            best_upper = np.min(upper[finite])
+            recheck = recheck | (finite & (lower <= best_upper) & (lower < delta_min))
+        best: "tuple[int, float, float] | None" = None
+        for i in np.flatnonzero(recheck).tolist():
+            if bound[i] == 0 and finite[i]:
+                left, right, candidate_total = float(left_abs[i]), float(right_abs[i]), float(total[i])
+            else:
+                split = int(breaks[i])
+                left = abs(self._exact(start, split).delta)
+                right = abs(self._exact(split, stop).delta)
+                candidate_total = delta_rest + left + right
+            if candidate_total < delta_min:
+                delta_min = candidate_total
+                best = (i, left, right)
+        if best is None:
+            return None, delta_min
+        i, left, right = best
+        split = int(breaks[i])
+        split_value = self.split_values[first + i]
+        return (
+            _Range(start, split, node.low, split_value, left),
+            _Range(split, stop, split_value, node.high, right),
+        ), delta_min
 
 
 class _BucketHandle:
     """Incremental handle of :class:`BucketEstimator`.
 
     Maintains the raw sample content (counts / fused values / source
-    sizes) under deltas and carries the memoized base estimators whose
-    caches persist across updates -- that persistence is what makes an
-    update cheap when most buckets are untouched.
+    sizes) under deltas; every update runs the batch decomposition on
+    the maintained sample, so delta mode and batch share one search.
     """
 
-    __slots__ = ("attribute", "counts", "values", "source_sizes", "base", "search_base")
+    __slots__ = ("attribute", "counts", "values", "source_sizes")
 
-    def __init__(
-        self,
-        sample: ObservedSample,
-        attribute: str,
-        base: SumEstimator,
-        search_base: "SumEstimator | None",
-    ) -> None:
+    def __init__(self, sample: ObservedSample, attribute: str) -> None:
         self.attribute = attribute
         self.counts: dict[str, int] = dict(sample.counts)
         self.values = sample.values_by_entity()
         self.source_sizes = tuple(sample.source_sizes)
-        self.base = _MemoizedEstimator(base)
-        if search_base is None:
-            self.search_base: "SumEstimator | None" = None
-        elif search_base is base:
-            # Preserve the identity relation buckets() keys off.
-            self.search_base = self.base
-        else:
-            self.search_base = _MemoizedEstimator(search_base)
 
     def apply(self, delta: SampleDelta) -> None:
         for entity_id, value in delta.appended:
@@ -410,10 +586,9 @@ class BucketEstimator(SumEstimator):
     def supports_updates(self) -> bool:  # type: ignore[override]
         """True when every underlying estimator is itself update-capable.
 
-        The incremental path memoizes whole-bucket results, which is only
-        sound when the base estimators are deterministic pure functions
-        of the bucket content -- exactly the closed-form estimators that
-        set ``supports_updates`` themselves.  A Monte-Carlo base (fresh
+        Delta mode promises byte parity with batch, which holds for the
+        deterministic closed-form estimators that set
+        ``supports_updates`` themselves.  A Monte-Carlo base (fresh
         ``runtime`` block per call) therefore disables the seam.
         """
         return bool(self.base.supports_updates) and (
@@ -423,8 +598,7 @@ class BucketEstimator(SumEstimator):
     def estimate(self, sample: ObservedSample, attribute: str) -> Estimate:
         """Estimate the unknown-unknowns impact on ``SUM(attribute)``."""
         self._check_attribute(sample, attribute)
-        buckets = self._buckets_for(sample, attribute, self.base, self.search_base)
-        return self._summarize(sample, attribute, buckets)
+        return self._summarize(sample, attribute, self._buckets_for(sample, attribute))
 
     # ------------------------------------------------------------------ #
     # Incremental seam
@@ -438,22 +612,20 @@ class BucketEstimator(SumEstimator):
                 "its base estimator is not update-capable"
             )
         self._check_attribute(sample, attribute)
-        return _BucketHandle(sample, attribute, self.base, self.search_base)
+        return _BucketHandle(sample, attribute)
 
     def update(self, handle: _BucketHandle, delta: "SampleDelta | None" = None) -> Estimate:
         """Advance ``handle`` by ``delta`` and return the fresh estimate.
 
         The bucket decomposition is rebuilt from the maintained sample
-        content, but every bucket (and candidate split) whose content is
-        unchanged hits the handle's memo instead of re-running the base
-        estimator -- the recomputation cost scales with how much of the
-        value range the delta actually touched.
+        content with the batch search: a small ingest changes the totals
+        of most candidate splits, so caching per-bucket results buys
+        little.
         """
         if delta is not None:
             handle.apply(delta)
         sample = handle.sample()
-        buckets = self._buckets_for(sample, handle.attribute, handle.base, handle.search_base)
-        return self._summarize(sample, handle.attribute, buckets)
+        return self._summarize(sample, handle.attribute, self._buckets_for(sample, handle.attribute))
 
     # ------------------------------------------------------------------ #
     # Shared decomposition + summary (batch and incremental paths)
@@ -488,13 +660,8 @@ class BucketEstimator(SumEstimator):
             details=details,
         )
 
-    def _buckets_for(
-        self,
-        sample: ObservedSample,
-        attribute: str,
-        base: SumEstimator,
-        search_base: "SumEstimator | None",
-    ) -> list[Bucket]:
+    def _buckets_for(self, sample: ObservedSample, attribute: str) -> list[Bucket]:
+        base, search_base = self.base, self.search_base
         search = search_base or base
         buckets = self.strategy.build(sample, attribute, search)
         if not buckets:
@@ -517,4 +684,4 @@ class BucketEstimator(SumEstimator):
         Section 5 reuse the bucket decomposition directly.
         """
         self._check_attribute(sample, attribute)
-        return self._buckets_for(sample, attribute, self.base, self.search_base)
+        return self._buckets_for(sample, attribute)

@@ -14,9 +14,12 @@ and therefore stop inflating the value estimate for the missing entities.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.core.estimator import Estimate, SumEstimator
 from repro.core.fstatistics import FrequencyStatistics
 from repro.core.incremental import IncrementalSampleState, SampleDelta
+from repro.core.pieces import PieceStatistics, abs_delta_bound
 from repro.data.sample import ObservedSample
 
 
@@ -69,13 +72,17 @@ class FrequencyEstimator(SumEstimator):
         """Advance ``handle`` by ``delta`` and return the fresh estimate."""
         if delta is not None:
             handle.apply(delta)
-        return self._estimate_from(
-            handle.statistics(), handle.observed_sum(), handle.singleton_sum()
-        )
+        return self._estimate_state(handle)
 
     # ------------------------------------------------------------------ #
     # Shared math (the batch path is the parity oracle)
     # ------------------------------------------------------------------ #
+
+    def _estimate_state(self, state: IncrementalSampleState) -> Estimate:
+        """Estimate from any state exposing the three estimator inputs."""
+        return self._estimate_from(
+            state.statistics(), state.observed_sum(), state.singleton_sum()
+        )
 
     def _estimate_from(
         self,
@@ -116,4 +123,25 @@ class FrequencyEstimator(SumEstimator):
                 "singleton_count": f1,
                 "gamma_squared_used": gamma_sq,
             },
+        )
+
+    def _score_pieces(self, pieces: PieceStatistics) -> "tuple[np.ndarray, np.ndarray]":
+        """Vectorized ``|Δ̂|`` of many pieces with an error bound.
+
+        Mirrors :meth:`_estimate_from` operation for operation; see
+        :func:`~repro.core.pieces.abs_delta_bound`.
+        """
+        n, c, f1, total = pieces.n, pieces.c, pieces.f1, pieces.singleton_sum
+        _, cv_sq = pieces.coverage_cv_squared()
+        gamma_sq = np.zeros_like(cv_sq) if self.assume_uniform else cv_sq
+        scale = c + gamma_sq * n
+        with np.errstate(divide="ignore", invalid="ignore"):
+            delta = total * scale / (n - f1)
+            gain = scale / (n - f1)
+        # f1 == 0 gives exactly 0 whatever the sum (the first branch).
+        no_singletons = f1 == 0
+        delta[no_singletons] = 0.0
+        gain[no_singletons] = 0.0
+        return abs_delta_bound(
+            delta, gain, total, pieces.singleton_err, ~no_singletons & (n == f1)
         )

@@ -11,9 +11,12 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from repro.core.estimator import Estimate, SumEstimator
 from repro.core.fstatistics import FrequencyStatistics
 from repro.core.incremental import IncrementalSampleState, SampleDelta
+from repro.core.pieces import PieceStatistics, abs_delta_bound
 from repro.core.species import chao92_estimate
 from repro.data.sample import ObservedSample
 
@@ -54,11 +57,15 @@ class NaiveEstimator(SumEstimator):
         """Advance ``handle`` by ``delta`` and return the fresh estimate."""
         if delta is not None:
             handle.apply(delta)
-        return self._estimate_from(handle.statistics(), handle.observed_sum())
+        return self._estimate_state(handle)
 
     # ------------------------------------------------------------------ #
     # Shared math (the batch path is the parity oracle)
     # ------------------------------------------------------------------ #
+
+    def _estimate_state(self, state: IncrementalSampleState) -> Estimate:
+        """Estimate from any state exposing ``statistics``/``observed_sum``."""
+        return self._estimate_from(state.statistics(), state.observed_sum())
 
     def _estimate_from(self, stats: FrequencyStatistics, observed_sum: float) -> Estimate:
         richness = chao92_estimate(stats)
@@ -75,3 +82,18 @@ class NaiveEstimator(SumEstimator):
             value_estimate=mean_value,
             details={"chao92_coverage": richness.coverage, "chao92_cv_squared": richness.cv_squared},
         )
+
+    def _score_pieces(self, pieces: PieceStatistics) -> "tuple[np.ndarray, np.ndarray]":
+        """Vectorized ``|Δ̂|`` of many pieces with an error bound.
+
+        Mirrors :meth:`_estimate_from` (through Chao92) operation for
+        operation; see :func:`~repro.core.pieces.abs_delta_bound`.
+        """
+        n, c, total = pieces.n, pieces.c, pieces.value_sum
+        coverage, cv_sq = pieces.coverage_cv_squared()
+        with np.errstate(divide="ignore", invalid="ignore"):
+            n_hat = c / coverage + n * (1.0 - coverage) / coverage * cv_sq
+            missing = n_hat - c
+            delta = (total / c) * missing
+            gain = missing / c
+        return abs_delta_bound(delta, gain, total, pieces.value_err, coverage <= 0)

@@ -264,9 +264,15 @@ class ObservedSample:
         keep = [eid for eid in entity_ids if eid in self._counts]
         if not keep:
             return None
-        counts = {eid: self._counts[eid] for eid in keep}
-        values = {eid: self._values[eid] for eid in keep}
-        return ObservedSample(counts, values)
+        # The parent's counts and value maps are already validated and
+        # private (never mutated), so the restriction shares them instead
+        # of re-validating and copying every entity.
+        restricted = ObservedSample.__new__(ObservedSample)
+        restricted._counts = {eid: self._counts[eid] for eid in keep}
+        restricted._values = {eid: self._values[eid] for eid in keep}
+        restricted._source_sizes = (sum(restricted._counts.values()),)
+        restricted._frequency_cache = None
+        return restricted
 
     def restrict_to_value_range(
         self,

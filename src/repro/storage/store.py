@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from typing import Any
 
 import numpy as np
@@ -154,8 +155,11 @@ class MemoryStore:
 class DiskStore:
     """Per-session disk store: segment log + name logs + mmap invariants.
 
-    Not thread-safe by itself: mutations are serialized by the caller
-    (the serving layer's per-session writer lock), same as the WAL.
+    Mutations are not thread-safe by themselves: they are serialized by
+    the caller (the serving layer's per-session writer lock), same as the
+    WAL.  The lazy decode/materialization a first read triggers is
+    guarded here, because concurrent readers (or a reader racing a
+    replica push) can trigger it together.
     """
 
     kind = "disk"
@@ -182,7 +186,11 @@ class DiskStore:
         self._sealed_entries: "list[dict[str, Any]]" = []
         self._manifest_dirty = False
 
-        # Materialized lazily (the O(c) part restart must not pay):
+        # Materialized lazily (the O(c) part restart must not pay), under
+        # one double-checked lock; ``_materialized`` is published last, so
+        # a reader that sees it True sees the indexes and replayed tail.
+        self._lazy_lock = threading.RLock()
+        self._materialized = False
         self._state_obj: "IntegrationState | None" = None
         self._entity_index: "dict[str, int] | None" = None
         self._source_index: "dict[str, int] | None" = None
@@ -307,17 +315,17 @@ class DiskStore:
 
     @property
     def n(self) -> int:
-        return self._state_obj.n if self._state_obj is not None else self._n
+        return self._state_obj.n if self._materialized else self._n
 
     @property
     def c(self) -> int:
-        if self._state_obj is not None:
+        if self._materialized:
             return len(self._state_obj.counts)
         return self._c
 
     @property
     def n_sources(self) -> int:
-        if self._state_obj is not None:
+        if self._materialized:
             return len(self._state_obj.per_source)
         return self._n_sources
 
@@ -331,7 +339,7 @@ class DiskStore:
 
     @property
     def materialized(self) -> bool:
-        return self._state_obj is not None
+        return self._materialized
 
     def bind_config(self, config: "dict[str, Any]") -> None:
         """Persist the session config on first bind; verify on re-bind."""
@@ -368,19 +376,28 @@ class DiskStore:
 
     @property
     def state(self) -> IntegrationState:
-        if self._state_obj is None:
+        if not self._materialized:
             self._materialize()
         return self._state_obj
 
     def _decode_names(self) -> None:
-        if self._entity_names is not None:
+        if self._entity_names is not None and self._source_names is not None:
             return
-        self._entity_names, _ = self._entities_log.read_all()
-        self._source_names, _ = self._sources_log.read_all()
+        with self._lazy_lock:
+            if self._entity_names is None or self._source_names is None:
+                entity_names, _ = self._entities_log.read_all()
+                source_names, _ = self._sources_log.read_all()
+                self._entity_names, self._source_names = entity_names, source_names
 
     def _materialize(self) -> None:
-        if self._state_obj is not None:
+        if self._materialized:
             return
+        with self._lazy_lock:
+            if not self._materialized:
+                self._materialize_locked()
+                self._materialized = True
+
+    def _materialize_locked(self) -> None:
         self._decode_names()
         if self._needs_rebuild:
             self._rebuild()
@@ -802,6 +819,7 @@ class DiskStore:
         self._source_index = {name: i for i, name in enumerate(source_names)}
         self._entities_bytes = _entries_bytes(entity_names)
         self._sources_bytes = _entries_bytes(source_names)
+        self._materialized = True
         self._seed_sizes = tuple(int(s) for s in seed_source_sizes)
         self._rewrite_arrays(state_version=state_version, n_ingested=n_ingested)
         self._attached_version = int(state_version)

@@ -4,7 +4,8 @@ The router relays ``GET .../subscribe`` to the session's primary and
 keeps the client's stream alive across worker churn: when the upstream
 leg dies (migration, rolling restart) the router re-resolves the
 primary and reconnects with ``from_version=<last id + 1>``, deduping by
-event id -- the client sees one gapless, strictly increasing stream.
+event id -- the client sees one monotonic, duplicate-free stream that
+ends at the latest state.
 """
 
 from __future__ import annotations
@@ -97,7 +98,7 @@ def test_stream_survives_rolling_restart(tmp_path):
         ingest(base, "sub", observation_bodies(ROWS[3:]))
         assert done.wait(timeout=60)
         ids = [event_id for event_id, _ in events]
-        assert ids == [1, 2]  # gapless and deduplicated across the reconnect
+        assert ids == [1, 2]  # monotonic and deduplicated across the reconnect
         status, polled, _ = retrying_call(base, "GET", "/sessions/sub/estimate")
         assert status == 200
         assert events[-1][1] == polled

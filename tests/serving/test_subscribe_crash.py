@@ -6,7 +6,10 @@ the documented reconnect protocol -- restart, resend whatever the
 recovered ``state_version`` does not cover, re-subscribe with
 ``from_version=<last id + 1>`` -- and the resumed stream must push an
 envelope byte-identical to both a polled GET and a never-crashed
-in-process facade.  No version is delivered twice and none is skipped.
+in-process facade.  Across the crash the stream is monotonic,
+duplicate-free and ends at the latest state: versions committed in a
+burst may coalesce into one event, so ids are strictly increasing but
+not necessarily dense.
 """
 
 from __future__ import annotations
@@ -27,8 +30,33 @@ from repro.api.session import OpenWorldSession
 from repro.serving.http import dumps_result
 
 
+class EventLog:
+    """SSE events received so far; readers wait on a condition, not a clock."""
+
+    def __init__(self) -> None:
+        self.events: list[tuple[int, bytes]] = []
+        self._changed = threading.Condition()
+
+    def append(self, event: "tuple[int, bytes]") -> None:
+        with self._changed:
+            self.events.append(event)
+            self._changed.notify_all()
+
+    def wait_for_id(self, event_id: int, timeout: float = 30.0) -> None:
+        """Block until an event with ``event_id`` (or a later one) arrived."""
+        with self._changed:
+            arrived = self._changed.wait_for(
+                lambda: bool(self.events) and self.events[-1][0] >= event_id,
+                timeout=timeout,
+            )
+        assert arrived, f"wanted event id {event_id}, got {self.ids()}"
+
+    def ids(self) -> list[int]:
+        return [event_id for event_id, _ in self.events]
+
+
 def subscribe(server, path, events, done):
-    """Read SSE events until the stream (or the server) dies."""
+    """Read SSE events into ``events`` until the stream (or the server) dies."""
 
     def run():
         try:
@@ -56,15 +84,6 @@ def subscribe(server, path, events, done):
     return thread
 
 
-def wait_for_count(events, count, done, timeout=30.0):
-    import time
-
-    deadline = time.monotonic() + timeout
-    while len(events) < count and time.monotonic() < deadline:
-        time.sleep(0.02)
-    assert len(events) >= count, f"wanted {count} event(s), got {len(events)}"
-
-
 def test_sigkill_mid_subscription_resumes_gapless(tmp_path):
     state = tmp_path / "state"
     # Crash inside WriteAheadLog.append of the 2nd ingest: the subscriber
@@ -82,10 +101,10 @@ def test_sigkill_mid_subscription_resumes_gapless(tmp_path):
     )
     assert status == 200
 
-    events, done = [], threading.Event()
+    events, done = EventLog(), threading.Event()
     subscribe(server, "/sessions/s/subscribe?heartbeat_ms=200", events, done)
-    wait_for_count(events, 1, done)
-    assert events[0][0] == 1  # current state pushed on connect
+    events.wait_for_id(1)
+    assert events.ids()[0] == 1  # current state pushed on connect
 
     try:
         server.request(
@@ -107,8 +126,8 @@ def test_sigkill_mid_subscription_resumes_gapless(tmp_path):
             "state_version"
         ]
         assert version >= 1
-        resume_from = events[-1][0] + 1
-        resumed, resumed_done = [], threading.Event()
+        resume_from = events.ids()[-1] + 1
+        resumed, resumed_done = EventLog(), threading.Event()
         subscribe(
             server,
             f"/sessions/s/subscribe?from_version={resume_from}"
@@ -123,13 +142,13 @@ def test_sigkill_mid_subscription_resumes_gapless(tmp_path):
                 "POST", "/sessions/s/ingest", {"observations": observation_bodies(chunk)}
             )
             assert status == 200
-        wait_for_count(resumed, 2, resumed_done)
+        # Wait for the final version, not an event count: the resent
+        # commits may coalesce into a single event.
+        resumed.wait_for_id(len(CHUNKS))
 
-        all_ids = [event_id for event_id, _ in events] + [
-            event_id for event_id, _ in resumed
-        ]
-        # Gapless and duplicate-free across the crash: the resumed stream
-        # starts exactly where the severed one stopped.
+        all_ids = events.ids() + resumed.ids()
+        # Monotonic and duplicate-free across the crash, ending at the
+        # latest state: the resumed stream picks up after the severed one.
         assert all_ids == sorted(set(all_ids))
         assert all_ids[0] == 1 and all_ids[-1] == len(CHUNKS)
 
@@ -137,7 +156,7 @@ def test_sigkill_mid_subscription_resumes_gapless(tmp_path):
         for chunk in CHUNKS:
             facade.ingest(observations(chunk))
         _, polled = server.request("GET", "/sessions/s/estimate")
-        assert resumed[-1][1] == polled
+        assert resumed.events[-1][1] == polled
         assert polled == dumps_result(facade.estimate().to_dict())
     finally:
         server.kill()

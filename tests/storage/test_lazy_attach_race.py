@@ -1,0 +1,148 @@
+"""A read racing the lazy decode of a re-attached disk store.
+
+A re-attached :class:`~repro.storage.store.DiskStore` decodes its two name
+tables and materializes its state on the first read that needs them.  Two
+readers (or a reader and the router's boot-time replica push) can trigger
+that together.  Without a lock the second one could see the entity table
+decoded and the source table still ``None``, and fail with ``len(None)``.
+
+The interleaving is forced with events: the first reader blocks inside
+the source-table read; the second reader starts and the test waits until
+it either finished or is waiting for the store's lock, then lets the
+first reader finish.
+"""
+
+from __future__ import annotations
+
+import sys
+import threading
+
+import pytest
+
+from repro.storage.store import DiskStore
+from storage_helpers import CHUNKS, disk_session, memory_session
+
+
+class _ObservedLock:
+    """Wraps the store's lock; reports when ``thread`` starts waiting."""
+
+    def __init__(self, lock, thread_box, waiting: threading.Event) -> None:
+        self._lock = lock
+        self._thread_box = thread_box
+        self._waiting = waiting
+
+    def __enter__(self):
+        if threading.current_thread() is self._thread_box[0]:
+            self._waiting.set()
+        return self._lock.__enter__()
+
+    def __exit__(self, *exc):
+        return self._lock.__exit__(*exc)
+
+
+def _reattached_store(directory) -> DiskStore:
+    session = disk_session(directory, CHUNKS)
+    session.store.seal()
+    session.close()
+    store = DiskStore(directory)
+    assert not store.materialized
+    return store
+
+
+READERS = {
+    "reader_inputs": lambda store: store.reader_inputs()[1:3],
+    "state": lambda store: (list(store.state.counts), list(store.state.per_source)),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
+def test_second_reader_waits_for_the_first_decode(tmp_path, reader):
+    store = _reattached_store(tmp_path / "store")
+    read = READERS[reader]
+    first_blocked = threading.Event()
+    release_first = threading.Event()
+    second_progressed = threading.Event()
+
+    real_read_all = store._sources_log.read_all
+
+    def blocking_read_all():
+        first_blocked.set()
+        assert release_first.wait(timeout=30)
+        return real_read_all()
+
+    store._sources_log.read_all = blocking_read_all
+    results: dict[str, object] = {}
+    errors: list[Exception] = []
+
+    def run(name: str, done: "threading.Event | None" = None) -> None:
+        try:
+            results[name] = read(store)
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+        finally:
+            if done is not None:
+                done.set()
+
+    first = threading.Thread(target=run, args=("first",))
+    first.start()
+    assert first_blocked.wait(timeout=30)
+    store._sources_log.read_all = real_read_all
+
+    second_box: list[threading.Thread] = []
+    store._lazy_lock = _ObservedLock(store._lazy_lock, second_box, second_progressed)
+    second = threading.Thread(target=run, args=("second", second_progressed))
+    second_box.append(second)
+    second.start()
+    # The second reader has either returned already (the race) or is
+    # queued on the lock the first reader holds.
+    assert second_progressed.wait(timeout=30)
+    release_first.set()
+    first.join(timeout=30)
+    second.join(timeout=30)
+    assert not first.is_alive() and not second.is_alive()
+
+    assert not errors, errors
+    oracle = memory_session(CHUNKS).store.state
+    expected = (list(oracle.counts), list(oracle.per_source))
+    for name in ("first", "second"):
+        entity_names, source_names = results[name]
+        assert (list(entity_names), list(source_names)) == expected, name
+    store.close()
+
+
+def test_many_concurrent_first_reads_agree(tmp_path):
+    """More readers than cores, switching threads as often as possible."""
+    store = _reattached_store(tmp_path / "store")
+    oracle = memory_session(CHUNKS).store.state
+    expected = (list(oracle.counts), list(oracle.per_source), oracle.n)
+    start = threading.Barrier(8)
+    results: list[tuple] = []
+    errors: list[Exception] = []
+
+    def run(index: int) -> None:
+        try:
+            start.wait(timeout=30)
+            if index % 2:
+                _, entity_names, source_names, _ = store.reader_inputs()
+                state = store.state
+            else:
+                state = store.state
+                _, entity_names, source_names, _ = store.reader_inputs()
+            results.append((list(entity_names), list(source_names), state.n))
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors, errors
+    assert results == [expected] * 8
+    store.close()
