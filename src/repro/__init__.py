@@ -64,6 +64,7 @@ from repro.api import (
     EstimatorSpec,
     OpenWorldSession,
     SessionSnapshot,
+    available_estimators,
     build_estimator,
     describe_estimators,
     incremental_estimators,
@@ -82,14 +83,12 @@ from repro.core import (
     MonteCarloEstimator,
     NaiveEstimator,
     SumEstimator,
-    available_estimators,
     chao92_estimate,
     estimate_avg,
     estimate_count,
     estimate_max,
     estimate_min,
     estimate_sum,
-    make_estimator,
     sum_upper_bound,
 )
 from repro.data import (
@@ -123,6 +122,7 @@ __all__ = [
     "EstimatorSpec",
     "OpenWorldSession",
     "SessionSnapshot",
+    "available_estimators",
     "build_estimator",
     "describe_estimators",
     "incremental_estimators",
@@ -139,14 +139,12 @@ __all__ = [
     "MonteCarloEstimator",
     "NaiveEstimator",
     "SumEstimator",
-    "available_estimators",
     "chao92_estimate",
     "estimate_avg",
     "estimate_count",
     "estimate_max",
     "estimate_min",
     "estimate_sum",
-    "make_estimator",
     "sum_upper_bound",
     # parallel
     "BACKENDS",

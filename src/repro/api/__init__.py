@@ -15,7 +15,6 @@ Three pieces, designed to be used together:
   through one versioned JSON envelope (``to_dict``/``from_dict``).
 """
 
-from repro.api._compat import reset_deprecation_warnings
 from repro.api.results import RESULT_SCHEMA, from_dict, result_kinds, to_dict
 from repro.api.session import OpenWorldSession, SessionSnapshot
 from repro.api.specs import (
@@ -49,6 +48,4 @@ __all__ = [
     "to_dict",
     "from_dict",
     "result_kinds",
-    # compat
-    "reset_deprecation_warnings",
 ]

@@ -148,10 +148,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     experiment.add_argument(
         "name",
-        choices=list_experiments(include_aliases=True),
+        choices=list_experiments(),
         metavar="name",
-        help=f"experiment name: one of {', '.join(list_experiments())} "
-        "(short figN aliases are accepted)",
+        help=f"experiment name: one of {', '.join(list_experiments())}",
     )
     experiment.add_argument(
         "--seed", type=int, default=None, help="override the experiment's default seed"

@@ -336,7 +336,7 @@ class Worker:
             self._serve_thread.join(timeout=timeout)
         server.server_close()
         if graceful:
-            server.registry.save_state(str(self.state_dir))
+            server.registry.save_state()
         self._server = None
         self._serve_thread = None
 

@@ -51,7 +51,6 @@ from repro.core.aggregates import (
     estimate_min,
     estimate_max,
 )
-from repro.core.registry import available_estimators, make_estimator
 
 __all__ = [
     "FrequencyStatistics",
@@ -83,6 +82,4 @@ __all__ = [
     "estimate_avg",
     "estimate_min",
     "estimate_max",
-    "available_estimators",
-    "make_estimator",
 ]

@@ -16,10 +16,9 @@ are bit-identical across backends and worker counts, and the paper's
 
     result = run_experiment("figure6", repetitions=50, backend="process")
 
-The legacy ``figureN_*`` functions remain as thin wrappers over
-:func:`~repro.evaluation.harness.run_experiment`; the benchmark harness
-under ``benchmarks/`` and the CLI's ``experiment`` subcommand drive the
-registry directly.  The default parameters are scaled down (fewer
+The benchmark harness under ``benchmarks/`` and the CLI's ``experiment``
+subcommand drive the registry the same way.  The default parameters are
+scaled down (fewer
 repetitions, coarser prefix grids, lighter Monte-Carlo settings) so the
 whole suite runs on a laptop in minutes.
 
@@ -57,7 +56,6 @@ from repro.evaluation.harness import (
     ExperimentPlan,
     ExperimentResult,
     register_experiment,
-    run_experiment,
 )
 from repro.evaluation.runner import ProgressiveResult, ProgressiveRunner
 from repro.simulation.scenarios import SyntheticScenario, get_scenario
@@ -67,23 +65,6 @@ from repro.utils.exceptions import ValidationError
 __all__ = [
     "ExperimentResult",
     "default_estimators",
-    "figure2_observed_gap",
-    "figure4_tech_employment",
-    "figure5a_tech_revenue",
-    "figure5b_us_gdp",
-    "figure5c_proton_beam",
-    "figure6_synthetic_grid",
-    "figure7a_streakers_only",
-    "figure7b_streaker_injected",
-    "figure7c_upper_bound",
-    "figure7d_avg_query",
-    "figure7e_max_query",
-    "figure7f_min_query",
-    "figure8_static_buckets_real",
-    "figure9_static_buckets_synthetic",
-    "figure10_combined_estimators",
-    "figure11_source_count",
-    "table2_toy_example",
 ]
 
 
@@ -233,7 +214,6 @@ def _figure2_cell(cell, seed, shared):
         ParamSpec("seed", int, default=42, doc=_SEED_DOC),
         _n_points_param(20),
     ),
-    aliases=("fig2",),
 )
 def _plan_figure2(params, estimators):
     cell = {"seed": params["seed"], "n_points": params["n_points"]}
@@ -256,7 +236,6 @@ def _plan_figure2(params, estimators):
 
 def _register_dataset_replay(
     name: str,
-    alias: str,
     experiment_id: str,
     description: str,
     dataset: str,
@@ -274,7 +253,6 @@ def _register_dataset_replay(
             ParamSpec("seed", int, default=default_seed, doc="dataset generator seed"),
             _n_points_param(default_n_points),
         ),
-        aliases=(alias,),
         default_estimators=default_estimators_factory,
     )
     def _plan(params, estimators):
@@ -292,25 +270,25 @@ def _register_dataset_replay(
 
 
 _register_dataset_replay(
-    "figure4", "fig4", "fig4",
+    "figure4", "fig4",
     "US tech-sector employment: estimator comparison over time",
     "us-tech-employment", default_seed=42, default_n_points=10,
     default_estimators_factory=default_estimators,
 )
 _register_dataset_replay(
-    "figure5a", "fig5a", "fig5a",
+    "figure5a", "fig5a",
     "US tech-sector revenue: estimator comparison over time",
     "us-tech-revenue", default_seed=7, default_n_points=10,
     default_estimators_factory=default_estimators,
 )
 _register_dataset_replay(
-    "figure5b", "fig5b", "fig5b",
+    "figure5b", "fig5b",
     "GDP per US state: streaker-affected estimator comparison",
     "us-gdp", default_seed=11, default_n_points=10,
     default_estimators_factory=default_estimators,
 )
 _register_dataset_replay(
-    "figure5c", "fig5c", "fig5c",
+    "figure5c", "fig5c",
     "Proton beam studies: estimator comparison without a known truth",
     "proton-beam", default_seed=23, default_n_points=10,
     default_estimators_factory=default_estimators,
@@ -344,7 +322,6 @@ FIGURE6_SCENARIOS = (
             doc="comma-separated scenario names (default: the full 3x3 grid)",
         ),
     ),
-    aliases=("fig6",),
     default_estimators=default_estimators,
 )
 def _plan_figure6(params, estimators):
@@ -421,7 +398,6 @@ def _figure7a_cell(cell, seed, shared):
         _n_points_param(8),
         ParamSpec("n_streakers", int, default=3, doc="number of whole-population sources", minimum=1),
     ),
-    aliases=("fig7a",),
     default_estimators=default_estimators,
 )
 def _plan_figure7a(params, estimators):
@@ -479,7 +455,6 @@ def _figure7b_cell(cell, seed, shared):
         _n_points_param(8),
         ParamSpec("inject_at", int, default=160, doc="stream position of the streaker dump", minimum=1),
     ),
-    aliases=("fig7b",),
     default_estimators=default_estimators,
 )
 def _plan_figure7b(params, estimators):
@@ -546,7 +521,6 @@ def _figure7c_cell(cell, seed, shared):
         ParamSpec("epsilon", float, default=0.01, doc="missing-mass tail probability"),
         ParamSpec("z", float, default=3.0, doc="concentration multiplier of the bound"),
     ),
-    aliases=("fig7c",),
 )
 def _plan_figure7c(params, estimators):
     cell = {key: params[key] for key in ("seed", "n_points", "epsilon", "z")}
@@ -596,7 +570,6 @@ def _figure7d_cell(cell, seed, shared):
         ParamSpec("seed", int, default=5, doc=_SEED_DOC),
         _n_points_param(10),
     ),
-    aliases=("fig7d",),
 )
 def _plan_figure7d(params, estimators):
     cell = {"seed": params["seed"], "n_points": params["n_points"]}
@@ -639,7 +612,7 @@ def _extreme_cell(cell, seed, shared):
     return entries
 
 
-def _register_extreme(name: str, alias: str, which: str, experiment_id: str) -> None:
+def _register_extreme(name: str, which: str, experiment_id: str) -> None:
     description = (
         f"{which.upper()} query: report the observed extreme only when trusted"
     )
@@ -652,7 +625,6 @@ def _register_extreme(name: str, alias: str, which: str, experiment_id: str) -> 
             _n_points_param(8),
             _repetitions_param(5, "independent runs to average (paper: 50)"),
         ),
-        aliases=(alias,),
     )
     def _plan(params, estimators):
         repetitions = params["repetitions"]
@@ -705,8 +677,8 @@ def _register_extreme(name: str, alias: str, which: str, experiment_id: str) -> 
         return ExperimentPlan(cells=cells, cell_fn=_extreme_cell, reduce_fn=reduce)
 
 
-_register_extreme("figure7e", "fig7e", "max", "fig7e")
-_register_extreme("figure7f", "fig7f", "min", "fig7f")
+_register_extreme("figure7e", "max", "fig7e")
+_register_extreme("figure7f", "min", "fig7f")
 
 
 # ---------------------------------------------------------------------- #
@@ -726,7 +698,7 @@ def _static_bucket_estimators() -> dict[str, SumEstimator]:
 
 
 _register_dataset_replay(
-    "figure8", "fig8", "fig8",
+    "figure8", "fig8",
     "Static vs dynamic buckets on US tech employment (skewed, correlated)",
     "us-tech-employment", default_seed=42, default_n_points=8,
     default_estimators_factory=_static_bucket_estimators,
@@ -748,7 +720,6 @@ def _figure9_cell(cell, seed, shared):
         ParamSpec("seed", int, default=13, doc=_SEED_DOC),
         _n_points_param(8),
     ),
-    aliases=("fig9",),
     default_estimators=_static_bucket_estimators,
 )
 def _plan_figure9(params, estimators):
@@ -784,7 +755,6 @@ def _plan_figure9(params, estimators):
         _n_points_param(6),
         ParamSpec("mc_runs", int, default=2, doc="Monte-Carlo repetitions per grid cell", minimum=1),
     ),
-    aliases=("fig10",),
 )
 def _plan_figure10(params, estimators):
     mc_runs = params["mc_runs"]
@@ -837,7 +807,6 @@ def _figure11_default_estimators() -> dict[str, SumEstimator]:
         ParamSpec("seed", int, default=17, doc=_SEED_DOC),
         _repetitions_param(5, "independent runs per source count (paper: 50)"),
     ),
-    aliases=("fig11",),
     default_estimators=_figure11_default_estimators,
 )
 def _plan_figure11(params, estimators):
@@ -915,176 +884,3 @@ def _plan_table2(params, estimators):
         )
 
     return ExperimentPlan(cells=[{}], cell_fn=_table2_cell, reduce_fn=reduce)
-
-
-# ---------------------------------------------------------------------- #
-# Legacy driver functions (thin wrappers over the harness)
-# ---------------------------------------------------------------------- #
-
-
-def figure2_observed_gap(seed: int | None = None, n_points: int | None = None) -> ExperimentResult:
-    """Figure 2: observed SUM(employees) vs ground truth over time."""
-    return run_experiment("figure2", seed=seed, n_points=n_points)
-
-
-def figure4_tech_employment(
-    seed: int | None = None,
-    estimators: dict[str, SumEstimator] | None = None,
-    n_points: int | None = None,
-) -> ExperimentResult:
-    """Figure 4: SUM(employees) estimates over the crowd-answer stream."""
-    return run_experiment("figure4", seed=seed, n_points=n_points, estimators=estimators)
-
-
-def figure5a_tech_revenue(
-    seed: int | None = None,
-    estimators: dict[str, SumEstimator] | None = None,
-    n_points: int | None = None,
-) -> ExperimentResult:
-    """Figure 5(a): SUM(revenue) estimates over the crowd-answer stream."""
-    return run_experiment("figure5a", seed=seed, n_points=n_points, estimators=estimators)
-
-
-def figure5b_us_gdp(
-    seed: int | None = None,
-    estimators: dict[str, SumEstimator] | None = None,
-    n_points: int | None = None,
-) -> ExperimentResult:
-    """Figure 5(b): SUM(gdp) with a streaker worker at the beginning."""
-    return run_experiment("figure5b", seed=seed, n_points=n_points, estimators=estimators)
-
-
-def figure5c_proton_beam(
-    seed: int | None = None,
-    estimators: dict[str, SumEstimator] | None = None,
-    n_points: int | None = None,
-) -> ExperimentResult:
-    """Figure 5(c): SUM(participants) with no known ground truth."""
-    return run_experiment("figure5c", seed=seed, n_points=n_points, estimators=estimators)
-
-
-def figure6_synthetic_grid(
-    repetitions: int | None = None,
-    seed: int | None = None,
-    estimators: dict[str, SumEstimator] | None = None,
-    n_points: int | None = None,
-    scenario_names: list[str] | None = None,
-) -> ExperimentResult:
-    """Figure 6: estimator quality across publicity skew, correlation and #sources.
-
-    The paper repeats every configuration 50 times; ``repetitions`` scales
-    that down by default (pass 50 for paper scale -- and a ``backend=`` to
-    :func:`~repro.evaluation.harness.run_experiment` to parallelize it).
-    """
-    return run_experiment(
-        "figure6",
-        repetitions=repetitions,
-        seed=seed,
-        n_points=n_points,
-        scenarios=",".join(scenario_names) if scenario_names else None,
-        estimators=estimators,
-    )
-
-
-def figure7a_streakers_only(
-    seed: int | None = None,
-    estimators: dict[str, SumEstimator] | None = None,
-    n_points: int | None = None,
-    n_streakers: int | None = None,
-) -> ExperimentResult:
-    """Figure 7(a): every source successively contributes the whole population."""
-    return run_experiment(
-        "figure7a",
-        seed=seed,
-        n_points=n_points,
-        n_streakers=n_streakers,
-        estimators=estimators,
-    )
-
-
-def figure7b_streaker_injected(
-    seed: int | None = None,
-    estimators: dict[str, SumEstimator] | None = None,
-    n_points: int | None = None,
-    inject_at: int | None = None,
-) -> ExperimentResult:
-    """Figure 7(b): one streaker dumps the whole population at n = 160."""
-    return run_experiment(
-        "figure7b",
-        seed=seed,
-        n_points=n_points,
-        inject_at=inject_at,
-        estimators=estimators,
-    )
-
-
-def figure7c_upper_bound(
-    seed: int | None = None,
-    n_points: int | None = None,
-    epsilon: float | None = None,
-    z: float | None = None,
-) -> ExperimentResult:
-    """Figure 7(f): the SUM upper bound is loose but tightens with more data."""
-    return run_experiment("figure7c", seed=seed, n_points=n_points, epsilon=epsilon, z=z)
-
-
-def figure7d_avg_query(
-    seed: int | None = None, n_points: int | None = None
-) -> ExperimentResult:
-    """Figure 7(c in the text, d in the layout): bucket-corrected AVG query."""
-    return run_experiment("figure7d", seed=seed, n_points=n_points)
-
-
-def figure7e_max_query(
-    seed: int | None = None,
-    n_points: int | None = None,
-    repetitions: int | None = None,
-) -> ExperimentResult:
-    """Figure 7(e): MAX query trust-based reporting."""
-    return run_experiment("figure7e", seed=seed, n_points=n_points, repetitions=repetitions)
-
-
-def figure7f_min_query(
-    seed: int | None = None,
-    n_points: int | None = None,
-    repetitions: int | None = None,
-) -> ExperimentResult:
-    """Figure 7(f): MIN query trust-based reporting."""
-    return run_experiment("figure7f", seed=seed, n_points=n_points, repetitions=repetitions)
-
-
-def figure8_static_buckets_real(
-    seed: int | None = None, n_points: int | None = None
-) -> ExperimentResult:
-    """Figure 8: static vs dynamic buckets on the tech-employment data."""
-    return run_experiment("figure8", seed=seed, n_points=n_points)
-
-
-def figure9_static_buckets_synthetic(
-    seed: int | None = None, n_points: int | None = None
-) -> ExperimentResult:
-    """Figure 9: static vs dynamic buckets under uniform publicity."""
-    return run_experiment("figure9", seed=seed, n_points=n_points)
-
-
-def figure10_combined_estimators(
-    seed: int | None = None, n_points: int | None = None, mc_runs: int | None = None
-) -> ExperimentResult:
-    """Figure 10: bucket+frequency and Monte-Carlo+bucket combinations."""
-    return run_experiment("figure10", seed=seed, n_points=n_points, mc_runs=mc_runs)
-
-
-def figure11_source_count(
-    seed: int | None = None,
-    repetitions: int | None = None,
-    estimators: dict[str, SumEstimator] | None = None,
-) -> ExperimentResult:
-    """Figure 11: bucket estimation quality vs the number of sources (w=2..5)."""
-    return run_experiment(
-        "figure11", seed=seed, repetitions=repetitions, estimators=estimators
-    )
-
-
-def table2_toy_example() -> ExperimentResult:
-    """Table 2: exact estimator values on the five-company toy example."""
-    return run_experiment("table2")

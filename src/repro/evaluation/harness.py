@@ -1,8 +1,7 @@
 """Declarative experiment harness: registry, cell fan-out, reduction.
 
 The paper's figure suite repeats every scenario many times (50 at paper
-scale) and averages; PR 3 left those repetition loops serial.  This module
-replaces the ad-hoc ``figureN_*`` driver bodies with one declarative
+scale) and averages.  Every figure and table runs through one declarative
 pipeline, mirroring the estimator registry of :mod:`repro.api.specs`:
 
 * an experiment registers itself with :func:`register_experiment`,
@@ -169,7 +168,6 @@ class ExperimentDefinition:
     summary: str
     plan: Callable[..., ExperimentPlan]
     params: tuple[ParamSpec, ...] = ()
-    aliases: tuple[str, ...] = ()
     #: ``None``: the experiment evaluates a fixed estimator set and rejects
     #: overrides.  Otherwise a zero-argument factory for the default set.
     default_estimators: Callable[[], Mapping[str, Any]] | None = None
@@ -243,7 +241,6 @@ def _spec_label(spec: Any) -> str:
 # ---------------------------------------------------------------------- #
 
 _REGISTRY: dict[str, ExperimentDefinition] = {}
-_ALIASES: dict[str, str] = {}
 
 
 def register_experiment(
@@ -251,7 +248,6 @@ def register_experiment(
     *,
     summary: str,
     params: "tuple[ParamSpec, ...] | list[ParamSpec]" = (),
-    aliases: "tuple[str, ...]" = (),
     default_estimators: "Callable[[], Mapping[str, Any]] | None" = None,
 ) -> Callable[[Callable[..., ExperimentPlan]], Callable[..., ExperimentPlan]]:
     """Decorator registering a plan function as a named experiment.
@@ -262,7 +258,6 @@ def register_experiment(
             "figure6",
             summary="estimator quality across the 3x3 synthetic grid",
             params=(ParamSpec("repetitions", int, default=5), ...),
-            aliases=("fig6",),
             default_estimators=default_estimators,
         )
         def _plan_figure6(params, estimators):
@@ -270,13 +265,13 @@ def register_experiment(
 
     The plan function receives the coerced parameter dict and the built
     estimator mapping (``None`` for fixed-estimator experiments) and
-    returns an :class:`ExperimentPlan`.  Duplicate names or aliases raise
+    returns an :class:`ExperimentPlan`.  Duplicate names raise
     :class:`ValidationError`.
     """
     key = name.strip().lower()
 
     def decorate(plan: Callable[..., ExperimentPlan]) -> Callable[..., ExperimentPlan]:
-        if key in _REGISTRY or key in _ALIASES:
+        if key in _REGISTRY:
             raise ValidationError(f"experiment {key!r} is already registered")
         seen: set[str] = set()
         for spec in params:
@@ -290,13 +285,8 @@ def register_experiment(
             summary=summary,
             plan=plan,
             params=tuple(params),
-            aliases=tuple(alias.strip().lower() for alias in aliases),
             default_estimators=default_estimators,
         )
-        for alias in definition.aliases:
-            if alias in _REGISTRY or alias in _ALIASES:
-                raise ValidationError(f"experiment alias {alias!r} is already taken")
-            _ALIASES[alias] = key
         _REGISTRY[key] = definition
         return plan
 
@@ -310,10 +300,9 @@ def _ensure_registered() -> None:
 
 
 def get_experiment(name: str) -> ExperimentDefinition:
-    """Look up an experiment by canonical name or alias."""
+    """Look up an experiment by name (case-insensitive)."""
     _ensure_registered()
     key = str(name).strip().lower()
-    key = _ALIASES.get(key, key)
     if key not in _REGISTRY:
         raise ValidationError(
             f"unknown experiment {name!r}; available: {', '.join(list_experiments())}"
@@ -321,17 +310,14 @@ def get_experiment(name: str) -> ExperimentDefinition:
     return _REGISTRY[key]
 
 
-def list_experiments(include_aliases: bool = False) -> list[str]:
-    """Sorted canonical experiment names (optionally plus aliases)."""
+def list_experiments() -> list[str]:
+    """Sorted experiment names."""
     _ensure_registered()
-    names = sorted(_REGISTRY)
-    if include_aliases:
-        names = sorted(set(names) | set(_ALIASES))
-    return names
+    return sorted(_REGISTRY)
 
 
 def describe_experiment(name: str | None = None) -> dict[str, Any]:
-    """Introspect the registry: summaries, parameters, defaults, aliases.
+    """Introspect the registry: summaries, parameters, defaults.
 
     Mirrors :func:`repro.api.specs.describe_estimators`: a JSON-safe
     mapping ``{name: description}`` (restricted to one experiment when
@@ -345,7 +331,6 @@ def describe_experiment(name: str | None = None) -> dict[str, Any]:
         definition = _REGISTRY[key]
         out[key] = {
             "summary": definition.summary,
-            "aliases": list(definition.aliases),
             "accepts_estimators": definition.default_estimators is not None,
             "params": [
                 {
@@ -391,7 +376,7 @@ def run_experiment(
     Parameters
     ----------
     name:
-        Canonical experiment name or alias (see :func:`list_experiments`).
+        Experiment name (see :func:`list_experiments`).
     backend, workers:
         Execution backend for the cell fan-out (a
         :data:`repro.parallel.BACKENDS` name, a backend instance, or

@@ -149,15 +149,6 @@ class ClosedWorldExecutor:
         )
 
 
-#: Exact warning text of the ``estimator=`` keyword deprecation (pinned by
-#: the test suite).
-ESTIMATOR_KEYWORD_DEPRECATION = (
-    "OpenWorldExecutor(estimator=...) is deprecated; pass "
-    "sum_estimator=<spec string> (e.g. 'bucket/monte-carlo') or a built "
-    "SumEstimator instead"
-)
-
-
 class OpenWorldExecutor:
     """Query execution corrected for unknown unknowns.
 
@@ -181,23 +172,7 @@ class OpenWorldExecutor:
         sum_estimator: "SumEstimator | str | None" = None,
         count_method: str = "chao92",
         monte_carlo: MonteCarloEstimator | None = None,
-        **deprecated: Any,
     ) -> None:
-        if deprecated:
-            unknown = [key for key in deprecated if key != "estimator"]
-            if unknown:
-                raise TypeError(
-                    f"OpenWorldExecutor() got unexpected keyword arguments {unknown}"
-                )
-            from repro.api._compat import warn_once
-
-            warn_once("open-world-executor-estimator", ESTIMATOR_KEYWORD_DEPRECATION)
-            if sum_estimator is not None:
-                raise ValueError(
-                    "pass either sum_estimator or the deprecated estimator "
-                    "keyword, not both"
-                )
-            sum_estimator = deprecated["estimator"]
         if sum_estimator is None:
             resolved: SumEstimator = BucketEstimator()
         elif isinstance(sum_estimator, SumEstimator):

@@ -8,7 +8,7 @@ instrumented call sites inside the durability-critical code paths::
 
     fault_point("wal.after_append")     # in WriteAheadLog.append
     fault_point("wal.before_fsync")     # just before the fsync syscall
-    fault_point("registry.before_replace")  # before os.replace of sessions.json
+    fault_point("registry.before_replace")  # before os.replace of a checkpoint
     fault_point("parallel.worker_entry")    # top of a process-pool chunk
     fault_point("http.before_response")     # before any response bytes
     fault_point("cluster.before_transfer")  # migration: snapshot taken, not sent

@@ -60,6 +60,7 @@ __all__ = [
     "DEFAULT_BATCH_EVERY",
     "WalCorruptionError",
     "WriteAheadLog",
+    "fsync_directory",
     "read_records",
 ]
 
@@ -72,12 +73,22 @@ DEFAULT_BATCH_EVERY = 32
 _HEADER = struct.Struct(">II")  # (payload length, payload crc32)
 
 #: Refuse to parse absurd lengths: a corrupt header must not make the
-#: reader allocate gigabytes.  64 MiB matches the HTTP body bound.
+#: reader allocate gigabytes.  The writer refuses records beyond the same
+#: bound, so recovery never mistakes an acknowledged record for a tail.
 _MAX_RECORD_BYTES = 64 * 1024 * 1024
 
 
 class WalCorruptionError(ReproError):
     """A WAL record failed its CRC or framing check (not a torn tail)."""
+
+
+def fsync_directory(path: "str | os.PathLike[str]") -> None:
+    """fsync a directory, making the entries created or renamed in it durable."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def _encode(record: "dict[str, Any]") -> bytes:
@@ -87,6 +98,11 @@ def _encode(record: "dict[str, Any]") -> bytes:
     payload = json.dumps(
         record, separators=(",", ":"), allow_nan=False
     ).encode("utf-8")
+    if len(payload) > _MAX_RECORD_BYTES:
+        raise ValidationError(
+            f"journal record of {len(payload)} bytes exceeds the "
+            f"{_MAX_RECORD_BYTES}-byte record bound"
+        )
     return _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
 
 
@@ -251,18 +267,21 @@ class WriteAheadLog:
         Used by checkpointing: after a snapshot is durably on disk, the
         log is rewritten to only the records the snapshot does not cover
         (usually none).  Write-to-scratch + ``os.replace`` means a crash
-        mid-rewrite leaves the previous log intact.
+        mid-rewrite leaves the previous log intact; the directory fsync
+        after the rename makes the new log the durable one.
         """
+        frames = b"".join(_encode(record) for record in records)
         scratch = self.path.with_suffix(self.path.suffix + ".tmp")
         with self._lock:
             self._close_locked()
             with open(scratch, "wb") as handle:
-                for record in records:
-                    handle.write(_encode(record))
+                handle.write(frames)
                 handle.flush()
                 if self.fsync_policy != "never":
                     os.fsync(handle.fileno())
             os.replace(scratch, self.path)
+            if self.fsync_policy != "never":
+                fsync_directory(self.path.parent)
             self._unsynced = 0
 
     def close(self) -> None:

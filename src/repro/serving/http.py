@@ -839,17 +839,22 @@ def make_server(
     ``port=0`` binds an ephemeral port (tests and the benchmark use
     this); the bound address is ``server.server_address``.
 
-    When the function builds the registry itself, ``state_dir`` also
-    enables write-ahead ingest logging (``wal_fsync`` picks the
-    durability policy); a caller-supplied registry keeps whatever
-    persistence it was constructed with, and ``state_dir`` then only
-    names the snapshot directory to restore (the pre-WAL behavior).
+    Without a ``registry`` the function builds one from the remaining
+    options: ``state_dir`` makes it persistent (write-ahead ingest logs
+    and checkpoints there, ``wal_fsync`` picks the durability policy)
+    and restores it.  A caller-supplied registry is served as it was
+    constructed, so it cannot be combined with ``state_dir``.
 
     ``max_inflight`` arms the admission gate; ``defer_restore=True``
-    skips the ``state_dir`` restore (and marks the registry as
-    recovering) so :func:`run_server` can accept liveness probes while
-    replaying -- callers using it must invoke ``load_state`` themselves.
+    skips the restore (and marks the registry as recovering) so
+    :func:`run_server` can accept liveness probes while replaying --
+    callers using it must invoke ``registry.load_state()`` themselves.
     """
+    if registry is not None and state_dir:
+        raise ValidationError(
+            "state_dir configures the registry make_server builds; pass "
+            "SessionRegistry(state_dir=...) as the registry instead"
+        )
     if registry is None:
         kwargs: dict[str, Any] = {"backend": backend, "workers": workers}
         if cache_entries is not None:
@@ -871,7 +876,7 @@ def make_server(
         if defer_restore:
             registry._set_phase("recovering")
         else:
-            restored = registry.load_state(state_dir)
+            restored = registry.load_state()
             if restored:
                 print(f"restored {len(restored)} session(s): {', '.join(restored)}")
     return server
@@ -928,7 +933,7 @@ def run_server(
     )
     serve_thread.start()
     if state_dir:
-        restored = server.registry.load_state(state_dir)
+        restored = server.registry.load_state()
         if restored:
             print(f"restored {len(restored)} session(s): {', '.join(restored)}")
     bound_host, bound_port = server.server_address[:2]
@@ -942,6 +947,6 @@ def run_server(
         serve_thread.join()
         server.server_close()
         if state_dir:
-            target = server.registry.save_state(state_dir)
+            target = server.registry.save_state()
             print(f"saved {len(server.registry)} session(s) to {target}", flush=True)
     return 0

@@ -21,15 +21,17 @@ state-dir persistence model:
   session's WAL (:mod:`repro.resilience.wal`) **before** the session
   mutates, so ungraceful death (SIGKILL, OOM) loses nothing that was
   acknowledged;
-* :meth:`load_state` restores the per-session checkpoints (falling back
-  to a legacy monolithic ``sessions.json``, which is migrated to the
-  per-session layout at the next save) and replays each WAL tail on
-  top -- deduplicated by ``state_version``, so a crash *between* the
-  checkpoint replace and the log rotation replays records the snapshot
-  already covers exactly zero times.  Session creations are journaled
-  (a ``create`` head record); deletions write a durable
+* :meth:`load_state` restores the per-session checkpoints and replays
+  each WAL tail on top -- deduplicated by ``state_version``, so a crash
+  *between* the checkpoint replace and the log rotation replays records
+  the snapshot already covers exactly zero times.  Session creations
+  are journaled (a ``create`` head record); deletions write a durable
   ``<name>.tombstone`` file *before* any state is unlinked, so the
   session *set* is as crash-safe as the session contents.
+
+A registry persists if and only if it was constructed with a
+``state_dir``; :meth:`save_state` and :meth:`load_state` always act on
+that directory.
 
 With ``store="disk"`` new sessions persist through
 :class:`~repro.storage.store.DiskStore`: the segment log -- not the WAL
@@ -70,7 +72,7 @@ from repro.api.session import OpenWorldSession
 from repro.data.records import Observation
 from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.faults import fault_point
-from repro.resilience.wal import WalCorruptionError, WriteAheadLog
+from repro.resilience.wal import WalCorruptionError, WriteAheadLog, fsync_directory
 from repro.serving.batcher import CoalescingBatcher
 from repro.serving.cache import DEFAULT_CACHE_ENTRIES, EstimateCache, request_key
 from repro.serving.locks import RWLock
@@ -86,20 +88,16 @@ __all__ = [
     "SessionRegistry",
     "STATE_SCHEMA",
     "SESSION_STATE_SCHEMA",
-    "STATE_FILENAME",
     "WAL_DIRNAME",
     "SESSIONS_DIRNAME",
     "STORE_DIRNAME",
 ]
 
-#: Envelope identifier of the registry's persisted state (and /stats).
+#: Envelope identifier of the registry's /stats payload.
 STATE_SCHEMA = "repro.serving/v1"
 
 #: Envelope identifier of one per-session checkpoint file.
 SESSION_STATE_SCHEMA = "repro.serving-session/v1"
-
-#: Legacy monolithic checkpoint file (read for migration, never written).
-STATE_FILENAME = "sessions.json"
 
 #: Subdirectory of the state dir holding the per-session WALs.
 WAL_DIRNAME = "wal"
@@ -160,11 +158,8 @@ def _served_payload(payload: dict[str, Any]) -> dict[str, Any]:
 #       only validates: a reference beyond the store's recovered version
 #       means the store lost an acknowledged chunk.
 #
-#   {"op": "drop"}
-#       Legacy in-file tombstone (pre per-session checkpoint files).
-#       Deletions now write a durable ``<name>.tombstone`` *file*
-#       before unlinking any state; the in-file form is still honored
-#       on load so old state dirs migrate cleanly.
+# Deletions are not journaled: a durable ``sessions/<name>.tombstone``
+# file is written before any state is unlinked.
 
 
 def _create_record(session: OpenWorldSession) -> "dict[str, Any] | None":
@@ -719,10 +714,8 @@ class SessionRegistry:
         Enables crash-safe persistence: per-session write-ahead logs
         under ``<state_dir>/wal/`` plus the per-session checkpoint
         files under ``<state_dir>/sessions/`` written by
-        :meth:`save_state`.  Without it the registry is memory-only
-        (the pre-WAL behavior); :meth:`save_state` / :meth:`load_state`
-        may still be called with an explicit directory for
-        snapshot-only persistence.
+        :meth:`save_state`.  Without it the registry is memory-only and
+        :meth:`save_state` / :meth:`load_state` refuse to run.
     store:
         State store of newly created sessions: ``"memory"`` (default)
         or ``"disk"`` (requires ``state_dir``; stores live under
@@ -783,28 +776,29 @@ class SessionRegistry:
     # State-dir paths
     # ------------------------------------------------------------------ #
 
-    @property
-    def store_mode(self) -> str:
-        """Store kind of newly created sessions ("memory" or "disk")."""
-        return self._store
-
     def store_path(self, name: str) -> Path:
         """Directory of ``name``'s disk store (requires a state dir)."""
+        return self._persisted_dir() / STORE_DIRNAME / name
+
+    def _persisted_dir(self) -> Path:
         if self._state_dir is None:
-            raise ValidationError("disk stores require a state_dir")
-        return self._state_dir / STORE_DIRNAME / name
+            raise ValidationError(
+                "this registry is memory-only; construct it with "
+                "state_dir=... to persist sessions"
+            )
+        return self._state_dir
 
-    def _sessions_dir(self, directory: "Path | None" = None) -> Path:
-        base = directory if directory is not None else self._state_dir
-        if base is None:
-            raise ValidationError("no state directory configured")
-        return Path(base) / SESSIONS_DIRNAME
+    def _sessions_dir(self) -> Path:
+        return self._persisted_dir() / SESSIONS_DIRNAME
 
-    def _checkpoint_path(self, name: str, directory: "Path | None" = None) -> Path:
-        return self._sessions_dir(directory) / f"{name}.json"
+    def _wal_path(self, name: str) -> Path:
+        return self._persisted_dir() / WAL_DIRNAME / f"{name}.wal"
 
-    def _tombstone_path(self, name: str, directory: "Path | None" = None) -> Path:
-        return self._sessions_dir(directory) / f"{name}.tombstone"
+    def _checkpoint_path(self, name: str) -> Path:
+        return self._sessions_dir() / f"{name}.json"
+
+    def _tombstone_path(self, name: str) -> Path:
+        return self._sessions_dir() / f"{name}.tombstone"
 
     # ------------------------------------------------------------------ #
     # Readiness
@@ -1058,9 +1052,7 @@ class SessionRegistry:
         kwargs: dict[str, Any] = {"fsync": self._wal_fsync}
         if self._wal_batch_every is not None:
             kwargs["batch_every"] = self._wal_batch_every
-        return WriteAheadLog(
-            self._state_dir / WAL_DIRNAME / f"{name}.wal", **kwargs
-        )
+        return WriteAheadLog(self._wal_path(name), **kwargs)
 
     def get(self, name: str) -> ServedSession:
         """The served session called ``name`` (404 when absent)."""
@@ -1107,7 +1099,7 @@ class SessionRegistry:
             self._write_tombstone(name)
             if served._wal is not None:
                 served._wal.close()
-            (self._state_dir / WAL_DIRNAME / f"{name}.wal").unlink(missing_ok=True)
+            self._wal_path(name).unlink(missing_ok=True)
             self._checkpoint_path(name).unlink(missing_ok=True)
             served._session.close()
             if served._session.store_kind == "disk":
@@ -1121,7 +1113,7 @@ class SessionRegistry:
             handle.write(b"{}\n")
             handle.flush()
             os.fsync(handle.fileno())
-        self._fsync_directory(sessions_dir)
+        fsync_directory(sessions_dir)
 
     def names(self) -> list[str]:
         """Registered session names, sorted."""
@@ -1155,30 +1147,15 @@ class SessionRegistry:
     # State-dir persistence
     # ------------------------------------------------------------------ #
 
-    def _resolved_state_dir(
-        self, state_dir: "str | os.PathLike[str] | None"
-    ) -> Path:
-        if state_dir is not None:
-            return Path(state_dir)
-        if self._state_dir is None:
-            raise ValidationError(
-                "no state directory: pass one explicitly or construct the "
-                "registry with state_dir=..."
-            )
-        return self._state_dir
-
-    def save_state(
-        self, state_dir: "str | os.PathLike[str] | None" = None
-    ) -> Path:
-        """Checkpoint every **dirty** session under ``state_dir/sessions/``.
+    def save_state(self) -> Path:
+        """Checkpoint every **dirty** session under ``<state_dir>/sessions/``.
 
         Each session gets its own checkpoint file, written next to its
         final location, fsynced, and moved into place with
         :func:`os.replace` -- so a crash mid-write leaves that session's
-        previous checkpoint intact, never a torn file, and a large
-        session set no longer rewrites one monolithic JSON on every
-        save.  Sessions whose ``state_version`` has not advanced since
-        their last checkpoint are skipped entirely.
+        previous checkpoint intact, never a torn file.  Sessions whose
+        ``state_version`` has not advanced since their last checkpoint
+        are skipped entirely.
 
         Memory-store sessions checkpoint their full snapshot envelope;
         disk-store sessions *seal* their active segment (the manifest
@@ -1191,10 +1168,8 @@ class SessionRegistry:
 
         Returns the ``sessions/`` directory.
         """
-        directory = self._resolved_state_dir(state_dir)
-        sessions_dir = self._sessions_dir(directory)
+        sessions_dir = self._sessions_dir()
         sessions_dir.mkdir(parents=True, exist_ok=True)
-        legacy = directory / STATE_FILENAME
         for served in self.sessions():
             if not served.dirty:
                 continue
@@ -1215,22 +1190,14 @@ class SessionRegistry:
                     "store": "memory",
                     "snapshot": snapshot,
                 }
-            self._write_checkpoint_file(
-                self._checkpoint_path(served.name, directory), payload
-            )
+            self._write_checkpoint_file(self._checkpoint_path(served.name), payload)
             # The checkpoint is durable; rotate the journal behind it.
             served.checkpoint_wal(version)
             served.checkpointed_version = max(
                 served.checkpointed_version, version
             )
-        # Every live session now has its own file; the legacy monolithic
-        # checkpoint (if this state dir predates the split) is stale the
-        # moment any per-session file supersedes it, so drop it.
-        if legacy.exists():
-            legacy.unlink()
-            self._fsync_directory(directory)
-        self._purge_orphan_wals(directory)
-        self._purge_dead_state(directory)
+        self._purge_orphan_wals()
+        self._purge_dead_state()
         return sessions_dir
 
     @staticmethod
@@ -1242,58 +1209,43 @@ class SessionRegistry:
             os.fsync(handle.fileno())
         fault_point("registry.before_replace")
         os.replace(scratch, path)
-        SessionRegistry._fsync_directory(path.parent)
+        fsync_directory(path.parent)
 
-    def _purge_dead_state(self, directory: Path) -> None:
+    def _purge_dead_state(self) -> None:
         """Clean up leftovers of deleted sessions (idempotent, crash-safe).
 
         A tombstone file is only unlinked once every trace of its
         session (journal, checkpoint, store directory) is gone, so a
         crash in the middle of this sweep re-runs it harmlessly.
         """
-        sessions_dir = self._sessions_dir(directory)
+        sessions_dir = self._sessions_dir()
         with self._lock:
             live = set(self._sessions)
-        if sessions_dir.is_dir():
-            for path in sessions_dir.glob("*.tombstone"):
-                name = path.name[: -len(".tombstone")]
-                if name in live:
-                    continue  # recreated name; _register clears it
-                (directory / WAL_DIRNAME / f"{name}.wal").unlink(missing_ok=True)
-                (sessions_dir / f"{name}.json").unlink(missing_ok=True)
-                store_dir = directory / STORE_DIRNAME / name
-                if store_dir.exists():
-                    shutil.rmtree(store_dir, ignore_errors=True)
+        for path in sessions_dir.glob("*.tombstone"):
+            name = path.name[: -len(".tombstone")]
+            if name not in live:  # a recreated name: _register clears it
+                self._purge_session_files(name)
+        for path in sessions_dir.glob("*.json"):
+            if path.stem not in live:
                 path.unlink(missing_ok=True)
-            for path in sessions_dir.glob("*.json"):
-                if path.stem not in live:
-                    path.unlink(missing_ok=True)
 
-    def _purge_orphan_wals(self, directory: Path) -> None:
-        wal_dir = directory / WAL_DIRNAME
-        if not wal_dir.is_dir():
-            return
+    def _purge_session_files(self, name: str) -> None:
+        """Unlink every trace of deleted ``name``, its tombstone last."""
+        self._wal_path(name).unlink(missing_ok=True)
+        self._checkpoint_path(name).unlink(missing_ok=True)
+        shutil.rmtree(self.store_path(name), ignore_errors=True)
+        self._tombstone_path(name).unlink(missing_ok=True)
+
+    def _purge_orphan_wals(self) -> None:
+        wal_dir = self._persisted_dir() / WAL_DIRNAME
         with self._lock:
             live = set(self._sessions)
         for path in wal_dir.glob("*.wal"):
             if path.stem not in live:
                 path.unlink(missing_ok=True)
 
-    @staticmethod
-    def _fsync_directory(directory: Path) -> None:
-        try:
-            fd = os.open(directory, os.O_RDONLY)
-        except OSError:  # pragma: no cover - platform without dir fds
-            return
-        try:
-            os.fsync(fd)
-        finally:
-            os.close(fd)
-
-    def load_state(
-        self, state_dir: "str | os.PathLike[str] | None" = None
-    ) -> list[str]:
-        """Restore the checkpoint, then replay each WAL tail on top.
+    def load_state(self) -> list[str]:
+        """Restore the checkpoints, then replay each WAL tail on top.
 
         Missing state files are not an error (first boot of a fresh
         ``--state-dir``).  Torn or corrupt WAL tails are truncated at
@@ -1307,87 +1259,56 @@ class SessionRegistry:
         HTTP readiness endpoint reports 503 until every session is
         byte-exact.  Returns the restored names.
         """
-        directory = self._resolved_state_dir(state_dir)
         self._set_phase("recovering")
         try:
-            restored = self._load_state(directory)
+            return self._load_state()
         finally:
             self._set_phase("ready")
-        return restored
 
-    def _load_state(self, directory: Path) -> list[str]:
-        self._scavenge_store_dir(directory)
-        # Legacy monolithic checkpoint (pre per-session files): read it,
-        # treat every entry as never-checkpointed so the next save_state
-        # migrates it to the per-session layout and unlinks it.
-        target = directory / STATE_FILENAME
-        legacy: dict[str, Any] = {}
-        if target.exists():
-            payload = json.loads(target.read_text())
-            if not isinstance(payload, dict) or payload.get("schema") != STATE_SCHEMA:
-                raise ValidationError(
-                    f"{target} is not a {STATE_SCHEMA!r} state file"
-                )
-            legacy = payload.get("sessions", {})
+    def _load_state(self) -> list[str]:
+        """One rule per name, as DESIGN.md "Recovery rules on load" lists them."""
+        directory = self._persisted_dir()
+        self._scavenge_store_dir()
+        sessions_dir = self._sessions_dir()
+        tombstones = {
+            path.name[: -len(".tombstone")]
+            for path in sessions_dir.glob("*.tombstone")
+        }
         checkpoints: dict[str, dict[str, Any]] = {}
-        tombstones: set[str] = set()
-        sessions_dir = self._sessions_dir(directory)
-        if sessions_dir.is_dir():
-            for path in sorted(sessions_dir.glob("*.tombstone")):
-                tombstones.add(path.name[: -len(".tombstone")])
-            for path in sorted(sessions_dir.glob("*.json")):
-                payload = json.loads(path.read_text())
-                if (
-                    not isinstance(payload, dict)
-                    or payload.get("schema") != SESSION_STATE_SCHEMA
-                ):
-                    raise ValidationError(
-                        f"{path} is not a {SESSION_STATE_SCHEMA!r} checkpoint"
-                    )
-                checkpoints[path.stem] = payload
-        stores: dict[str, Path] = {}
+        for path in sorted(sessions_dir.glob("*.json")):
+            payload = json.loads(path.read_text())
+            if (
+                not isinstance(payload, dict)
+                or payload.get("schema") != SESSION_STATE_SCHEMA
+            ):
+                raise ValidationError(
+                    f"{path} is not a {SESSION_STATE_SCHEMA!r} checkpoint"
+                )
+            checkpoints[path.stem] = payload
         store_root = directory / STORE_DIRNAME
-        if store_root.is_dir():
-            for path in sorted(store_root.iterdir()):
-                if path.is_dir() and not path.name.startswith("."):
-                    if (path / "manifest.json").is_file():
-                        stores[path.name] = path
-        journals: dict[str, tuple[WriteAheadLog, list[dict[str, Any]]]] = {}
-        if self._state_dir is not None and directory == self._state_dir:
-            wal_dir = directory / WAL_DIRNAME
-            if wal_dir.is_dir():
-                for path in sorted(wal_dir.glob("*.wal")):
-                    wal = self._open_wal(path.stem)
-                    journals[path.stem] = (wal, wal.recover())
+        stores = {
+            path.parent.name
+            for path in store_root.glob("*/manifest.json")
+            if path.is_file() and not path.parent.name.startswith(".")
+        }
+        journal_names = {path.stem for path in (directory / WAL_DIRNAME).glob("*.wal")}
         restored = []
-        names = set(legacy) | set(checkpoints) | set(stores) | set(journals)
-        for name in sorted(names | tombstones):
-            wal, records = journals.get(name, (None, []))
+        for name in sorted(set(checkpoints) | stores | journal_names | tombstones):
             if name in tombstones:
                 # Deleted: the durable tombstone is authoritative over
                 # any trace a crash left behind.  Finish the cleanup.
-                if wal is not None:
-                    wal.close()
-                (directory / WAL_DIRNAME / f"{name}.wal").unlink(missing_ok=True)
-                self._checkpoint_path(name, directory).unlink(missing_ok=True)
-                if name in stores:
-                    shutil.rmtree(stores[name], ignore_errors=True)
-                self._tombstone_path(name, directory).unlink(missing_ok=True)
+                self._purge_session_files(name)
                 continue
-            if records and records[0].get("op") == "drop":
-                # Legacy in-file tombstone.
-                wal.close()
-                (directory / WAL_DIRNAME / f"{name}.wal").unlink(missing_ok=True)
-                continue
-            create_head = records[0] if records and records[0].get("op") == "create" else None
+            wal = self._open_wal(name) if name in journal_names else None
+            records = wal.recover() if wal is not None else []
             checkpointed = -1
-            if create_head is not None:
+            if records and records[0].get("op") == "create":
                 # Created (or recreated) after the last checkpoint: the
                 # journal, not a stale checkpoint entry, is authoritative.
-                session = OpenWorldSession.restore(create_head["snapshot"])
+                session = OpenWorldSession.restore(records[0]["snapshot"])
                 self._replay(name, session, records)
             elif name in stores:
-                session = self._attach_store_session(name, stores[name], records)
+                session = self._attach_store_session(name, records)
                 entry = checkpoints.get(name)
                 if entry is not None and entry.get("store") == "disk":
                     checkpointed = int(entry.get("state_version", -1))
@@ -1401,9 +1322,6 @@ class SessionRegistry:
                 session = OpenWorldSession.restore(entry["snapshot"])
                 checkpointed = session.state_version
                 self._replay(name, session, records)
-            elif name in legacy:
-                session = OpenWorldSession.restore(legacy[name])
-                self._replay(name, session, records)
             else:
                 raise WalCorruptionError(
                     f"journal {name!r} has no create record and no "
@@ -1415,10 +1333,7 @@ class SessionRegistry:
         return restored
 
     def _attach_store_session(
-        self,
-        name: str,
-        store_dir: Path,
-        records: "list[dict[str, Any]]",
+        self, name: str, records: "list[dict[str, Any]]"
     ) -> OpenWorldSession:
         """O(1) re-attach of a disk store, validating the WAL references.
 
@@ -1426,7 +1341,7 @@ class SessionRegistry:
         replayed from the WAL; its slim references only cross-check that
         the store recovered everything it acknowledged.
         """
-        store = DiskStore(store_dir, fsync=self._wal_fsync, **(
+        store = DiskStore(self.store_path(name), fsync=self._wal_fsync, **(
             {"batch_every": self._wal_batch_every}
             if self._wal_batch_every is not None
             else {}
@@ -1444,7 +1359,7 @@ class SessionRegistry:
                 )
         return session
 
-    def _scavenge_store_dir(self, directory: Path) -> None:
+    def _scavenge_store_dir(self) -> None:
         """Discard interrupted store promotions (crash mid snapshot-restore).
 
         ``.incoming-<name>`` directories are only renamed into place
@@ -1452,12 +1367,8 @@ class SessionRegistry:
         any still present at boot belongs to an unacknowledged transfer
         the sender will retry -- discard, never adopt.
         """
-        store_root = directory / STORE_DIRNAME
-        if not store_root.is_dir():
-            return
-        for path in store_root.iterdir():
-            if path.is_dir() and path.name.startswith(".incoming-"):
-                shutil.rmtree(path, ignore_errors=True)
+        for path in (self._persisted_dir() / STORE_DIRNAME).glob(".incoming-*"):
+            shutil.rmtree(path, ignore_errors=True)
 
     @staticmethod
     def _replay(name: str, session: OpenWorldSession, records: list) -> None:

@@ -37,6 +37,7 @@ import os
 from pathlib import Path
 from typing import Any
 
+from repro.resilience.wal import fsync_directory
 from repro.utils.exceptions import ReproError
 
 __all__ = [
@@ -55,14 +56,6 @@ class StorageError(ReproError):
     """A store directory is malformed beyond what recovery can heal."""
 
 
-def _fsync_directory(path: Path) -> None:
-    fd = os.open(path, os.O_RDONLY)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
-
-
 def write_json_atomic(path: Path, payload: "dict[str, Any]") -> None:
     """Write JSON durably and atomically: scratch + fsync + os.replace."""
     scratch = path.with_suffix(path.suffix + ".tmp")
@@ -72,7 +65,7 @@ def write_json_atomic(path: Path, payload: "dict[str, Any]") -> None:
         handle.flush()
         os.fsync(handle.fileno())
     os.replace(scratch, path)
-    _fsync_directory(path.parent)
+    fsync_directory(path.parent)
 
 
 class StoreLayout:

@@ -16,10 +16,11 @@ what makes materializing dicts from the arrays byte-identical to the
 in-memory store.
 
 Names referencing a frame are flushed *before* the frame (write-ahead
-within the store), so every index a durable frame mentions resolves.  A
-crash can leave the opposite: a durable name whose frame never made it.
-Attach heals that by truncating the file back to the entries the
-recovered state actually references.
+within the store), and fsynced before any fsync of the frame, so every
+index a durable frame mentions resolves.  A crash can leave the
+opposite: a durable name whose frame never made it.  Attach heals that
+by truncating the file back to the entries the recovered state actually
+references.
 """
 
 from __future__ import annotations
@@ -28,18 +29,35 @@ import os
 import struct
 from pathlib import Path
 
-from repro.utils.exceptions import ReproError
+from repro.resilience.wal import fsync_directory
+from repro.utils.exceptions import ReproError, ValidationError
 
-__all__ = ["NameCorruptionError", "NameLog"]
+__all__ = ["NameCorruptionError", "NameLog", "encode_entries"]
 
 _LEN = struct.Struct(">I")
 
-#: A single name longer than this is a corrupt length prefix.
+#: A single name longer than this is a corrupt length prefix to the
+#: reader, so :func:`encode_entries` refuses to write one.
 _MAX_NAME_BYTES = 1024 * 1024
 
 
 class NameCorruptionError(ReproError):
     """A name-log entry failed its framing check mid-file."""
+
+
+def encode_entries(names: "list[str]") -> bytes:
+    """Entries for :meth:`NameLog.append`, refusing any name the reader would drop."""
+    chunks: list[bytes] = []
+    for name in names:
+        raw = name.encode("utf-8")
+        if len(raw) > _MAX_NAME_BYTES:
+            raise ValidationError(
+                f"name of {len(raw)} bytes exceeds the {_MAX_NAME_BYTES}-byte "
+                "bound of a name-log entry"
+            )
+        chunks.append(_LEN.pack(len(raw)))
+        chunks.append(raw)
+    return b"".join(chunks)
 
 
 class NameLog:
@@ -49,30 +67,34 @@ class NameLog:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._file = None
+        self._unsynced = False
+        # True from creating the file until the directory entry is fsynced.
+        self._new_entry = False
 
     def _handle(self):
         if self._file is None:
+            self._new_entry = not self.path.exists()
             self._file = open(self.path, "ab")
         return self._file
 
-    def append(self, names: "list[str]") -> None:
-        """Append entries for ``names`` (flushed to the OS, not fsynced)."""
-        if not names:
+    def append(self, entries: bytes) -> None:
+        """Append :func:`encode_entries` output (flushed to the OS, not fsynced)."""
+        if not entries:
             return
-        chunks: list[bytes] = []
-        for name in names:
-            raw = name.encode("utf-8")
-            chunks.append(_LEN.pack(len(raw)))
-            chunks.append(raw)
         handle = self._handle()
-        handle.write(b"".join(chunks))
+        handle.write(entries)
         handle.flush()
+        self._unsynced = True
 
     def sync(self) -> None:
-        """fsync pending appends (called per the store's fsync policy)."""
-        if self._file is not None:
+        """fsync pending appends, and the directory entry of a new file."""
+        if self._file is not None and self._unsynced:
             self._file.flush()
             os.fsync(self._file.fileno())
+            if self._new_entry:
+                fsync_directory(self.path.parent)
+                self._new_entry = False
+            self._unsynced = False
 
     def read_all(self) -> "tuple[list[str], int]":
         """Decode every clean entry; returns (names, clean_offset).
@@ -117,9 +139,7 @@ class NameLog:
             os.fsync(handle.fileno())
 
     def close(self) -> None:
-        if self._file is not None:
-            self._file.flush()
-            os.fsync(self._file.fileno())
+        self.sync()
         self._close_handle()
 
     def _close_handle(self) -> None:

@@ -28,9 +28,11 @@ name dictionaries (:mod:`repro.storage.names`), which are flushed
 *before* the frame that references them.
 
 Durability: the active segment follows the same ``always`` / ``batch``
-/ ``never`` fsync policies as the WAL.  Sealing (checkpoint) fsyncs the
-active file, renames it to ``seg-<index>.seg`` (immutable from then
-on), fsyncs the directory, and hands the sealed entry to the manifest.
+/ ``never`` fsync policies as the WAL; the first fsync of a newly
+created ``active.seg`` also fsyncs the directory, so the file survives
+with its contents.  Sealing (checkpoint) fsyncs the active file,
+renames it to ``seg-<index>.seg`` (immutable from then on), fsyncs the
+directory, and hands the sealed entry to the manifest.
 The ``storage.before_seal`` / ``storage.after_seal`` fault points
 bracket the rename; ``storage.after_frame`` fires after a frame is
 flushed but before the invariant arrays absorb it.
@@ -49,7 +51,7 @@ from typing import Any
 import numpy as np
 
 from repro.resilience.faults import fault_point
-from repro.resilience.wal import DEFAULT_BATCH_EVERY, FSYNC_POLICIES
+from repro.resilience.wal import DEFAULT_BATCH_EVERY, FSYNC_POLICIES, fsync_directory
 from repro.utils.exceptions import ReproError, ValidationError
 
 __all__ = [
@@ -74,7 +76,8 @@ FRAME_SEED = 1
 
 #: Refuse to parse absurd lengths (a corrupt header must not allocate
 #: gigabytes).  Frames are one ingest chunk; 256 MiB is far beyond any
-#: real chunk while still bounding the damage of a garbage header.
+#: real chunk while still bounding the damage of a garbage header.  The
+#: encoders refuse larger frames, so no acknowledged frame reads as a tail.
 _MAX_FRAME_BYTES = 256 * 1024 * 1024
 
 #: Fixed-width little-endian column dtypes of an observation frame.
@@ -99,6 +102,15 @@ _ROW_BYTES = (
 
 class SegmentCorruptionError(ReproError):
     """A sealed segment failed its CRC or framing check."""
+
+
+def _framed(payload: bytes) -> bytes:
+    if len(payload) > _MAX_FRAME_BYTES:
+        raise ValidationError(
+            f"segment frame of {len(payload)} bytes exceeds the "
+            f"{_MAX_FRAME_BYTES}-byte frame bound"
+        )
+    return _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
 
 
 @dataclass(frozen=True)
@@ -139,14 +151,13 @@ def encode_frame(
             np.ascontiguousarray(flags, dtype=_DT_FLAGS).tobytes(),
         )
     )
-    return _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
+    return _framed(payload)
 
 
 def encode_seed_frame(state_version: int, seed: "dict[str, Any]") -> bytes:
     """Encode an aggregate-baseline seed frame (compact JSON payload)."""
     body = json.dumps(seed, separators=(",", ":"), allow_nan=False).encode("utf-8")
-    payload = _FRAME_META.pack(FRAME_SEED, state_version, 0) + body
-    return _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
+    return _framed(_FRAME_META.pack(FRAME_SEED, state_version, 0) + body)
 
 
 _EMPTY_U4 = np.empty(0, dtype=_DT_ENTITY)
@@ -271,6 +282,8 @@ class SegmentLog:
         self.batch_every = int(batch_every)
         self.active_path = self.directory / self.ACTIVE_NAME
         self._file: "Any | None" = None
+        # True from creating active.seg until its directory entry is fsynced.
+        self._new_entry = False
         self._appends = 0
         self._syncs = 0
         self._unsynced = 0
@@ -287,17 +300,33 @@ class SegmentLog:
 
     def _handle(self):
         if self._file is None:
+            self._new_entry = not self.active_path.exists()
             self._file = open(self.active_path, "ab")
         return self._file
+
+    def _fsync_active(self, handle) -> None:
+        os.fsync(handle.fileno())
+        if self._new_entry:
+            fsync_directory(self.directory)
+            self._new_entry = False
+
+    def sync_due(self) -> bool:
+        """Whether the policy fsyncs the next :meth:`append`."""
+        return self.fsync_policy == "always" or (
+            self.fsync_policy == "batch" and self._unsynced + 1 >= self.batch_every
+        )
 
     def append(self, frame_bytes: bytes, n_rows: int, *, sync: "bool | None" = None) -> None:
         """Append one encoded frame; flushed to the OS unconditionally.
 
         The flush is what makes a SIGKILL after ``append`` returns lose
         nothing; the fsync policy decides power-loss durability exactly
-        as for the WAL.  ``storage.after_frame`` fires once the frame is
-        out of user space but before the invariant arrays absorb it.
+        as for the WAL (``sync=None`` asks :meth:`sync_due`).
+        ``storage.after_frame`` fires once the frame is out of user
+        space but before the invariant arrays absorb it.
         """
+        if sync is None:
+            sync = self.sync_due()
         handle = self._handle()
         handle.write(frame_bytes)
         handle.flush()
@@ -308,12 +337,8 @@ class SegmentLog:
         self._active_crc = zlib.crc32(frame_bytes, self._active_crc)
         self._active_bytes += len(frame_bytes)
         fault_point("storage.after_frame")
-        if sync is None:
-            sync = self.fsync_policy == "always" or (
-                self.fsync_policy == "batch" and self._unsynced >= self.batch_every
-            )
         if sync and self.fsync_policy != "never":
-            os.fsync(handle.fileno())
+            self._fsync_active(handle)
             self._syncs += 1
             self._unsynced = 0
 
@@ -321,7 +346,7 @@ class SegmentLog:
         """Flush and fsync whatever has been appended so far."""
         if self._file is not None and self.fsync_policy != "never":
             self._file.flush()
-            os.fsync(self._file.fileno())
+            self._fsync_active(self._file)
             self._syncs += 1
             self._unsynced = 0
 
@@ -371,7 +396,8 @@ class SegmentLog:
         fault_point("storage.before_seal")
         sealed_path = self.directory / segment_name(index)
         os.rename(self.active_path, sealed_path)
-        self._fsync_directory()
+        fsync_directory(self.directory)
+        self._new_entry = False
         fault_point("storage.after_seal")
         entry = {
             "segment": sealed_path.name,
@@ -391,18 +417,11 @@ class SegmentLog:
         """Every sealed segment in the directory, in index order."""
         return sorted(self.directory.glob("seg-*.seg"))
 
-    def _fsync_directory(self) -> None:
-        fd = os.open(self.directory, os.O_RDONLY)
-        try:
-            os.fsync(fd)
-        finally:
-            os.close(fd)
-
     def close(self) -> None:
         """Flush, fsync (unless policy is "never") and close the handle."""
         if self._file is not None and self.fsync_policy != "never":
             self._file.flush()
-            os.fsync(self._file.fileno())
+            self._fsync_active(self._file)
         self._close_handle()
 
     def _close_handle(self) -> None:

@@ -55,7 +55,7 @@ from repro.data.records import Observation
 from repro.resilience.wal import DEFAULT_BATCH_EVERY
 from repro.storage.invariants import InvariantStore
 from repro.storage.layout import StorageError, StoreLayout
-from repro.storage.names import NameLog
+from repro.storage.names import NameLog, encode_entries
 from repro.storage.segments import (
     FRAME_SEED,
     Frame,
@@ -656,24 +656,24 @@ class DiskStore:
         vals = np.empty(count, dtype="<f8")
         seqs = np.empty(count, dtype="<i8")
         flags = np.zeros(count, dtype="u1")
-        new_entities: list[str] = []
-        new_sources: list[str] = []
+        # First-seen names of this chunk get their indexes here and join
+        # the shared indexes only once nothing can refuse the chunk.
+        new_entities: dict[str, int] = {}
+        new_sources: dict[str, int] = {}
+        n_entities = len(entity_index)
+        n_sources = len(source_index)
         touched_old: dict[str, int] = {}
         sources_old: dict[str, int] = {}
         for i, obs in enumerate(chunk):
             name = obs.entity_id
             index = entity_index.get(name)
             if index is None:
-                index = len(entity_index)
-                entity_index[name] = index
-                new_entities.append(name)
+                index = new_entities.setdefault(name, n_entities + len(new_entities))
             e_idx[i] = index
             source = obs.source_id
             index = source_index.get(source)
             if index is None:
-                index = len(source_index)
-                source_index[source] = index
-                new_sources.append(source)
+                index = new_sources.setdefault(source, n_sources + len(new_sources))
             s_idx[i] = index
             try:
                 vals[i] = float(obs.value(attribute))
@@ -685,23 +685,29 @@ class DiskStore:
                 touched_old[name] = state.counts.get(name, 0)
             if source not in sources_old:
                 sources_old[source] = state.per_source.get(source, 0)
+        # Encoding refuses a frame or a name its reader would drop as a
+        # corrupt tail: the ingest fails before anything is written.
+        frame = encode_frame(state_version, e_idx, s_idx, vals, seqs, flags)
+        entity_entries = encode_entries(list(new_entities))
+        source_entries = encode_entries(list(new_sources))
         # 1. Names ahead of the frame that references them.
         if new_entities:
-            self._entities_log.append(new_entities)
+            entity_index.update(new_entities)
+            self._entities_log.append(entity_entries)
             self._entity_names.extend(new_entities)
-            self._entities_bytes += _entries_bytes(new_entities)
-            if self.fsync_policy == "always":
-                self._entities_log.sync()
+            self._entities_bytes += len(entity_entries)
         if new_sources:
-            self._sources_log.append(new_sources)
+            source_index.update(new_sources)
+            self._sources_log.append(source_entries)
             self._source_names.extend(new_sources)
-            self._sources_bytes += _entries_bytes(new_sources)
-            if self.fsync_policy == "always":
-                self._sources_log.sync()
-        # 2. The frame: the durability point.
-        self._segments.append(
-            encode_frame(state_version, e_idx, s_idx, vals, seqs, flags), count
-        )
+            self._sources_bytes += len(source_entries)
+        # 2. The frame: the durability point.  An fsync of the frame is
+        #    preceded by one of the names it references.
+        sync = self._segments.sync_due()
+        if sync:
+            self._entities_log.sync()
+            self._sources_log.sync()
+        self._segments.append(frame, count, sync=sync)
         # 3. In-memory state.
         for obs in chunk:
             state.integrate(obs, attribute)
@@ -791,10 +797,6 @@ class DiskStore:
             flat_values[name] = float(vals[attribute])
         entity_names = list(counts)
         source_names = list(per_source)
-        self._entities_log.append(entity_names)
-        self._sources_log.append(source_names)
-        self._entities_log.sync()
-        self._sources_log.sync()
         seed = {
             "counts": counts,
             "values": flat_values,
@@ -803,9 +805,14 @@ class DiskStore:
             "n": int(n),
             "n_ingested": int(n_ingested),
         }
-        self._segments.append(
-            encode_seed_frame(state_version, seed), 0, sync=self.fsync_policy != "never"
-        )
+        frame = encode_seed_frame(state_version, seed)
+        entity_entries = encode_entries(entity_names)
+        source_entries = encode_entries(source_names)
+        self._entities_log.append(entity_entries)
+        self._sources_log.append(source_entries)
+        self._entities_log.sync()
+        self._sources_log.sync()
+        self._segments.append(frame, 0, sync=self.fsync_policy != "never")
         state = IntegrationState()
         state.counts = counts
         state.values = values
@@ -817,8 +824,8 @@ class DiskStore:
         self._source_names = source_names
         self._entity_index = {name: i for i, name in enumerate(entity_names)}
         self._source_index = {name: i for i, name in enumerate(source_names)}
-        self._entities_bytes = _entries_bytes(entity_names)
-        self._sources_bytes = _entries_bytes(source_names)
+        self._entities_bytes = len(entity_entries)
+        self._sources_bytes = len(source_entries)
         self._materialized = True
         self._seed_sizes = tuple(int(s) for s in seed_source_sizes)
         self._rewrite_arrays(state_version=state_version, n_ingested=n_ingested)
@@ -912,9 +919,9 @@ class DiskStore:
         self._invariants.sync()
 
     def close(self) -> None:
-        self._segments.close()
-        self._entities_log.close()
+        self._entities_log.close()  # names before the frames that use them
         self._sources_log.close()
+        self._segments.close()
         self._invariants.close()
 
     def stats(self) -> "dict[str, Any]":

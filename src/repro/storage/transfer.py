@@ -28,7 +28,8 @@ import os
 from pathlib import Path
 from typing import Any, Callable
 
-from repro.storage.layout import StorageError, StoreLayout, _fsync_directory
+from repro.resilience.wal import fsync_directory
+from repro.storage.layout import StorageError, StoreLayout
 
 __all__ = [
     "ARCHIVE_SCHEMA",
@@ -165,8 +166,8 @@ def unpack_archive(
             os.fsync(handle.fileno())
         touched_dirs.add(target.parent)
     for parent in sorted(touched_dirs):
-        _fsync_directory(parent)
-    _fsync_directory(root)
+        fsync_directory(parent)
+    fsync_directory(root)
     return header
 
 

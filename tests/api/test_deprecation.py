@@ -1,27 +1,21 @@
-"""Tests pinning the deprecation shims (make_estimator, estimator= keyword)."""
+"""Contracts of :func:`repro.api.build_estimator` and ``OpenWorldExecutor``.
+
+The class names keep the deprecated entry points these contracts were
+first pinned on; both entry points are removed.
+"""
 
 from __future__ import annotations
 
-import warnings
-
 import pytest
 
-from repro.api._compat import reset_deprecation_warnings
+from repro.api import build_estimator
 from repro.core.bucket import BucketEstimator
 from repro.core.montecarlo import DEFAULT_SEED, MonteCarloConfig
 from repro.core.naive import NaiveEstimator
-from repro.core.registry import MAKE_ESTIMATOR_DEPRECATION, make_estimator
 from repro.datasets.registry import load_dataset
 from repro.query.database import Database
-from repro.query.executor import ESTIMATOR_KEYWORD_DEPRECATION, OpenWorldExecutor
+from repro.query.executor import OpenWorldExecutor
 from repro.utils.exceptions import ValidationError
-
-
-@pytest.fixture(autouse=True)
-def _fresh_deprecation_state():
-    reset_deprecation_warnings()
-    yield
-    reset_deprecation_warnings()
 
 
 @pytest.fixture
@@ -33,67 +27,36 @@ def gdp_database():
 
 
 class TestMakeEstimatorShim:
-    def test_warns_exactly_once_with_pinned_text(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            make_estimator("naive")
-            make_estimator("bucket")
-        deprecations = [w for w in caught if w.category is DeprecationWarning]
-        assert len(deprecations) == 1
-        assert str(deprecations[0].message) == MAKE_ESTIMATOR_DEPRECATION
-
     def test_still_builds_every_legacy_name(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            assert isinstance(make_estimator("naive"), NaiveEstimator)
-            assert isinstance(make_estimator("monte-carlo-bucket"), BucketEstimator)
-            equiwidth = make_estimator("bucket-equiwidth", n_buckets=7)
-            assert equiwidth.strategy.n_buckets == 7
+        assert isinstance(build_estimator("naive"), NaiveEstimator)
+        assert isinstance(build_estimator("monte-carlo-bucket"), BucketEstimator)
+        equiwidth = build_estimator("bucket-equiwidth", n_buckets=7)
+        assert equiwidth.strategy.n_buckets == 7
 
     def test_unknown_kwargs_now_rejected(self):
         """Satellite bug: **kw used to swallow unknown kwargs silently."""
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            with pytest.raises(ValidationError, match="accepts no parameters"):
-                make_estimator("naive", n_buckets=4)
-            with pytest.raises(ValidationError, match="valid parameters"):
-                make_estimator("monte-carlo", buckets=3)
+        with pytest.raises(ValidationError, match="accepts no parameters"):
+            build_estimator("naive", n_buckets=4)
+        with pytest.raises(ValidationError, match="valid parameters"):
+            build_estimator("monte-carlo", buckets=3)
 
     def test_seed_engine_defaults_from_single_source(self):
         """Satellite bug: per-lambda defaults used to drift from the config."""
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            estimator = make_estimator("monte-carlo")
+        estimator = build_estimator("monte-carlo")
         config = MonteCarloConfig()
         assert estimator.config.engine == config.engine
         assert estimator._seed == DEFAULT_SEED
 
 
 class TestOpenWorldExecutorShim:
-    def test_estimator_keyword_warns_once_with_pinned_text(self, gdp_database):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            OpenWorldExecutor(gdp_database, estimator=NaiveEstimator())
-            OpenWorldExecutor(gdp_database, estimator=NaiveEstimator())
-        deprecations = [w for w in caught if w.category is DeprecationWarning]
-        assert len(deprecations) == 1
-        assert str(deprecations[0].message) == ESTIMATOR_KEYWORD_DEPRECATION
-
-    def test_estimator_keyword_still_works(self, gdp_database):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            executor = OpenWorldExecutor(gdp_database, estimator=NaiveEstimator())
-        assert isinstance(executor.sum_estimator, NaiveEstimator)
-
     def test_both_keywords_rejected(self, gdp_database):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            with pytest.raises(ValueError):
-                OpenWorldExecutor(
-                    gdp_database,
-                    sum_estimator=NaiveEstimator(),
-                    estimator=NaiveEstimator(),
-                )
+        # The estimator keyword no longer exists, so any use of it fails.
+        with pytest.raises(TypeError):
+            OpenWorldExecutor(
+                gdp_database,
+                sum_estimator=NaiveEstimator(),
+                estimator=NaiveEstimator(),
+            )
 
     def test_unknown_keyword_rejected(self, gdp_database):
         with pytest.raises(TypeError):

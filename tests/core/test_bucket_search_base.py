@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import build_estimator
 from repro.core.bucket import BucketEstimator, DynamicBucketing
 from repro.core.frequency import FrequencyEstimator
 from repro.core.montecarlo import MonteCarloConfig, MonteCarloEstimator
 from repro.core.naive import NaiveEstimator
-from repro.core.registry import make_estimator
 
 
 class TestSearchBase:
@@ -51,7 +51,7 @@ class TestSearchBase:
         assert estimate.corrected >= estimate.observed
 
     def test_registry_monte_carlo_bucket_uses_search_base(self):
-        estimator = make_estimator("monte-carlo-bucket")
+        estimator = build_estimator("monte-carlo-bucket")
         assert isinstance(estimator, BucketEstimator)
         assert isinstance(estimator.base, MonteCarloEstimator)
         assert isinstance(estimator.search_base, NaiveEstimator)

@@ -1,4 +1,4 @@
-"""Tests for the per-figure experiment drivers (scaled-down configurations)."""
+"""Tests for the per-figure experiments (scaled-down configurations)."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ import pytest
 from repro.core.bucket import BucketEstimator
 from repro.core.frequency import FrequencyEstimator
 from repro.core.naive import NaiveEstimator
-from repro.evaluation import experiments
+from repro.evaluation import run_experiment
 
 
 def _light_estimators():
@@ -23,20 +23,20 @@ def _light_estimators():
 
 class TestFigure2:
     def test_gap_shrinks_over_time(self):
-        result = experiments.figure2_observed_gap(seed=0, n_points=8)
+        result = run_experiment("figure2", seed=0, n_points=8)
         gaps = [row["gap_fraction"] for row in result.rows]
         assert gaps[0] > gaps[-1]
         assert all(gap >= 0 for gap in gaps)
 
     def test_rows_reference_ground_truth(self):
-        result = experiments.figure2_observed_gap(seed=0, n_points=4)
+        result = run_experiment("figure2", seed=0, n_points=4)
         assert all(row["ground_truth"] > 0 for row in result.rows)
 
 
 class TestRealDataExperiments:
     def test_figure4_shape(self):
-        result = experiments.figure4_tech_employment(
-            seed=0, estimators=_light_estimators(), n_points=4
+        result = run_experiment(
+            "figure4", seed=0, estimators=_light_estimators(), n_points=4
         )
         assert result.experiment == "fig4"
         assert len(result.rows) >= 4
@@ -45,25 +45,26 @@ class TestRealDataExperiments:
         assert last["bucket"] > last["observed"]
 
     def test_figure5b_streaker_dataset(self):
-        result = experiments.figure5b_us_gdp(
-            seed=0, estimators=_light_estimators(), n_points=4
+        result = run_experiment(
+            "figure5b", seed=0, estimators=_light_estimators(), n_points=4
         )
         assert result.rows[-1]["ground_truth"] > 0
 
     def test_figure5c_has_no_ground_truth_column(self):
-        result = experiments.figure5c_proton_beam(
-            seed=0, estimators=_light_estimators(), n_points=3
+        result = run_experiment(
+            "figure5c", seed=0, estimators=_light_estimators(), n_points=3
         )
         assert "ground_truth" not in result.rows[-1]
 
 
 class TestFigure6:
     def test_grid_rows_and_ordering(self):
-        result = experiments.figure6_synthetic_grid(
+        result = run_experiment(
+            "figure6",
             repetitions=2,
             seed=0,
             estimators=_light_estimators(),
-            scenario_names=["ideal-w10", "realistic-w10"],
+            scenarios="ideal-w10,realistic-w10",
         )
         assert {row["scenario"] for row in result.rows} == {"ideal-w10", "realistic-w10"}
         for row in result.rows:
@@ -73,8 +74,8 @@ class TestFigure6:
 
 class TestFigure7:
     def test_streakers_only_overestimation(self):
-        result = experiments.figure7a_streakers_only(
-            seed=0, estimators=_light_estimators(), n_points=4, n_streakers=2
+        result = run_experiment(
+            "figure7a", seed=0, estimators=_light_estimators(), n_points=4, n_streakers=2
         )
         last = result.rows[-1]
         # After every entity has been seen, observed equals the truth and the
@@ -82,14 +83,14 @@ class TestFigure7:
         assert last["naive"] >= last["observed"] - 1e-6
 
     def test_streaker_injection_rows(self):
-        result = experiments.figure7b_streaker_injected(
-            seed=0, estimators=_light_estimators(), n_points=4, inject_at=60
+        result = run_experiment(
+            "figure7b", seed=0, estimators=_light_estimators(), n_points=4, inject_at=60
         )
         assert result.parameters["inject_at"] == 60
         assert len(result.rows) >= 4
 
     def test_upper_bound_not_below_estimate(self):
-        result = experiments.figure7c_upper_bound(seed=0, n_points=5)
+        result = run_experiment("figure7c", seed=0, n_points=5)
         last = result.rows[-1]
         if math.isfinite(last["upper_bound"]):
             assert last["upper_bound"] >= last["bucket_estimate"] - 1e-6
@@ -99,7 +100,7 @@ class TestFigure7:
             assert finite_bounds[-1] <= finite_bounds[0] + 1e-6
 
     def test_avg_correction(self):
-        result = experiments.figure7d_avg_query(seed=0, n_points=5)
+        result = run_experiment("figure7d", seed=0, n_points=5)
         truth = result.rows[-1]["ground_truth_avg"]
         # Early on the observed average is biased upward (popular entities
         # have larger values); the bucket-weighted average corrects it.
@@ -110,12 +111,12 @@ class TestFigure7:
         assert abs(last["bucket_avg"] - truth) / truth < 0.05
 
     def test_max_report_rate_increases(self):
-        result = experiments.figure7e_max_query(seed=0, n_points=4, repetitions=2)
+        result = run_experiment("figure7e", seed=0, n_points=4, repetitions=2)
         rates = [row["report_rate"] for row in result.rows]
         assert rates[-1] >= rates[0]
 
     def test_min_rows_have_rates(self):
-        result = experiments.figure7f_min_query(seed=0, n_points=4, repetitions=2)
+        result = run_experiment("figure7f", seed=0, n_points=4, repetitions=2)
         for row in result.rows:
             assert 0.0 <= row["report_rate"] <= 1.0
             assert 0.0 <= row["true_extreme_observed_rate"] <= 1.0
@@ -123,12 +124,13 @@ class TestFigure7:
 
 class TestAppendixExperiments:
     def test_figure9_static_buckets(self):
-        result = experiments.figure9_static_buckets_synthetic(seed=0, n_points=3)
+        result = run_experiment("figure9", seed=0, n_points=3)
         assert result.experiment == "fig9"
         assert "dynamic bucket" in result.rows[-1]
 
     def test_figure11_more_sources_better(self):
-        result = experiments.figure11_source_count(
+        result = run_experiment(
+            "figure11",
             seed=0,
             repetitions=2,
             estimators={"bucket": BucketEstimator()},
@@ -153,8 +155,8 @@ class TestAppendixExperiments:
         child keyed by the global cell index instead; these values pin the
         new, properly independent streams.
         """
-        result = experiments.figure11_source_count(
-            seed=17, repetitions=2, estimators={"bucket": BucketEstimator()}
+        result = run_experiment(
+            "figure11", seed=17, repetitions=2, estimators={"bucket": BucketEstimator()}
         )
         observed = {row["n_sources"]: row["observed"] for row in result.rows}
         bucket = {row["n_sources"]: row["bucket"] for row in result.rows}
@@ -168,7 +170,7 @@ class TestAppendixExperiments:
             assert row["ground_truth"] == pytest.approx(50500.0)
 
     def test_table2_matches_paper(self):
-        result = experiments.table2_toy_example()
+        result = run_experiment("table2")
         before, after = result.rows
         assert before["naive"] == pytest.approx(16009.26, abs=1.0)
         assert before["frequency"] == pytest.approx(13694.44, abs=1.0)

@@ -77,8 +77,7 @@ class TestRegistry:
     def test_all_figures_registered(self):
         assert set(list_experiments()) == ALL_EXPERIMENTS
 
-    def test_aliases_resolve_to_canonical_definitions(self):
-        assert get_experiment("fig6") is get_experiment("figure6")
+    def test_names_are_case_insensitive(self):
         assert get_experiment("FIGURE6") is get_experiment("figure6")
 
     def test_unknown_experiment_lists_available(self):
@@ -88,7 +87,6 @@ class TestRegistry:
     def test_describe_mirrors_estimator_registry_shape(self):
         described = describe_experiment("figure6")["figure6"]
         assert described["accepts_estimators"] is True
-        assert "fig6" in described["aliases"]
         by_name = {param["name"]: param for param in described["params"]}
         assert by_name["repetitions"]["default"] == 5
         assert by_name["repetitions"]["type"] == "int"

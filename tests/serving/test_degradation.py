@@ -225,7 +225,7 @@ class TestReadiness:
         assert status == 200  # liveness answers throughout
         status, _, _ = call(server, "GET", "/sessions")
         assert status == 503  # work routes shed while recovering
-        server.registry.load_state(str(tmp_path))
+        server.registry.load_state()
         status, _, _ = call(server, "GET", "/readyz")
         assert status == 200
         status, _, _ = call(server, "GET", "/sessions")

@@ -168,13 +168,13 @@ class TestStats:
 
 class TestStatePersistence:
     def test_save_and_load_round_trip(self, tmp_path):
-        registry, served = registry_with_session()
+        registry, served = registry_with_session(state_dir=tmp_path)
         expected_estimate = served.estimate_payload()
         expected_snapshot = served.snapshot_payload()
-        registry.save_state(tmp_path)
+        registry.save_state()
 
-        restored = SessionRegistry()
-        assert restored.load_state(tmp_path) == ["s"]
+        restored = SessionRegistry(state_dir=tmp_path)
+        assert restored.load_state() == ["s"]
         again = restored.get("s")
         assert again.snapshot_payload() == expected_snapshot
         assert again.estimate_payload() == expected_estimate
@@ -190,11 +190,11 @@ class TestStatePersistence:
             reference.ingest(chunk)
 
         # Interrupted run: persist after the first chunk, restart, resume.
-        first = SessionRegistry()
+        first = SessionRegistry(state_dir=tmp_path)
         first.create("s", "value", estimator="bucket/frequency").ingest(chunks[0])
-        first.save_state(tmp_path)
-        second = SessionRegistry()
-        second.load_state(tmp_path)
+        first.save_state()
+        second = SessionRegistry(state_dir=tmp_path)
+        second.load_state()
         resumed = second.get("s")
         for chunk in chunks[1:]:
             resumed.ingest(chunk)
@@ -207,50 +207,45 @@ class TestStatePersistence:
         )
 
     def test_load_missing_state_dir_is_empty(self, tmp_path):
-        assert SessionRegistry().load_state(tmp_path / "none") == []
+        assert SessionRegistry(state_dir=tmp_path / "none").load_state() == []
+
+    def test_memory_only_registry_refuses_persistence(self):
+        registry, _ = registry_with_session()
+        with pytest.raises(ValidationError, match="memory-only"):
+            registry.save_state()
+        with pytest.raises(ValidationError, match="memory-only"):
+            registry.load_state()
+
+    def test_make_server_rejects_state_dir_for_a_supplied_registry(self, tmp_path):
+        from repro.serving.http import make_server
+
+        with pytest.raises(ValidationError, match="state_dir"):
+            make_server(registry=SessionRegistry(), state_dir=str(tmp_path))
 
     def test_load_rejects_foreign_files(self, tmp_path):
-        from repro.serving.registry import STATE_FILENAME
-
-        (tmp_path / STATE_FILENAME).write_text('{"schema": "other/v9"}')
-        with pytest.raises(ValidationError, match="state file"):
-            SessionRegistry().load_state(tmp_path)
+        (tmp_path / "sessions").mkdir()
+        (tmp_path / "sessions" / "s.json").write_text('{"schema": "other/v9"}')
+        with pytest.raises(ValidationError, match="checkpoint"):
+            SessionRegistry(state_dir=tmp_path).load_state()
 
     def test_save_is_atomic_replace(self, tmp_path):
-        registry, _ = registry_with_session()
-        target = registry.save_state(tmp_path)
+        registry, _ = registry_with_session(state_dir=tmp_path)
+        target = registry.save_state()
         registry.get("s").ingest(make_observations([("z", "s9", 5.0)]))
-        registry.save_state(tmp_path)
+        registry.save_state()
         payload = json.loads((target / "s.json").read_text())
         assert payload["store"] == "memory"
         assert payload["snapshot"]["state_version"] == 2
         assert not (target / "s.json.tmp").exists()
 
-    def test_legacy_monolithic_checkpoint_migrates(self, tmp_path):
-        """A pre-split sessions.json loads, then migrates on the next save."""
-        from repro.serving.registry import STATE_FILENAME, STATE_SCHEMA
-
-        registry, served = registry_with_session()
-        legacy = {
-            "schema": STATE_SCHEMA,
-            "sessions": {"s": served.snapshot_payload()},
-        }
-        (tmp_path / STATE_FILENAME).write_text(json.dumps(legacy))
-        restored = SessionRegistry()
-        assert restored.load_state(tmp_path) == ["s"]
-        assert restored.get("s").snapshot_payload() == served.snapshot_payload()
-        restored.save_state(tmp_path)
-        assert not (tmp_path / STATE_FILENAME).exists()
-        assert (tmp_path / "sessions" / "s.json").exists()
-
     def test_clean_sessions_are_skipped_on_save(self, tmp_path):
-        registry, _ = registry_with_session()
-        target = registry.save_state(tmp_path)
+        registry, _ = registry_with_session(state_dir=tmp_path)
+        target = registry.save_state()
         first_mtime = (target / "s.json").stat().st_mtime_ns
-        registry.save_state(tmp_path)  # nothing dirty: no rewrite
+        registry.save_state()  # nothing dirty: no rewrite
         assert (target / "s.json").stat().st_mtime_ns == first_mtime
         registry.get("s").ingest(make_observations([("z", "s9", 5.0)]))
-        registry.save_state(tmp_path)
+        registry.save_state()
         assert (target / "s.json").stat().st_mtime_ns > first_mtime
 
     def test_remove_leaves_durable_tombstone(self, tmp_path):

@@ -28,6 +28,14 @@ from repro.serving.http import dumps_result, make_server
 from repro.serving.versions import VersionGate
 
 
+def wait_until_parked(gate, count=1):
+    """Block until ``count`` waiters are parked on ``gate`` (state, not time)."""
+    deadline = time.monotonic() + 5
+    while gate.waiters < count and time.monotonic() < deadline:
+        time.sleep(0.005)
+    assert gate.waiters == count
+
+
 # --------------------------------------------------------------------- #
 # VersionGate
 # --------------------------------------------------------------------- #
@@ -49,10 +57,7 @@ class TestVersionGate:
         seen = []
         thread = threading.Thread(target=lambda: seen.append(gate.wait_for(2, timeout=10)))
         thread.start()
-        deadline = time.monotonic() + 5
-        while gate.waiters == 0 and time.monotonic() < deadline:
-            time.sleep(0.005)
-        assert gate.waiters == 1
+        wait_until_parked(gate)
         gate.advance(2)
         thread.join(timeout=5)
         assert seen == [2]
@@ -68,9 +73,7 @@ class TestVersionGate:
         seen = []
         thread = threading.Thread(target=lambda: seen.append(gate.wait_for(9, timeout=10)))
         thread.start()
-        deadline = time.monotonic() + 5
-        while gate.waiters == 0 and time.monotonic() < deadline:
-            time.sleep(0.005)
+        wait_until_parked(gate)
         gate.close()
         thread.join(timeout=5)
         # Woken by retirement: the reached version is below the target,
@@ -94,7 +97,7 @@ class TestServedSessionWait:
             target=lambda: results.append(served.wait_for_version(2, timeout=10))
         )
         thread.start()
-        time.sleep(0.05)
+        wait_until_parked(served._gate)
         served.ingest(make_observations(SIX_ROWS[3:]))
         thread.join(timeout=5)
         assert results == [2]
@@ -108,7 +111,7 @@ class TestServedSessionWait:
             target=lambda: results.append(served.wait_for_version(99, timeout=10))
         )
         thread.start()
-        time.sleep(0.05)
+        wait_until_parked(served._gate)
         registry.remove("s")
         thread.join(timeout=5)
         assert served.retired

@@ -74,12 +74,6 @@ class TestParser:
             "figure8", "figure9", "figure10", "figure11", "table2",
         }
         assert set(list_experiments()) == expected
-        # The historical short names stay valid as aliases.
-        aliases = set(list_experiments(include_aliases=True)) - expected
-        assert aliases == {
-            "fig2", "fig4", "fig5a", "fig5b", "fig5c", "fig6", "fig7a", "fig7b",
-            "fig7c", "fig7d", "fig7e", "fig7f", "fig8", "fig9", "fig10", "fig11",
-        }
 
 
 class TestEstimateCommand:
@@ -282,12 +276,6 @@ class TestExperimentCommand:
         assert payload["parameters"]["repetitions"] == 2
         assert [row["scenario"] for row in payload["rows"]] == ["ideal-w10"]
         assert {"naive", "bucket"} <= set(payload["rows"][0])
-
-    def test_experiment_alias_accepted(self, capsys):
-        code = main(["experiment", "fig6", "--repetitions", "1",
-                     "--estimators", "naive", "--set", "scenarios=ideal-w10"])
-        assert code == 0
-        assert "ideal-w10" in capsys.readouterr().out
 
     def test_describe_prints_parameter_spec(self, capsys):
         code = main(["experiment", "figure11", "--describe"])

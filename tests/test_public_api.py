@@ -25,9 +25,10 @@ class TestPublicApi:
         estimate = repro.BucketEstimator().estimate(sample, "employees")
         assert estimate.observed <= estimate.corrected
 
-    def test_make_estimator_reachable_from_top_level(self):
-        estimator = repro.make_estimator("frequency")
+    def test_build_estimator_reachable_from_top_level(self):
+        estimator = repro.build_estimator("frequency")
         assert isinstance(estimator, repro.FrequencyEstimator)
+        assert "frequency" in repro.available_estimators()
 
     def test_exceptions_catchable_via_base(self):
         with pytest.raises(repro.ReproError):
