@@ -82,32 +82,28 @@ def worker_request(
     base: str,
     method: str,
     path: str,
-    body: "bytes | None" = None,
+    body: Any = None,
     *,
     headers: "dict[str, str] | None" = None,
     timeout: float = 60.0,
 ) -> "tuple[int, bytes, dict[str, str]]":
     """One HTTP request to a worker; returns ``(status, body, headers)``.
 
-    Connection-level failures (refused, reset, torn mid-response) raise
+    A read-all over :func:`worker_stream`.  Connection-level failures
+    (refused, reset, torn mid-response) raise
     :class:`WorkerUnavailableError`; HTTP error statuses do *not* -- the
     caller forwards them verbatim (the router's byte-identity contract
     covers error bodies too).
     """
-    host, _, port = base.rpartition("://")[2].partition(":")
-    connection = http.client.HTTPConnection(host, int(port), timeout=timeout)
+    if body is not None:
+        headers = {"Content-Type": "application/json", **(headers or {})}
+    status, response, connection = worker_stream(
+        base, method, path, body, headers=headers, timeout=timeout
+    )
     try:
-        send_headers = dict(headers or {})
-        if body is not None:
-            send_headers.setdefault("Content-Type", "application/json")
-        connection.request(method, path, body=body, headers=send_headers)
-        response = connection.getresponse()
-        payload = response.read()
-        return response.status, payload, dict(response.getheaders())
-    except (ConnectionError, http.client.HTTPException, TimeoutError, OSError) as exc:
-        raise WorkerUnavailableError(
-            f"worker at {base} is unavailable: {type(exc).__name__}: {exc}"
-        ) from exc
+        return status, response.read(), dict(response.getheaders())
+    except (http.client.HTTPException, OSError) as exc:
+        raise _unavailable(base, exc) from exc
     finally:
         connection.close()
 
@@ -123,12 +119,12 @@ def worker_stream(
 ) -> "tuple[int, Any, http.client.HTTPConnection]":
     """Open a request without buffering; returns ``(status, response, conn)``.
 
-    The streaming sibling of :func:`worker_request`, for bodies too big
-    to hold in memory (store archives).  The caller reads the response
-    incrementally (``response.read(n)``) and **must** close the returned
-    connection when done.  ``body`` may be bytes or a file-like object
-    with ``read`` -- pass an explicit ``Content-Length`` header with a
-    file-like body so http.client streams it instead of chunking.
+    The one place the router->worker leg opens connections.  The caller
+    reads the response incrementally (``response.read(n)``) and
+    **must** close the returned connection when done.  ``body`` may be
+    bytes or a file-like object with ``read`` -- pass an explicit
+    ``Content-Length`` header with a file-like body so http.client
+    streams it instead of chunking.
     """
     host, _, port = base.rpartition("://")[2].partition(":")
     connection = http.client.HTTPConnection(host, int(port), timeout=timeout)
@@ -136,11 +132,15 @@ def worker_stream(
         connection.request(method, path, body=body, headers=dict(headers or {}))
         response = connection.getresponse()
         return response.status, response, connection
-    except (ConnectionError, http.client.HTTPException, TimeoutError, OSError) as exc:
+    except (http.client.HTTPException, OSError) as exc:
         connection.close()
-        raise WorkerUnavailableError(
-            f"worker at {base} is unavailable: {type(exc).__name__}: {exc}"
-        ) from exc
+        raise _unavailable(base, exc) from exc
+
+
+def _unavailable(base: str, exc: Exception) -> WorkerUnavailableError:
+    return WorkerUnavailableError(
+        f"worker at {base} is unavailable: {type(exc).__name__}: {exc}"
+    )
 
 
 def worker_request_json(

@@ -5,7 +5,11 @@ The router speaks **exactly** the single-server HTTP/JSON API
 owning worker and the response body is forwarded *verbatim*, so a body
 served through the router is byte-identical to the same request against
 a lone server -- the smoke driver and the chaos suite generalize to the
-fleet with nothing but a different base URL.
+fleet with nothing but a different base URL.  Its handler subclasses the
+server's :class:`~repro.serving.http.ApiHandler`, so body bounds, query
+validation, the error table and the writers are the server's own; it
+adds the proxy routes and relays each worker body with the headers in
+:data:`RELAYED_HEADERS`.
 
 Placement is the consistent-hash ring (:mod:`repro.cluster.hashring`):
 ``preference(name, R)`` names the primary (entry 0) and the ``R-1``
@@ -53,13 +57,13 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 import queue
+import shutil
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import ThreadingHTTPServer
 from typing import Any
-from urllib.parse import parse_qs, urlencode, urlsplit
+from urllib.parse import urlencode
 
 from repro.cluster.fleet import (
     Fleet,
@@ -71,23 +75,25 @@ from repro.cluster.fleet import (
 )
 from repro.cluster.hashring import HashRing
 from repro.cluster.migration import MigrationError, fetch_snapshot, migrate_session
+from repro.serving.http import IO_CHUNK_BYTES, ApiHandler, RouteError
 from repro.utils.exceptions import ReproError, ValidationError
 
 __all__ = ["ClusterRouter", "RouterServer", "SessionMigratingError"]
 
-#: Request bodies beyond this are refused at the router (mirrors the
-#: worker-side bound so the router never relays what a worker would 413).
-MAX_BODY_BYTES = 64 * 1024 * 1024
-
-#: Store-archive bodies get the worker-side larger bound; they are
-#: streamed through the router, never buffered.
-MAX_STORE_ARCHIVE_BYTES = 4 * 1024 * 1024 * 1024
-
-#: Streaming granularity of the proxy legs.
-IO_CHUNK_BYTES = 64 * 1024
-
-#: Retry-After hint for shed requests (migration window / dead worker).
+#: Retry-After hint for requests shed in a migration window.
 SHED_RETRY_AFTER = 1.0
+
+#: The worker response headers a relay passes on (lower-cased); the
+#: writer adds Content-Length and Connection itself.
+RELAYED_HEADERS = frozenset(
+    {
+        "content-type",
+        "content-encoding",
+        "vary",
+        "retry-after",
+        "x-repro-state-version",
+    }
+)
 
 #: How long a relayed subscription keeps trying to re-reach a primary
 #: (migration window, rolling restart, crash respawn) before giving up
@@ -667,133 +673,84 @@ class ClusterRouter:
         }
 
 
-def _retry_after_header(seconds: float) -> "tuple[str, str]":
-    return ("Retry-After", str(max(1, math.ceil(seconds))))
-
-
-class _BoundedReader:
-    """File-like reading at most ``length`` bytes from a socket file.
-
-    Handed to http.client as a streamed request body: the proxy leg
-    sends exactly the client's Content-Length bytes without ever
-    holding the archive in memory.
-    """
-
-    def __init__(self, raw: Any, length: int) -> None:
-        self._raw = raw
-        self._remaining = int(length)
-
-    def read(self, n: int = -1) -> bytes:
-        if self._remaining <= 0:
-            return b""
-        if n is None or n < 0 or n > self._remaining:
-            n = self._remaining
-        block = self._raw.read(min(n, IO_CHUNK_BYTES))
-        self._remaining -= len(block)
-        return block
-
-
-class _RouterHandler(BaseHTTPRequestHandler):
+class _RouterHandler(ApiHandler):
     server_version = "repro-cluster-router/1"
-    protocol_version = "HTTP/1.1"
 
-    def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
-        pass
+    ERRORS = (
+        ((SessionMigratingError, WorkerUnavailableError), 503),
+        (MigrationError, 500),
+    ) + ApiHandler.ERRORS
 
-    def do_GET(self) -> None:
-        self._dispatch("GET")
-
-    def do_POST(self) -> None:
-        self._dispatch("POST")
-
-    def do_DELETE(self) -> None:
-        self._dispatch("DELETE")
+    #: (method, action) of the session routes proxied under the quiesce
+    #: accounting (``subscribe`` only checks it at connect time).
+    SESSION_ROUTES = frozenset(
+        {
+            ("DELETE", None),
+            ("GET", "estimate"),
+            ("GET", "snapshot"),
+            ("GET", "store"),
+            ("POST", "ingest"),
+            ("POST", "query"),
+            ("POST", "restore"),
+            ("POST", "restore-store"),
+        }
+    )
 
     # ------------------------------------------------------------------ #
     # Dispatch
     # ------------------------------------------------------------------ #
 
-    def _dispatch(self, method: str) -> None:
+    def _serve(self, method: str, split: Any, parts: list[str], query: Any) -> None:
         router = self.server.router
-        try:
-            split = urlsplit(self.path)
-            parts = [p for p in split.path.split("/") if p]
-            router.count("requests")
-            if method == "GET" and parts == ["healthz"]:
-                self._send_json(
-                    200,
-                    {"status": "ok", "workers": len(router.fleet.names())},
-                )
-                return
-            if method == "GET" and parts == ["readyz"]:
-                self._get_readyz()
-                return
-            if not router.ready:
-                self._send_json(
-                    503,
-                    {"status": router.phase},
-                    headers=[_retry_after_header(SHED_RETRY_AFTER)],
-                )
-                return
-            if parts and parts[0] == "cluster":
-                self._dispatch_cluster(method, parts)
-                return
-            if method == "GET" and parts == ["stats"]:
-                self._send_json(200, router.aggregated_stats())
-                return
-            if method == "GET" and parts == ["sessions"]:
-                self._send_json(200, {"sessions": router.merged_sessions()})
-                return
-            if method == "POST" and parts == ["sessions"]:
-                self._post_create(split)
-                return
-            if parts and parts[0] == "sessions" and len(parts) in (2, 3):
-                self._dispatch_session(method, parts, split)
-                return
-            self._send_json(404, {"error": f"no route {method} {split.path}"})
-        except SessionMigratingError as exc:
-            router.count("shed_migrating")
+        router.count("requests")
+        if method == "GET" and parts == ["healthz"]:
             self._send_json(
-                503,
-                {"error": str(exc)},
-                headers=[_retry_after_header(exc.retry_after)],
+                200,
+                {"status": "ok", "workers": len(router.fleet.names())},
             )
-        except WorkerUnavailableError as exc:
-            router.count("shed_unavailable")
-            self._send_json(
-                503,
-                {"error": str(exc)},
-                headers=[_retry_after_header(SHED_RETRY_AFTER)],
-            )
-        except ValidationError as exc:
-            self._send_json(400, {"error": str(exc)})
-        except BrokenPipeError:  # pragma: no cover - client went away
-            pass
-        except Exception as exc:  # noqa: BLE001 - last-resort 500
-            self._send_json(
-                500, {"error": f"router error: {type(exc).__name__}: {exc}"}
-            )
+        elif method == "GET" and parts == ["readyz"]:
+            self._get_readyz()
+        elif not router.ready:
+            self._send_not_ready(router.phase)
+        elif parts and parts[0] == "cluster":
+            self._dispatch_cluster(method, parts)
+        elif method == "GET" and parts == ["stats"]:
+            self._send_json(200, router.aggregated_stats())
+        elif method == "GET" and parts == ["sessions"]:
+            self._send_json(200, {"sessions": router.merged_sessions()})
+        elif method == "POST" and parts == ["sessions"]:
+            self._post_create()
+        elif parts and parts[0] == "sessions" and len(parts) in (2, 3):
+            self._dispatch_session(method, parts, split, query)
+        else:
+            raise RouteError(404, f"no route {method} {split.path}")
+
+    def _fail(self, exc: Exception) -> None:
+        if isinstance(exc, SessionMigratingError):
+            self.server.router.count("shed_migrating")
+        elif isinstance(exc, WorkerUnavailableError):
+            self.server.router.count("shed_unavailable")
+        super()._fail(exc)
 
     # ------------------------------------------------------------------ #
     # Session routes (proxied)
     # ------------------------------------------------------------------ #
 
-    def _post_create(self, split) -> None:
+    def _post_create(self) -> None:
         router = self.server.router
         body = self._read_body()
-        try:
-            parsed = json.loads(body or b"")
-            name = parsed.get("name") if isinstance(parsed, dict) else None
-        except json.JSONDecodeError:
-            name = None
-        if not isinstance(name, str) or not name:
-            raise ValidationError(
-                "creating a session requires a JSON body with a 'name'"
-            )
+        name = self._parse_body(body).get("name")
+        # The worker validates the request; a missing or malformed name
+        # only needs some worker to refuse it with the server's message.
+        name = name if isinstance(name, str) else ""
         router.table.begin(name)
         try:
             status, payload, headers = router.forward(
-                router.table.primary(name), "POST", "/sessions", body
+                router.table.primary(name),
+                "POST",
+                "/sessions",
+                body,
+                headers=self._proxy_headers(with_body=True),
             )
         finally:
             router.table.end(name)
@@ -802,48 +759,35 @@ class _RouterHandler(BaseHTTPRequestHandler):
             router.schedule_replication(name)
         self._relay(status, payload, headers)
 
-    def _dispatch_session(self, method: str, parts: list[str], split) -> None:
+    def _dispatch_session(
+        self, method: str, parts: list[str], split: Any, query: Any
+    ) -> None:
         router = self.server.router
         name = parts[1]
         action = parts[2] if len(parts) == 3 else None
         path = split.path + (f"?{split.query}" if split.query else "")
-        # Store archives are streamed through the proxy, never buffered.
-        if method == "GET" and action == "store":
-            router.table.begin(name)
-            try:
-                self._proxy_store_get(name, path)
-            finally:
-                router.table.end(name)
-            return
-        if method == "POST" and action == "restore-store":
-            router.table.begin(name)
-            try:
-                self._proxy_store_post(name, path)
-            finally:
-                router.table.end(name)
-            return
         # Subscriptions are long-lived: holding the quiesce accounting
         # for the stream's lifetime would deadlock every migration of
         # the session, so the relay only *checks* the migration window
         # at connect time and re-subscribes transparently afterwards.
         if method == "GET" and action == "subscribe":
-            self._subscribe_relay(name, split)
+            self._subscribe_relay(name, query)
             return
-        body = self._read_body() if method in ("POST",) else None
+        if (method, action) not in self.SESSION_ROUTES:
+            raise RouteError(404, f"no route {method} {split.path}")
         router.table.begin(name)
         try:
-            if method == "DELETE" and action is None:
-                self._delete_session(name, path, body)
-                return
-            if method == "GET" and action == "estimate":
+            if action is None:
+                self._delete_session(name, path)
+            elif action == "estimate":
                 self._read_fanout(name, path)
-                return
-            if (method, action) in (
-                ("POST", "ingest"),
-                ("POST", "query"),
-                ("GET", "snapshot"),
-                ("POST", "restore"),
-            ):
+            elif action == "store":
+                # Store archives are streamed through, never buffered.
+                self._proxy_store_get(name, path)
+            elif action == "restore-store":
+                self._proxy_store_post(name, path)
+            else:
+                body = self._read_body() if method == "POST" else None
                 status, payload, headers = router.forward(
                     router.table.primary(name),
                     method,
@@ -851,40 +795,30 @@ class _RouterHandler(BaseHTTPRequestHandler):
                     body,
                     headers=self._proxy_headers(with_body=body is not None),
                 )
-                if action == "ingest" and status == 200:
-                    try:
-                        ack = json.loads(payload)
-                        router.table.record_primary(
-                            name, int(ack["state_version"])
-                        )
-                    except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-                        pass
-                    router.schedule_replication(name)
-                elif action == "restore" and status == 200:
-                    try:
-                        router.table.record_primary(
-                            name, int(json.loads(payload)["state_version"])
-                        )
-                    except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-                        pass
-                    router.schedule_replication(name)
+                if status == 200 and action in ("ingest", "restore"):
+                    self._record_write(name, payload)
                 self._relay(status, payload, headers)
-                return
-            self._send_json(
-                404, {"error": f"no route {method} {split.path}"}
-            )
         finally:
             router.table.end(name)
 
-    def _delete_session(self, name: str, path: str, body) -> None:
+    def _record_write(self, name: str, payload: bytes) -> None:
+        """The primary acked a write: record its version, then replicate."""
+        router = self.server.router
+        try:
+            router.table.record_primary(
+                name, int(json.loads(payload)["state_version"])
+            )
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError):
+            pass
+        router.schedule_replication(name)
+
+    def _delete_session(self, name: str, path: str) -> None:
         router = self.server.router
         preference = router.table.preference(name)
-        status, payload, headers = router.forward(
-            preference[0], "DELETE", path, body
-        )
+        status, payload, headers = router.forward(preference[0], "DELETE", path)
         for replica in preference[1:]:
             try:
-                router.forward(replica, "DELETE", path, body)
+                router.forward(replica, "DELETE", path)
             except WorkerUnavailableError:
                 pass
         router.table.forget(name)
@@ -897,65 +831,31 @@ class _RouterHandler(BaseHTTPRequestHandler):
             router.table.primary(name), "GET", path
         )
         try:
-            passthrough = [
-                (key, value)
-                for key, value in response.getheaders()
-                if key.lower()
-                in (
-                    "content-type",
-                    "content-length",
-                    "x-repro-state-version",
-                    "retry-after",
-                )
-            ]
-            self.send_response(status)
-            for key, value in passthrough:
-                self.send_header(key, value)
-            if status >= 400 or response.headers.get("Content-Length") is None:
-                self.send_header("Connection", "close")
-                self.close_connection = True
-            self.end_headers()
-            while True:
-                block = response.read(IO_CHUNK_BYTES)
-                if not block:
-                    break
-                self.wfile.write(block)
+            self._send_head(
+                status,
+                self._relayed(response.getheaders()),
+                int(response.getheader("Content-Length")),
+            )
+            shutil.copyfileobj(response, self.wfile, IO_CHUNK_BYTES)
         finally:
             connection.close()
 
     def _proxy_store_post(self, name: str, path: str) -> None:
         """Stream a store archive from the client to the primary."""
         router = self.server.router
-        try:
-            length = int(self.headers.get("Content-Length") or 0)
-        except ValueError:
-            raise ValidationError(
-                "Content-Length header is not an integer"
-            ) from None
-        if length <= 0:
-            raise ValidationError("restore-store requires a store-archive body")
-        if length > MAX_STORE_ARCHIVE_BYTES:
-            raise ValidationError(
-                f"store archive exceeds {MAX_STORE_ARCHIVE_BYTES} bytes"
-            )
+        body = self._archive_body()
         status, payload, headers = router.forward(
             router.table.primary(name),
             "POST",
             path,
-            _BoundedReader(self.rfile, length),
+            body,
             headers={
                 "Content-Type": "application/octet-stream",
-                "Content-Length": str(length),
+                "Content-Length": str(body.left),
             },
         )
         if status == 200:
-            try:
-                router.table.record_primary(
-                    name, int(json.loads(payload)["state_version"])
-                )
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-                pass
-            router.schedule_replication(name)
+            self._record_write(name, payload)
         self._relay(status, payload, headers)
 
     def _read_fanout(self, name: str, path: str) -> None:
@@ -988,7 +888,7 @@ class _RouterHandler(BaseHTTPRequestHandler):
     # Subscription relay
     # ------------------------------------------------------------------ #
 
-    def _subscribe_relay(self, name: str, split) -> None:
+    def _subscribe_relay(self, name: str, query: Any) -> None:
         """Relay ``GET .../subscribe`` from the session's primary.
 
         The router terminates the client's stream and maintains its own
@@ -1001,29 +901,8 @@ class _RouterHandler(BaseHTTPRequestHandler):
         worker churn, byte-identical to the single-server one.
         """
         router = self.server.router
-        query = parse_qs(split.query, keep_blank_values=False)
-        allowed = {
-            "spec",
-            "attribute",
-            "mode",
-            "from_version",
-            "max_events",
-            "timeout_ms",
-            "heartbeat_ms",
-        }
-        unknown = set(query) - allowed
-        if unknown:
-            raise ValidationError(
-                f"unknown query parameters: {', '.join(sorted(unknown))}"
-            )
-        from_version = self._query_int(query, "from_version")
-        max_events = self._query_int(query, "max_events")
-        timeout_ms = self._query_int(query, "timeout_ms")
-        deadline = (
-            time.monotonic() + timeout_ms / 1000.0
-            if timeout_ms is not None
-            else None
-        )
+        from_version, max_events, timeout = self._subscribe_query(query)[3:6]
+        deadline = time.monotonic() + timeout if timeout is not None else None
         # Shed at connect time if the session is mid-migration -- the
         # same contract every other route honors -- but do NOT stay in
         # the in-flight accounting: the stream outlives any quiesce.
@@ -1061,11 +940,7 @@ class _RouterHandler(BaseHTTPRequestHandler):
                 payload = response.read()
                 connection.close()
                 if not headers_sent:
-                    self._relay(
-                        status,
-                        payload,
-                        {k: v for k, v in response.getheaders()},
-                    )
+                    self._relay(status, payload, dict(response.getheaders()))
                     return
                 # Mid-stream 404/503: the session is moving between
                 # workers; keep retrying inside the window.
@@ -1077,15 +952,7 @@ class _RouterHandler(BaseHTTPRequestHandler):
                 continue
             retry_until = None
             if not headers_sent:
-                self.close_connection = True
-                self.send_response(200)
-                self.send_header("Content-Type", "text/event-stream; charset=utf-8")
-                self.send_header("Cache-Control", "no-store")
-                version = response.headers.get("X-Repro-State-Version")
-                if version is not None:
-                    self.send_header("X-Repro-State-Version", version)
-                self.send_header("Connection", "close")
-                self.end_headers()
+                self._start_event_stream(response.getheader("X-Repro-State-Version"))
                 headers_sent = True
             try:
                 last, sent, done = self._pump_sse(
@@ -1174,20 +1041,6 @@ class _RouterHandler(BaseHTTPRequestHandler):
         suffix = f"?{urlencode(params)}" if params else ""
         return f"/sessions/{name}/subscribe{suffix}"
 
-    @staticmethod
-    def _query_int(query: "dict[str, list[str]]", key: str) -> "int | None":
-        values = query.get(key, [])
-        if not values:
-            return None
-        if len(values) > 1:
-            raise ValidationError(f"query parameter {key!r} given more than once")
-        try:
-            return int(values[0])
-        except ValueError:
-            raise ValidationError(
-                f"{key} must be an integer, got {values[0]!r}"
-            ) from None
-
     # ------------------------------------------------------------------ #
     # Cluster admin routes
     # ------------------------------------------------------------------ #
@@ -1196,14 +1049,12 @@ class _RouterHandler(BaseHTTPRequestHandler):
         router = self.server.router
         if method == "GET" and parts == ["cluster"]:
             self._send_json(200, router.topology())
-            return
-        if method == "POST" and parts == ["cluster", "workers"]:
+        elif method == "POST" and parts == ["cluster", "workers"]:
             self._send_json(200, router.add_worker())
-            return
-        if method == "POST" and parts == ["cluster", "restart"]:
+        elif method == "POST" and parts == ["cluster", "restart"]:
             self._send_json(200, router.rolling_restart())
-            return
-        self._send_json(404, {"error": f"no route {method} /{'/'.join(parts)}"})
+        else:
+            raise RouteError(404, f"no route {method} /{'/'.join(parts)}")
 
     # ------------------------------------------------------------------ #
     # Readiness
@@ -1217,38 +1068,13 @@ class _RouterHandler(BaseHTTPRequestHandler):
                 {"status": "ready", "workers": len(router.fleet.names())},
             )
         else:
-            self._send_json(
-                503,
-                {"status": router.phase if router.phase != "ready" else "degraded"},
-                headers=[_retry_after_header(SHED_RETRY_AFTER)],
+            self._send_not_ready(
+                router.phase if router.phase != "ready" else "degraded"
             )
 
     # ------------------------------------------------------------------ #
-    # Plumbing
+    # Relaying
     # ------------------------------------------------------------------ #
-
-    def _read_body(self) -> "bytes | None":
-        try:
-            length = int(self.headers.get("Content-Length") or 0)
-        except ValueError:
-            raise ValidationError("Content-Length header is not an integer") from None
-        if length <= 0:
-            return None
-        if length > MAX_BODY_BYTES:
-            raise ValidationError(f"request body exceeds {MAX_BODY_BYTES} bytes")
-        # Bounded-chunk reads; a gzip body is relayed verbatim (the
-        # Content-Encoding header travels with it), never inflated here.
-        chunks = []
-        remaining = length
-        while remaining > 0:
-            block = self.rfile.read(min(IO_CHUNK_BYTES, remaining))
-            if not block:
-                raise ValidationError(
-                    "request body ended before Content-Length bytes arrived"
-                )
-            chunks.append(block)
-            remaining -= len(block)
-        return b"".join(chunks)
 
     def _proxy_headers(self, *, with_body: bool = False) -> dict[str, str]:
         """Client headers forwarded to the worker leg.
@@ -1267,42 +1093,13 @@ class _RouterHandler(BaseHTTPRequestHandler):
                 forwarded["Content-Encoding"] = encoding
         return forwarded
 
+    @staticmethod
+    def _relayed(headers: Any) -> "list[tuple[str, str]]":
+        """The worker response headers a relay passes on, in their order."""
+        return [pair for pair in headers if pair[0].lower() in RELAYED_HEADERS]
+
     def _relay(
         self, status: int, payload: bytes, headers: "dict[str, str]"
     ) -> None:
         """Forward a worker response verbatim (the byte-identity contract)."""
-        passthrough = [
-            (key, value)
-            for key, value in headers.items()
-            if key.lower() in ("retry-after", "content-encoding", "vary")
-        ]
-        self._send_bytes(status, payload, headers=passthrough)
-
-    def _send_json(
-        self,
-        status: int,
-        payload: Any,
-        headers: "list[tuple[str, str]] | None" = None,
-    ) -> None:
-        body = (json.dumps(payload, indent=2, allow_nan=False) + "\n").encode()
-        self._send_bytes(status, body, headers=headers)
-
-    def _send_bytes(
-        self,
-        status: int,
-        body: bytes,
-        headers: "list[tuple[str, str]] | None" = None,
-    ) -> None:
-        try:
-            self.send_response(status)
-            self.send_header("Content-Type", "application/json; charset=utf-8")
-            self.send_header("Content-Length", str(len(body)))
-            for name, value in headers or ():
-                self.send_header(name, value)
-            if status >= 400:
-                self.send_header("Connection", "close")
-                self.close_connection = True
-            self.end_headers()
-            self.wfile.write(body)
-        except BrokenPipeError:  # pragma: no cover - client already gone
-            pass
+        self._send_raw(status, payload, self._relayed(headers.items()))

@@ -56,6 +56,12 @@ calls, serialized by :func:`dumps_result` -- the same function any
 in-process comparison should use, so "byte-identical to the facade" is
 checkable with ``cmp`` (the CI serving-smoke job does exactly that).
 
+The wire plumbing -- bounded body reads, query validation, the JSON and
+event-stream writers, the exception -> status table -- lives in
+:class:`ApiHandler`, which this server's handler and the cluster
+router's (:mod:`repro.cluster.router`) both subclass: the two HTTP hops
+follow one set of wire rules.
+
 :func:`run_server` is the CLI's entry point: it begins accepting (for
 liveness) *before* restoring sessions from ``--state-dir``, prints the
 ``READY`` line once recovery finished, serves until SIGINT/SIGTERM,
@@ -151,6 +157,378 @@ def observations_from_json(items: Any) -> list[Observation]:
     return observations
 
 
+class RouteError(Exception):
+    """An HTTP-status-carrying error outside the ReproError taxonomy."""
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
+
+
+def _retry_after_header(seconds: float) -> "tuple[str, str]":
+    """``Retry-After`` as HTTP delta-seconds (integer, at least 1)."""
+    return ("Retry-After", str(max(1, math.ceil(seconds))))
+
+
+class _RequestBody:
+    """The request body as a file-like that stops at its Content-Length.
+
+    ``left`` counts the bytes not read yet: a response sent while some
+    are left closes the connection (see :meth:`ApiHandler._send_head`).
+    """
+
+    def __init__(self, rfile: Any, length: int) -> None:
+        self._rfile = rfile
+        self.left = length
+
+    def read(self, n: int = -1) -> bytes:
+        n = self.left if n is None or n < 0 else min(n, self.left)
+        if n <= 0:
+            return b""
+        block = self._rfile.read(min(n, IO_CHUNK_BYTES))
+        self.left -= len(block)
+        return block
+
+
+class ApiHandler(BaseHTTPRequestHandler):
+    """The HTTP plumbing every hop of the API shares.
+
+    The single server's handler and the cluster router's are sibling
+    subclasses: each adds its routes (:meth:`_serve`) and the exception
+    types only it raises (:attr:`ERRORS`).  The wire rules live here
+    once and never ask which server runs them:
+
+    * a body this process generates is gzipped for clients that accept
+      it (:meth:`_send_bytes`); a relayed body goes out exactly as the
+      worker encoded it (:meth:`_send_raw`);
+    * the connection closes after every status >= 400 and after any
+      response whose request body was not read to its end;
+    * request bodies are bounded (413) and read in bounded chunks.
+    """
+
+    protocol_version = "HTTP/1.1"
+
+    #: Exception types -> HTTP status, first match wins; anything else is
+    #: a 500, and a 503 carries the exception's ``Retry-After``.
+    #: Subclasses put their own types in front.
+    ERRORS: "tuple[tuple[Any, int], ...]" = (
+        (DeadlineExceededError, 504),
+        ((OverloadedError, CircuitOpenError), 503),
+        (ReproError, 400),
+    )
+
+    #: Default subscribe keep-alive comment interval.
+    HEARTBEAT_MS = 15_000
+
+    #: The current request's body, once a route asked for it.
+    _body: "_RequestBody | None" = None
+
+    # Quiet by default: one log line per request at this layer would
+    # dominate the serving benchmark's hot loop.
+    def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
+        pass
+
+    def do_GET(self) -> None:
+        self._dispatch("GET")
+
+    def do_POST(self) -> None:
+        self._dispatch("POST")
+
+    def do_DELETE(self) -> None:
+        self._dispatch("DELETE")
+
+    def _dispatch(self, method: str) -> None:
+        self._body = None
+        try:
+            split = urlsplit(self.path)
+            parts = [p for p in split.path.split("/") if p]
+            query = parse_qs(split.query, keep_blank_values=False)
+            self._serve(method, split, parts, query)
+        except BrokenPipeError:  # client went away mid-response
+            pass
+        except Exception as exc:  # noqa: BLE001 - mapped by ERRORS, else 500
+            self._fail(exc)
+
+    def _serve(self, method: str, split: Any, parts: list[str], query: Any) -> None:
+        """Answer one parsed request: the subclass's routes."""
+        raise NotImplementedError
+
+    def _fail(self, exc: Exception) -> None:
+        """Answer a failed request with its status from :attr:`ERRORS`."""
+        if isinstance(exc, RouteError):
+            status = exc.status
+        else:
+            status = next(
+                (code for types, code in self.ERRORS if isinstance(exc, types)), 500
+            )
+        if status == 500:
+            message = f"internal error: {type(exc).__name__}: {exc}"
+        else:
+            message = str(exc)
+        headers = (
+            [_retry_after_header(getattr(exc, "retry_after", 1.0))]
+            if status == 503
+            else None
+        )
+        try:
+            self._send_json(status, {"error": message}, headers=headers)
+        except BrokenPipeError:  # pragma: no cover - client already gone
+            pass
+
+    # ------------------------------------------------------------------ #
+    # Request bodies
+    # ------------------------------------------------------------------ #
+
+    def _request_body(self, limit: int) -> _RequestBody:
+        """The body as a reader: 400 on a bad Content-Length, 413 past ``limit``."""
+        try:
+            length = int(self.headers.get("Content-Length") or 0)
+        except ValueError:
+            raise ValidationError(
+                "Content-Length header is not an integer"
+            ) from None
+        if length > limit:
+            raise RouteError(413, f"request body exceeds {limit} bytes")
+        self._body = _RequestBody(self.rfile, max(length, 0))
+        return self._body
+
+    def _read_body(self) -> bytes:
+        """The request body exactly as sent (still encoded), bounded."""
+        body = self._request_body(MAX_BODY_BYTES)
+        chunks: list[bytes] = []
+        while body.left > 0:
+            block = body.read(IO_CHUNK_BYTES)
+            if not block:
+                raise ValidationError(
+                    "request body ended before Content-Length bytes arrived"
+                )
+            chunks.append(block)
+        return b"".join(chunks)
+
+    def _parse_body(self, raw: bytes) -> dict[str, Any]:
+        """A JSON-object body, inflated as its ``Content-Encoding`` says.
+
+        MAX_BODY_BYTES bounds the *inflated* size too: a gzip bomb trips
+        the 413 before it can expand further.
+        """
+        if not raw:
+            raise ValidationError("request requires a JSON body")
+        encoding = (self.headers.get("Content-Encoding") or "").strip().lower()
+        if encoding in ("gzip", "x-gzip"):
+            inflater = zlib.decompressobj(16 + zlib.MAX_WBITS)
+            try:
+                raw = inflater.decompress(raw, MAX_BODY_BYTES + 1)
+            except zlib.error as exc:
+                raise ValidationError(
+                    f"request body is not valid gzip: {exc}"
+                ) from exc
+            if len(raw) > MAX_BODY_BYTES:
+                raise RouteError(413, f"request body exceeds {MAX_BODY_BYTES} bytes")
+        elif encoding not in ("", "identity"):
+            raise RouteError(
+                415, f"unsupported Content-Encoding {encoding!r} (use gzip)"
+            )
+        try:
+            body = json.loads(raw)
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"request body is not valid JSON: {exc}") from exc
+        if not isinstance(body, dict):
+            raise ValidationError("request body must be a JSON object")
+        return body
+
+    def _read_json_body(self) -> dict[str, Any]:
+        return self._parse_body(self._read_body())
+
+    def _archive_body(self) -> _RequestBody:
+        """The store archive of ``restore-store``, as a bounded reader."""
+        body = self._request_body(MAX_STORE_ARCHIVE_BYTES)
+        if not body.left:
+            raise ValidationError("restore-store requires a store-archive body")
+        return body
+
+    # ------------------------------------------------------------------ #
+    # Query parameters
+    # ------------------------------------------------------------------ #
+
+    @staticmethod
+    def _validated_query(query: dict[str, list[str]], allowed: set[str]) -> None:
+        unknown = set(query) - allowed
+        if unknown:
+            raise ValidationError(
+                f"unknown query parameters: {', '.join(sorted(unknown))}"
+            )
+
+    @staticmethod
+    def _single(query: dict[str, list[str]], key: str) -> "str | None":
+        values = query.get(key, [])
+        if len(values) > 1:
+            raise ValidationError(f"query parameter {key!r} given more than once")
+        return values[0] if values else None
+
+    def _int_param(
+        self, query: dict[str, list[str]], key: str, minimum: int = 0
+    ) -> "int | None":
+        raw = self._single(query, key)
+        if raw is None:
+            return None
+        try:
+            value = int(raw)
+        except ValueError:
+            raise ValidationError(
+                f"{key} must be an integer, got {raw!r}"
+            ) from None
+        if value < minimum:
+            raise ValidationError(f"{key} must be >= {minimum}, got {value}")
+        return value
+
+    def _timeout_seconds(self, query: dict[str, list[str]]) -> "float | None":
+        """The ``?timeout_ms=`` deadline, as seconds (``None`` = no deadline)."""
+        raw = self._single(query, "timeout_ms")
+        if raw is None:
+            return None
+        try:
+            millis = int(raw)
+        except ValueError:
+            raise ValidationError(
+                f"timeout_ms must be an integer, got {raw!r}"
+            ) from None
+        if millis <= 0:
+            raise ValidationError(f"timeout_ms must be > 0, got {millis}")
+        return millis / 1000.0
+
+    def _subscribe_query(self, query: dict[str, list[str]]) -> tuple:
+        """The validated parameters of ``GET .../subscribe``.
+
+        ``(spec, attribute, mode, from_version, max_events, timeout,
+        heartbeat)``, the last two in seconds (``timeout`` is ``None``
+        for a stream without deadline).
+        """
+        self._validated_query(
+            query,
+            {
+                "spec",
+                "attribute",
+                "mode",
+                "from_version",
+                "max_events",
+                "timeout_ms",
+                "heartbeat_ms",
+            },
+        )
+        spec = self._single(query, "spec")
+        attribute = self._single(query, "attribute")
+        mode = self._single(query, "mode")
+        from_version = self._int_param(query, "from_version")
+        max_events = self._int_param(query, "max_events", minimum=1)
+        timeout = self._timeout_seconds(query)
+        heartbeat_ms = self._int_param(query, "heartbeat_ms", minimum=1)
+        heartbeat = (
+            heartbeat_ms if heartbeat_ms is not None else self.HEARTBEAT_MS
+        ) / 1000.0
+        return spec, attribute, mode, from_version, max_events, timeout, heartbeat
+
+    # ------------------------------------------------------------------ #
+    # Responses
+    # ------------------------------------------------------------------ #
+
+    def _gzip_accepted(self) -> bool:
+        """Did the client's ``Accept-Encoding`` advertise gzip (q > 0)?"""
+        accept = self.headers.get("Accept-Encoding") or ""
+        for token in accept.split(","):
+            name, _, params = token.partition(";")
+            if name.strip().lower() not in ("gzip", "x-gzip"):
+                continue
+            quality = 1.0
+            for param in params.split(";"):
+                param = param.strip().lower()
+                if param.startswith("q="):
+                    try:
+                        quality = float(param[2:])
+                    except ValueError:
+                        quality = 0.0
+            return quality > 0
+        return False
+
+    def _send_json(
+        self,
+        status: int,
+        payload: Any,
+        headers: "list[tuple[str, str]] | None" = None,
+    ) -> None:
+        self._send_bytes(status, dumps_result(payload), headers=headers)
+
+    def _send_bytes(
+        self,
+        status: int,
+        body: bytes,
+        headers: "list[tuple[str, str]] | None" = None,
+    ) -> None:
+        """Send a JSON body this process generated."""
+        sent = [("Content-Type", "application/json; charset=utf-8")]
+        if len(body) >= GZIP_MIN_BYTES and self._gzip_accepted():
+            # mtime=0 keeps the compressed bytes deterministic, so the
+            # byte-identity contract holds for gzip-speaking clients too
+            # (identical payload -> identical compressed body).
+            body = gzip.compress(body, mtime=0)
+            sent += [("Content-Encoding", "gzip"), ("Vary", "Accept-Encoding")]
+        self._send_raw(status, body, sent + list(headers or ()))
+
+    def _send_raw(
+        self, status: int, body: bytes, headers: "list[tuple[str, str]]"
+    ) -> None:
+        """Send ``body`` exactly as given, under exactly ``headers``."""
+        self._send_head(status, headers, len(body))
+        for offset in range(0, len(body), IO_CHUNK_BYTES):
+            self.wfile.write(body[offset : offset + IO_CHUNK_BYTES])
+
+    def _send_head(
+        self, status: int, headers: "list[tuple[str, str]]", length: int
+    ) -> None:
+        """Status line and headers of a ``length``-byte response.
+
+        The connection closes after every error and after any response
+        whose request body was not read to its end.  Unread body bytes
+        would be parsed as the next request line, and an error can fire
+        before the body was read (unrouted POST, oversized body,
+        malformed headers); closing beats draining an arbitrary,
+        possibly lying, Content-Length.
+        """
+        fault_point("http.before_response")
+        self.send_response(status)
+        for name, value in headers:
+            self.send_header(name, value)
+        self.send_header("Content-Length", str(length))
+        if status >= 400 or self._body_unread():
+            self.close_connection = True
+        if self.close_connection:
+            self.send_header("Connection", "close")
+        self.end_headers()
+
+    def _body_unread(self) -> bool:
+        if self._body is not None:
+            return self._body.left > 0
+        return (
+            self.headers.get("Content-Length") not in (None, "0")
+            or "Transfer-Encoding" in self.headers
+        )
+
+    def _send_not_ready(self, status: str) -> None:
+        """503 ``{"status": ...}`` plus ``Retry-After``: not ready yet."""
+        self._send_json(
+            503, {"status": status}, headers=[_retry_after_header(1.0)]
+        )
+
+    def _start_event_stream(self, version: Any) -> None:
+        """The header block of a close-delimited Server-Sent-Events stream."""
+        self.close_connection = True
+        self.send_response(200)
+        self.send_header("Content-Type", "text/event-stream; charset=utf-8")
+        self.send_header("Cache-Control", "no-store")
+        self.send_header("X-Repro-State-Version", str(version))
+        self.send_header("Connection", "close")
+        self.end_headers()
+
+
 class ReproServer(ThreadingHTTPServer):
     """A :class:`ThreadingHTTPServer` carrying the registry as app state."""
 
@@ -168,80 +546,39 @@ class ReproServer(ThreadingHTTPServer):
         self.gate = gate
 
 
-def _retry_after_header(seconds: float) -> "tuple[str, str]":
-    """``Retry-After`` as HTTP delta-seconds (integer, at least 1)."""
-    return ("Retry-After", str(max(1, math.ceil(seconds))))
-
-
-class _Handler(BaseHTTPRequestHandler):
+class _Handler(ApiHandler):
     server_version = "repro-serving/1"
-    protocol_version = "HTTP/1.1"
 
-    # Quiet by default: one log line per request at this layer would
-    # dominate the serving benchmark's hot loop.
-    def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
-        pass
+    ERRORS = (
+        ((UnknownSessionError, InsufficientDataError), 404),
+        (DuplicateSessionError, 409),
+    ) + ApiHandler.ERRORS
 
-    # ------------------------------------------------------------------ #
-    # HTTP verbs
-    # ------------------------------------------------------------------ #
-
-    def do_GET(self) -> None:
-        self._dispatch("GET")
-
-    def do_POST(self) -> None:
-        self._dispatch("POST")
-
-    def do_DELETE(self) -> None:
-        self._dispatch("DELETE")
-
-    def _dispatch(self, method: str) -> None:
-        try:
-            split = urlsplit(self.path)
-            parts = [p for p in split.path.split("/") if p]
-            query = parse_qs(split.query, keep_blank_values=False)
-            handler = self._route(method, parts)
-            if handler is None:
-                raise _RouteError(404, f"no route {method} {split.path}")
-            if handler in (self._get_healthz, self._get_readyz):
-                # Health probes bypass readiness and admission: liveness
-                # must answer while recovering and while shedding load.
-                handler(parts, query)
-                return
-            if not self.server.registry.ready:
-                raise OverloadedError(
-                    "server is recovering (replaying the write-ahead logs)",
-                    retry_after=1.0,
-                )
-            gate = self.server.gate
-            if gate is None or handler is self._get_subscribe:
-                # A subscription is a long-lived stream: pinning an
-                # admission slot for its lifetime would let a handful of
-                # idle subscribers starve the serving path.  Its per-event
-                # computations ride the shared cache/batcher like any
-                # other read, so only the slot is exempted.
-                handler(parts, query)
-            else:
-                with gate:
-                    handler(parts, query)
-        except _RouteError as exc:
-            self._send_error(exc.status, str(exc))
-        except (UnknownSessionError, InsufficientDataError) as exc:
-            self._send_error(404, str(exc))
-        except DuplicateSessionError as exc:
-            self._send_error(409, str(exc))
-        except DeadlineExceededError as exc:
-            self._send_error(504, str(exc))
-        except (OverloadedError, CircuitOpenError) as exc:
-            self._send_error(
-                503, str(exc), headers=[_retry_after_header(exc.retry_after)]
+    def _serve(self, method: str, split: Any, parts: list[str], query: Any) -> None:
+        handler = self._route(method, parts)
+        if handler is None:
+            raise RouteError(404, f"no route {method} {split.path}")
+        if handler in (self._get_healthz, self._get_readyz):
+            # Health probes bypass readiness and admission: liveness
+            # must answer while recovering and while shedding load.
+            handler(parts, query)
+            return
+        if not self.server.registry.ready:
+            raise OverloadedError(
+                "server is recovering (replaying the write-ahead logs)",
+                retry_after=1.0,
             )
-        except ReproError as exc:
-            self._send_error(400, str(exc))
-        except BrokenPipeError:  # client went away mid-response
-            pass
-        except Exception as exc:  # noqa: BLE001 - last-resort 500
-            self._send_error(500, f"internal error: {type(exc).__name__}: {exc}")
+        gate = self.server.gate
+        if gate is None or handler is self._get_subscribe:
+            # A subscription is a long-lived stream: pinning an
+            # admission slot for its lifetime would let a handful of
+            # idle subscribers starve the serving path.  Its per-event
+            # computations ride the shared cache/batcher like any
+            # other read, so only the slot is exempted.
+            handler(parts, query)
+        else:
+            with gate:
+                handler(parts, query)
 
     def _route(self, method: str, parts: list[str]):
         registry_routes = {
@@ -287,11 +624,7 @@ class _Handler(BaseHTTPRequestHandler):
                 200, {"status": "ready", "sessions": len(registry)}
             )
         else:
-            self._send_json(
-                503,
-                {"status": "recovering"},
-                headers=[_retry_after_header(1.0)],
-            )
+            self._send_not_ready("recovering")
 
     def _get_stats(self, parts, query) -> None:
         payload = self.server.registry.stats()
@@ -352,9 +685,6 @@ class _Handler(BaseHTTPRequestHandler):
     #: answering 304 (overridable per request via ``timeout_ms``).
     WAIT_VERSION_TIMEOUT = 30.0
 
-    #: Default subscribe keep-alive comment interval.
-    HEARTBEAT_MS = 15_000
-
     def _get_estimate(self, parts, query) -> None:
         served = self.server.registry.get(parts[1])
         self._validated_query(
@@ -374,9 +704,10 @@ class _Handler(BaseHTTPRequestHandler):
                 timeout if timeout is not None else self.WAIT_VERSION_TIMEOUT,
             )
             if reached is None:
-                self._send_no_body(
+                self._send_raw(
                     304,
-                    headers=[("X-Repro-State-Version", str(served.state_version))],
+                    b"",
+                    [("X-Repro-State-Version", str(served.state_version))],
                 )
                 return
             if reached < wait_version:
@@ -390,17 +721,14 @@ class _Handler(BaseHTTPRequestHandler):
                 version, payload = served.estimate_payload_at(
                     specs[0], attribute, timeout=timeout, mode=mode
                 )
-                self._send_bytes(
+                self._send_json(
                     200,
-                    dumps_result(payload),
+                    payload,
                     headers=[("X-Repro-State-Version", str(version))],
                 )
                 return
         payloads = served.estimate_payloads(specs, attribute, timeout=timeout, mode=mode)
-        if len(payloads) == 1:
-            self._send_bytes(200, dumps_result(payloads[0]))
-        else:
-            self._send_bytes(200, dumps_result(payloads))
+        self._send_json(200, payloads[0] if len(payloads) == 1 else payloads)
 
     def _get_subscribe(self, parts, query) -> None:
         """Server-Sent Events: push a fresh envelope per version bump.
@@ -423,28 +751,9 @@ class _Handler(BaseHTTPRequestHandler):
         ``?from_version=<last id + 1>``.
         """
         served = self.server.registry.get(parts[1])
-        self._validated_query(
-            query,
-            {
-                "spec",
-                "attribute",
-                "mode",
-                "from_version",
-                "max_events",
-                "timeout_ms",
-                "heartbeat_ms",
-            },
+        spec, attribute, mode, from_version, max_events, timeout, heartbeat = (
+            self._subscribe_query(query)
         )
-        spec = self._single(query, "spec")
-        attribute = self._single(query, "attribute")
-        mode = self._single(query, "mode")
-        from_version = self._int_param(query, "from_version")
-        max_events = self._int_param(query, "max_events", minimum=1)
-        timeout = self._timeout_seconds(query)
-        heartbeat_ms = self._int_param(query, "heartbeat_ms", minimum=1)
-        heartbeat = (
-            heartbeat_ms if heartbeat_ms is not None else self.HEARTBEAT_MS
-        ) / 1000.0
         deadline = time.monotonic() + timeout if timeout is not None else None
 
         if from_version is not None and from_version > served.state_version:
@@ -463,14 +772,7 @@ class _Handler(BaseHTTPRequestHandler):
             spec, attribute, timeout=timeout, mode=mode
         )
 
-        self.close_connection = True  # close-delimited stream
-        self.send_response(200)
-        self.send_header("Content-Type", "text/event-stream; charset=utf-8")
-        self.send_header("Cache-Control", "no-store")
-        self.send_header("X-Repro-State-Version", str(version))
-        self.send_header("Connection", "close")
-        self.end_headers()
-
+        self._start_event_stream(version)
         served.subscriber_started()
         disconnected = False
         pushed = 0
@@ -552,11 +854,11 @@ class _Handler(BaseHTTPRequestHandler):
             closed_world=closed_world,
             timeout=self._timeout_seconds(query),
         )
-        self._send_bytes(200, dumps_result(payload))
+        self._send_json(200, payload)
 
     def _get_snapshot(self, parts, query) -> None:
         served = self.server.registry.get(parts[1])
-        self._send_bytes(200, dumps_result(served.snapshot_payload()))
+        self._send_json(200, served.snapshot_payload())
 
     def _post_restore(self, parts, query) -> None:
         # The receiving half of a cluster migration / replica push: the
@@ -574,12 +876,14 @@ class _Handler(BaseHTTPRequestHandler):
         # migration protocol has quiesced the session already.
         served = self.server.registry.get(parts[1])
         with served.store_archive() as (header, files, version):
-            fault_point("http.before_response")
-            self.send_response(200)
-            self.send_header("Content-Type", "application/octet-stream")
-            self.send_header("Content-Length", str(archive_length(header, files)))
-            self.send_header("X-Repro-State-Version", str(version))
-            self.end_headers()
+            self._send_head(
+                200,
+                [
+                    ("Content-Type", "application/octet-stream"),
+                    ("X-Repro-State-Version", str(version)),
+                ],
+                archive_length(header, files),
+            )
             try:
                 for chunk in iter_archive(header, files):
                     self.wfile.write(chunk)
@@ -589,229 +893,9 @@ class _Handler(BaseHTTPRequestHandler):
     def _post_restore_store(self, parts, query) -> None:
         # The receiving half of a disk-mode migration; same fence
         # contract as /restore, but the body is the raw store archive.
-        try:
-            length = int(self.headers.get("Content-Length") or 0)
-        except ValueError:
-            raise ValidationError(
-                "Content-Length header is not an integer"
-            ) from None
-        if length <= 0:
-            raise ValidationError("restore-store requires a store-archive body")
-        if length > MAX_STORE_ARCHIVE_BYTES:
-            raise _RouteError(
-                413, f"store archive exceeds {MAX_STORE_ARCHIVE_BYTES} bytes"
-            )
-        remaining = length
-
-        def read(n: int) -> bytes:
-            nonlocal remaining
-            n = min(int(n), remaining)
-            if n <= 0:
-                return b""
-            block = self.rfile.read(n)
-            remaining -= len(block)
-            return block
-
-        served = self.server.registry.restore_store(parts[1], read)
-        while remaining > 0:  # drain any trailing bytes off the keep-alive
-            if not read(min(IO_CHUNK_BYTES, remaining)):
-                break
+        body = self._archive_body()
+        served = self.server.registry.restore_store(parts[1], body.read)
         self._send_json(200, served.info())
-
-    # ------------------------------------------------------------------ #
-    # Plumbing
-    # ------------------------------------------------------------------ #
-
-    def _read_json_body(self) -> dict[str, Any]:
-        try:
-            length = int(self.headers.get("Content-Length") or 0)
-        except ValueError:
-            raise ValidationError(
-                "Content-Length header is not an integer"
-            ) from None
-        if length <= 0:
-            raise ValidationError("request requires a JSON body")
-        if length > MAX_BODY_BYTES:
-            raise _RouteError(413, f"request body exceeds {MAX_BODY_BYTES} bytes")
-        encoding = (self.headers.get("Content-Encoding") or "").strip().lower()
-        if encoding in ("", "identity"):
-            decompressor = None
-        elif encoding in ("gzip", "x-gzip"):
-            decompressor = zlib.decompressobj(16 + zlib.MAX_WBITS)
-        else:
-            raise _RouteError(
-                415, f"unsupported Content-Encoding {encoding!r} (use gzip)"
-            )
-        # Bounded-chunk reads: the body never has to fit the socket
-        # buffer, and MAX_BODY_BYTES bounds the *decompressed* size too
-        # (a gzip bomb trips the 413 before it can expand further).
-        chunks: list[bytes] = []
-        total = 0
-        remaining = length
-        while remaining > 0:
-            block = self.rfile.read(min(IO_CHUNK_BYTES, remaining))
-            if not block:
-                raise ValidationError(
-                    "request body ended before Content-Length bytes arrived"
-                )
-            remaining -= len(block)
-            if decompressor is not None:
-                try:
-                    block = decompressor.decompress(
-                        block, MAX_BODY_BYTES + 1 - total
-                    )
-                except zlib.error as exc:
-                    raise ValidationError(
-                        f"request body is not valid gzip: {exc}"
-                    ) from exc
-            total += len(block)
-            if total > MAX_BODY_BYTES:
-                raise _RouteError(
-                    413, f"request body exceeds {MAX_BODY_BYTES} bytes"
-                )
-            chunks.append(block)
-        raw = b"".join(chunks)
-        try:
-            body = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"request body is not valid JSON: {exc}") from exc
-        if not isinstance(body, dict):
-            raise ValidationError("request body must be a JSON object")
-        return body
-
-    @staticmethod
-    def _validated_query(query: dict[str, list[str]], allowed: set[str]) -> None:
-        unknown = set(query) - allowed
-        if unknown:
-            raise ValidationError(
-                f"unknown query parameters: {', '.join(sorted(unknown))}"
-            )
-
-    @staticmethod
-    def _single(query: dict[str, list[str]], key: str) -> "str | None":
-        values = query.get(key, [])
-        if len(values) > 1:
-            raise ValidationError(f"query parameter {key!r} given more than once")
-        return values[0] if values else None
-
-    def _int_param(
-        self, query: dict[str, list[str]], key: str, minimum: int = 0
-    ) -> "int | None":
-        raw = self._single(query, key)
-        if raw is None:
-            return None
-        try:
-            value = int(raw)
-        except ValueError:
-            raise ValidationError(
-                f"{key} must be an integer, got {raw!r}"
-            ) from None
-        if value < minimum:
-            raise ValidationError(f"{key} must be >= {minimum}, got {value}")
-        return value
-
-    def _send_no_body(
-        self, status: int, headers: "list[tuple[str, str]] | None" = None
-    ) -> None:
-        """A bodyless response (the 304 of a timed-out long-poll)."""
-        self.send_response(status)
-        for name, value in headers or ():
-            self.send_header(name, value)
-        self.send_header("Content-Length", "0")
-        if self.close_connection:
-            self.send_header("Connection", "close")
-        self.end_headers()
-
-    def _timeout_seconds(self, query: dict[str, list[str]]) -> "float | None":
-        """The ``?timeout_ms=`` deadline, as seconds (``None`` = no deadline)."""
-        raw = self._single(query, "timeout_ms")
-        if raw is None:
-            return None
-        try:
-            millis = int(raw)
-        except ValueError:
-            raise ValidationError(
-                f"timeout_ms must be an integer, got {raw!r}"
-            ) from None
-        if millis <= 0:
-            raise ValidationError(f"timeout_ms must be > 0, got {millis}")
-        return millis / 1000.0
-
-    def _send_json(
-        self,
-        status: int,
-        payload: Any,
-        headers: "list[tuple[str, str]] | None" = None,
-    ) -> None:
-        self._send_bytes(status, dumps_result(payload), headers=headers)
-
-    def _send_error(
-        self,
-        status: int,
-        message: str,
-        headers: "list[tuple[str, str]] | None" = None,
-    ) -> None:
-        # An error can fire before the request body was read (unrouted
-        # POST, oversized body, malformed headers), which would leave the
-        # body bytes sitting on the keep-alive connection to be parsed as
-        # the next request line.  Close the connection instead of trying
-        # to drain an arbitrary (possibly lying) Content-Length.
-        self.close_connection = True
-        try:
-            self._send_bytes(status, dumps_result({"error": message}), headers=headers)
-        except BrokenPipeError:  # pragma: no cover - client already gone
-            pass
-
-    def _gzip_accepted(self) -> bool:
-        """Did the client's ``Accept-Encoding`` advertise gzip (q > 0)?"""
-        accept = self.headers.get("Accept-Encoding") or ""
-        for token in accept.split(","):
-            name, _, params = token.partition(";")
-            if name.strip().lower() not in ("gzip", "x-gzip"):
-                continue
-            quality = 1.0
-            for param in params.split(";"):
-                param = param.strip().lower()
-                if param.startswith("q="):
-                    try:
-                        quality = float(param[2:])
-                    except ValueError:
-                        quality = 0.0
-            return quality > 0
-        return False
-
-    def _send_bytes(
-        self,
-        status: int,
-        body: bytes,
-        headers: "list[tuple[str, str]] | None" = None,
-    ) -> None:
-        fault_point("http.before_response")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json; charset=utf-8")
-        if len(body) >= GZIP_MIN_BYTES and self._gzip_accepted():
-            # mtime=0 keeps the compressed bytes deterministic, so the
-            # byte-identity contract holds for gzip-speaking clients too
-            # (identical payload -> identical compressed body).
-            body = gzip.compress(body, mtime=0)
-            self.send_header("Content-Encoding", "gzip")
-            self.send_header("Vary", "Accept-Encoding")
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in headers or ():
-            self.send_header(name, value)
-        if self.close_connection:
-            self.send_header("Connection", "close")
-        self.end_headers()
-        for offset in range(0, len(body), IO_CHUNK_BYTES):
-            self.wfile.write(body[offset : offset + IO_CHUNK_BYTES])
-
-
-class _RouteError(Exception):
-    """An HTTP-status-carrying error outside the ReproError taxonomy."""
-
-    def __init__(self, status: int, message: str) -> None:
-        super().__init__(message)
-        self.status = status
 
 
 # ---------------------------------------------------------------------- #

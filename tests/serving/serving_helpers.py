@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import contextlib
 import threading
+import urllib.error
+import urllib.request
 
+from repro.cluster.run import make_cluster
 from repro.core.estimator import Estimate, SumEstimator
 from repro.data.records import Observation
+from repro.serving.http import make_server
 
 
 def make_observations(rows, attribute="value"):
@@ -59,3 +64,94 @@ class CountingEstimator(SumEstimator):
             cv_squared=0.0,
             estimator=self.name,
         )
+
+
+# --------------------------------------------------------------------- #
+# The two HTTP hops
+# --------------------------------------------------------------------- #
+
+#: The response headers clients read; both hops must send them alike.
+CLIENT_HEADERS = (
+    "Retry-After",
+    "X-Repro-State-Version",
+    "Content-Encoding",
+    "Vary",
+    "Connection",
+)
+
+
+class Hop:
+    """One way to reach the API, addressed like a server (``server_address``)."""
+
+    def __init__(self, server, registry):
+        self.server_address = server.server_address
+        self.registry = registry
+
+    def gate(self, name):
+        """The session's VersionGate: where a long-poll through this hop parks."""
+        return self.registry.get(name)._gate
+
+
+@contextlib.contextmanager
+def http_hops(state_dir):
+    """The API's two HTTP hops: a lone server and a one-worker thread-mode router.
+
+    Yields the ``[direct, routed]`` :class:`Hop` pair; a routed session
+    lives in the worker's registry.
+    """
+    server = make_server()
+    router_server, router, fleet = make_cluster(
+        workers=1, state_dir=str(state_dir), mode="thread"
+    )
+    servers = (server, router_server)
+    # A short poll interval keeps each shutdown() from waiting ~0.5 s.
+    threads = [
+        threading.Thread(target=each.serve_forever, args=(0.05,), daemon=True)
+        for each in servers
+    ]
+    for thread in threads:
+        thread.start()
+    router.start()
+    try:
+        yield [
+            Hop(server, server.registry),
+            Hop(router_server, fleet.workers()[0]._server.registry),
+        ]
+    finally:
+        router.stop()
+        for each, thread in zip(servers, threads):
+            each.shutdown()
+            thread.join(timeout=10)
+            each.server_close()
+        fleet.stop(graceful=True)
+
+
+def exchange(target, method, path, data=None, headers=None, timeout=10):
+    """One urllib round-trip to a server or hop: ``(status, headers, body)``."""
+    host, port = target.server_address[:2]
+    request = urllib.request.Request(
+        f"http://{host}:{port}{path}", data=data, method=method, headers=headers or {}
+    )
+    try:
+        with urllib.request.urlopen(request, timeout=timeout) as response:
+            return response.status, dict(response.headers), response.read()
+    except urllib.error.HTTPError as error:
+        return error.code, dict(error.headers), error.read()
+
+
+def same_answer(answers):
+    """Assert the hops' ``(status, headers, body)`` answers match; return the first.
+
+    Equal means equal status and body bytes, and equal values of every
+    header in :data:`CLIENT_HEADERS`.
+    """
+
+    def read(headers):
+        lowered = {name.lower(): value for name, value in headers.items()}
+        return {name: lowered.get(name.lower()) for name in CLIENT_HEADERS}
+
+    first, *others = answers
+    for other in others:
+        assert (other[0], other[2]) == (first[0], first[2]), (first, other)
+        assert read(other[1]) == read(first[1]), (first, other)
+    return first

@@ -2,14 +2,21 @@
 
 from __future__ import annotations
 
+import gzip
 import json
+import re
+import socket
 import threading
-import urllib.error
-import urllib.request
 
 import pytest
 
-from serving_helpers import SIX_ROWS, make_observations
+from serving_helpers import (
+    SIX_ROWS,
+    exchange,
+    http_hops,
+    make_observations,
+    same_answer,
+)
 from repro.api.session import OpenWorldSession
 from repro.data.records import Observation
 from repro.serving.http import dumps_result, make_server
@@ -26,21 +33,29 @@ def server():
     server.server_close()
 
 
-def call(server, method, path, body=None):
-    """One HTTP round-trip; returns (status, raw bytes)."""
-    host, port = server.server_address[:2]
-    data = json.dumps(body).encode() if body is not None else None
-    request = urllib.request.Request(
-        f"http://{host}:{port}{path}",
-        data=data,
-        method=method,
-        headers={"Content-Type": "application/json"} if data is not None else {},
+@pytest.fixture
+def hops(tmp_path):
+    """A lone server and a one-worker router, which must answer alike."""
+    with http_hops(tmp_path) as both:
+        yield both
+
+
+def call(server, method, path, body=None, headers=None):
+    """One HTTP round-trip; returns (status, raw bytes).
+
+    ``body`` is sent as JSON unless it is bytes already.  Given the
+    ``hops`` list, the request goes to every hop, and all must answer
+    alike (see ``same_answer``).
+    """
+    if body is not None and not isinstance(body, bytes):
+        body = json.dumps(body).encode()
+    if body is not None:
+        headers = {"Content-Type": "application/json", **(headers or {})}
+    targets = server if isinstance(server, list) else [server]
+    status, _, raw = same_answer(
+        [exchange(target, method, path, body, headers) for target in targets]
     )
-    try:
-        with urllib.request.urlopen(request, timeout=10) as response:
-            return response.status, response.read()
-    except urllib.error.HTTPError as error:
-        return error.code, error.read()
+    return status, raw
 
 
 def observation_bodies(rows, attribute="value"):
@@ -159,24 +174,24 @@ class TestByteIdentity:
 
 
 class TestErrors:
-    def test_unknown_route_is_404(self, server):
-        assert call(server, "GET", "/nope")[0] == 404
-        assert call(server, "POST", "/sessions/s/nope")[0] == 404
+    def test_unknown_route_is_404(self, hops):
+        assert call(hops, "GET", "/nope")[0] == 404
+        assert call(hops, "POST", "/sessions/s/nope")[0] == 404
 
-    def test_unknown_session_is_404(self, server):
-        status, body = call(server, "GET", "/sessions/ghost/estimate")
+    def test_unknown_session_is_404(self, hops):
+        status, body = call(hops, "GET", "/sessions/ghost/estimate")
         assert status == 404
         assert "ghost" in json.loads(body)["error"]
 
-    def test_duplicate_session_is_409(self, server):
-        create_and_fill(server)
+    def test_duplicate_session_is_409(self, hops):
+        create_and_fill(hops)
         status, _ = call(
-            server, "POST", "/sessions", {"name": "s", "attribute": "value"}
+            hops, "POST", "/sessions", {"name": "s", "attribute": "value"}
         )
         assert status == 409
 
-    def test_validation_errors_are_400(self, server):
-        create_and_fill(server)
+    def test_validation_errors_are_400(self, hops):
+        create_and_fill(hops)
         cases = [
             ("POST", "/sessions", {"attribute": "value"}),  # missing name
             ("POST", "/sessions", {"name": "t", "attribute": "value", "x": 1}),
@@ -186,34 +201,37 @@ class TestErrors:
             ("POST", "/sessions/s/query", {"sql": "SELECT SUM(value) FROM data", "closed_world": "yes"}),
             ("GET", "/sessions/s/estimate?spec=not-an-estimator", None),
             ("GET", "/sessions/s/estimate?bogus=1", None),
+            ("GET", "/sessions/s/subscribe?max_events=0", None),
+            ("GET", "/sessions/s/subscribe?timeout_ms=0", None),
+            ("GET", "/sessions/s/subscribe?timeout_ms=-5", None),
         ]
         for method, path, body in cases:
-            status, raw = call(server, method, path, body)
+            status, raw = call(hops, method, path, body)
             assert status == 400, (method, path, raw)
             assert "error" in json.loads(raw)
 
-    def test_malformed_json_body_is_400(self, server):
-        host, port = server.server_address[:2]
-        request = urllib.request.Request(
-            f"http://{host}:{port}/sessions",
-            data=b"{not json",
-            method="POST",
-            headers={"Content-Type": "application/json"},
-        )
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            urllib.request.urlopen(request, timeout=10)
-        assert excinfo.value.code == 400
+    def test_malformed_json_body_is_400(self, hops):
+        assert call(hops, "POST", "/sessions", b"{not json")[0] == 400
 
-    def test_estimate_of_empty_session_is_404(self, server):
-        call(server, "POST", "/sessions", {"name": "empty", "attribute": "value"})
-        status, _ = call(server, "GET", "/sessions/empty/estimate")
+    def test_gzip_encoded_create_is_inflated_not_a_500(self, hops):
+        body = gzip.compress(json.dumps({"name": "z", "attribute": "value"}).encode())
+        status, raw = call(
+            hops, "POST", "/sessions", body, {"Content-Encoding": "gzip"}
+        )
+        assert status == 201, raw
+        assert json.loads(raw)["session"] == "z"
+
+    def test_estimate_of_empty_session_is_404(self, hops):
+        call(hops, "POST", "/sessions", {"name": "empty", "attribute": "value"})
+        status, _ = call(hops, "GET", "/sessions/empty/estimate")
         assert status == 404  # InsufficientDataError: nothing ingested yet
 
-    def test_failed_request_leaves_server_serving(self, server):
-        create_and_fill(server)
-        call(server, "GET", "/sessions/s/estimate?spec=not-an-estimator")
-        assert call(server, "GET", "/healthz")[0] == 200
-        assert call(server, "GET", "/sessions/s/estimate")[0] == 200
+    def test_failed_request_leaves_server_serving(self, hops):
+        create_and_fill(hops)
+        call(hops, "GET", "/sessions/s/estimate?spec=not-an-estimator")
+        for hop in hops:  # the health bodies differ by design
+            assert call(hop, "GET", "/healthz")[0] == 200
+        assert call(hops, "GET", "/sessions/s/estimate")[0] == 200
 
 
 class TestIngestValidation:
@@ -250,34 +268,39 @@ class TestIngestValidation:
 
 
 class TestKeepAliveSafety:
-    """Error responses must not leave request-body bytes on the connection."""
+    """Responses must not leave request-body bytes on the connection."""
 
-    def raw_exchange(self, server, payload: bytes) -> bytes:
-        import socket
+    def raw_exchange(self, hops, payload: bytes) -> bytes:
+        """Send ``payload`` on a fresh socket to each hop; the replies must match.
 
-        host, port = server.server_address[:2]
-        with socket.create_connection((host, port), timeout=10) as sock:
-            sock.sendall(payload)
-            sock.settimeout(10)
-            chunks = []
-            try:
-                while True:
-                    chunk = sock.recv(65536)
-                    if not chunk:
-                        break
-                    chunks.append(chunk)
-            except TimeoutError:  # pragma: no cover - server kept it open
-                pass
-        return b"".join(chunks)
+        Returns the reply without its ``Date`` and ``Server`` headers,
+        the only lines in which the hops may differ.
+        """
+        replies = []
+        for hop in hops:
+            with socket.create_connection(hop.server_address[:2], timeout=10) as sock:
+                sock.sendall(payload)
+                chunks = []
+                try:
+                    while True:
+                        chunk = sock.recv(65536)
+                        if not chunk:
+                            break
+                        chunks.append(chunk)
+                except TimeoutError:  # pragma: no cover - server kept it open
+                    pass
+            replies.append(re.sub(rb"(Date|Server): [^\r]*\r\n", b"", b"".join(chunks)))
+        assert replies[1:] == replies[:-1], replies
+        return replies[0]
 
-    def test_unrouted_post_with_body_closes_the_connection(self, server):
+    def test_unrouted_post_with_body_closes_the_connection(self, hops):
         body = b'{"observations": []}'
         raw = (
             b"POST /nope HTTP/1.1\r\nHost: x\r\nContent-Type: application/json\r\n"
             b"Content-Length: %d\r\n\r\n%s" % (len(body), body)
             + b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
         )
-        response = self.raw_exchange(server, raw)
+        response = self.raw_exchange(hops, raw)
         # The 404 must close the connection (body bytes were never read),
         # so the pipelined GET is not parsed -- and in particular the
         # unread body must never be misread as a request line.
@@ -285,19 +308,47 @@ class TestKeepAliveSafety:
         assert b"Connection: close" in response
         assert b"Bad request" not in response
 
-    def test_malformed_content_length_is_400_not_500(self, server):
+    def test_malformed_content_length_is_400_not_500(self, hops):
         raw = (
             b"POST /sessions HTTP/1.1\r\nHost: x\r\n"
             b"Content-Length: abc\r\n\r\n"
         )
-        response = self.raw_exchange(server, raw)
+        response = self.raw_exchange(hops, raw)
         assert response.startswith(b"HTTP/1.1 400")
 
-    def test_successful_responses_keep_the_connection_alive(self, server):
+    def test_successful_responses_keep_the_connection_alive(self, hops):
         raw = (
-            b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
-            b"GET /healthz HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n"
+            b"GET /sessions HTTP/1.1\r\nHost: x\r\n\r\n"
+            b"GET /sessions HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n"
         )
-        response = self.raw_exchange(server, raw)
+        response = self.raw_exchange(hops, raw)
         # Both pipelined requests answered on one connection.
         assert response.count(b"HTTP/1.1 200") == 2
+
+    def test_oversized_bodies_are_413_before_any_byte_is_read(self, hops):
+        for path, length in [
+            ("/sessions", 64 * 1024 * 1024 + 1),
+            ("/sessions/s/restore-store", 4 * 1024 * 1024 * 1024 + 1),
+        ]:
+            raw = b"POST %s HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n\r\n" % (
+                path.encode(),
+                length,
+            )
+            response = self.raw_exchange(hops, raw)
+            assert response.startswith(b"HTTP/1.1 413"), response
+            assert b"Connection: close" in response
+
+    def test_unread_body_closes_the_connection(self, hops):
+        call(hops, "POST", "/sessions", {"name": "s", "attribute": "value"})
+        for request in (
+            b"GET /sessions HTTP/1.1\r\nHost: x\r\nContent-Length: 5\r\n\r\nhello",
+            b"DELETE /sessions/s HTTP/1.1\r\nHost: x\r\nContent-Length: 5\r\n\r\nhello",
+        ):
+            response = self.raw_exchange(
+                hops, request + b"GET /sessions HTTP/1.1\r\nHost: x\r\n\r\n"
+            )
+            # The route never read the body, so the connection closes
+            # after the 200 instead of parsing "helloGET" as a method.
+            assert response.startswith(b"HTTP/1.1 200"), response
+            assert response.count(b"HTTP/1.1") == 1
+            assert b"Connection: close" in response

@@ -17,12 +17,17 @@ import http.client
 import json
 import threading
 import time
-import urllib.error
 import urllib.request
 
 import pytest
 
-from serving_helpers import SIX_ROWS, make_observations
+from serving_helpers import (
+    SIX_ROWS,
+    exchange,
+    http_hops,
+    make_observations,
+    same_answer,
+)
 from repro.serving.registry import SessionRegistry
 from repro.serving.http import dumps_result, make_server
 from repro.serving.versions import VersionGate
@@ -134,6 +139,13 @@ def server():
     server.server_close()
 
 
+@pytest.fixture
+def hops(tmp_path):
+    """A lone server and a one-worker router, which must answer alike."""
+    with http_hops(tmp_path) as both:
+        yield both
+
+
 def base_url(server):
     host, port = server.server_address[:2]
     return f"http://{host}:{port}"
@@ -141,17 +153,8 @@ def base_url(server):
 
 def call(server, method, path, body=None, timeout=30):
     data = json.dumps(body).encode() if body is not None else None
-    request = urllib.request.Request(
-        base_url(server) + path,
-        data=data,
-        method=method,
-        headers={"Content-Type": "application/json"} if data is not None else {},
-    )
-    try:
-        with urllib.request.urlopen(request, timeout=timeout) as response:
-            return response.status, dict(response.headers), response.read()
-    except urllib.error.HTTPError as error:
-        return error.code, dict(error.headers), error.read()
+    headers = {"Content-Type": "application/json"} if data is not None else {}
+    return exchange(server, method, path, data, headers, timeout=timeout)
 
 
 def create_session(server, name="s"):
@@ -221,63 +224,76 @@ def subscriber_stats(server):
 
 
 class TestWaitVersion:
-    def test_long_poll_released_by_ingest(self, server):
-        create_session(server)
-        ingest(server, SIX_ROWS[:3])
+    def long_poll(self, hop, path, release):
+        """Park ``GET path`` on the hop, run ``release``, return the answer."""
         results = []
-
-        def poll():
-            results.append(
-                call(server, "GET", "/sessions/s/estimate?wait_version=2&timeout_ms=30000")
-            )
-
-        thread = threading.Thread(target=poll, daemon=True)
-        thread.start()
-        time.sleep(0.05)
-        ingest(server, SIX_ROWS[3:])
-        thread.join(timeout=10)
-        status, headers, parked_body = results[0]
-        assert status == 200
-        assert headers["X-Repro-State-Version"] == "2"
-        _, _, polled = call(server, "GET", "/sessions/s/estimate")
-        assert parked_body == polled
-
-    def test_timeout_returns_304_with_version_header(self, server):
-        create_session(server)
-        ingest(server, SIX_ROWS)
-        status, headers, body = call(
-            server, "GET", "/sessions/s/estimate?wait_version=5&timeout_ms=50"
+        thread = threading.Thread(
+            target=lambda: results.append(call(hop, "GET", path)), daemon=True
         )
+        thread.start()
+        wait_until_parked(hop.gate("s"))
+        release()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        return results[0]
+
+    def test_long_poll_released_by_ingest(self, hops):
+        answers = []
+        for hop in hops:
+            create_session(hop)
+            ingest(hop, SIX_ROWS[:3])
+            answer = self.long_poll(
+                hop,
+                "/sessions/s/estimate?wait_version=2&timeout_ms=30000",
+                lambda: ingest(hop, SIX_ROWS[3:]),
+            )
+            status, headers, parked_body = answer
+            assert status == 200
+            assert headers["X-Repro-State-Version"] == "2"
+            _, _, polled = call(hop, "GET", "/sessions/s/estimate")
+            assert parked_body == polled
+            answers.append(answer)
+        same_answer(answers)
+
+    def test_timeout_returns_304_with_version_header(self, hops):
+        answers = []
+        for hop in hops:
+            create_session(hop)
+            ingest(hop, SIX_ROWS)
+            answers.append(
+                call(hop, "GET", "/sessions/s/estimate?wait_version=5&timeout_ms=50")
+            )
+        status, headers, body = same_answer(answers)
         assert status == 304
         assert body == b""
         assert headers["X-Repro-State-Version"] == "1"
 
-    def test_already_published_answers_immediately(self, server):
-        create_session(server)
-        ingest(server, SIX_ROWS)
-        status, headers, body = call(
-            server, "GET", "/sessions/s/estimate?wait_version=1"
-        )
+    def test_already_published_answers_immediately(self, hops):
+        answers = []
+        for hop in hops:
+            create_session(hop)
+            ingest(hop, SIX_ROWS)
+            answers.append(call(hop, "GET", "/sessions/s/estimate?wait_version=1"))
+        status, headers, body = same_answer(answers)
         assert status == 200
         assert headers["X-Repro-State-Version"] == "1"
 
-    def test_session_deleted_while_parked_is_404(self, server):
-        create_session(server)
-        ingest(server, SIX_ROWS)
-        results = []
+    def test_session_deleted_while_parked_is_404(self, hops):
+        answers = []
+        for hop in hops:
+            create_session(hop)
+            ingest(hop, SIX_ROWS)
 
-        def poll():
-            results.append(
-                call(server, "GET", "/sessions/s/estimate?wait_version=9&timeout_ms=30000")
+            def delete():
+                status, _, _ = call(hop, "DELETE", "/sessions/s")
+                assert status == 200
+
+            answers.append(
+                self.long_poll(
+                    hop, "/sessions/s/estimate?wait_version=9&timeout_ms=30000", delete
+                )
             )
-
-        thread = threading.Thread(target=poll, daemon=True)
-        thread.start()
-        time.sleep(0.05)
-        status, _, _ = call(server, "DELETE", "/sessions/s")
-        assert status == 200
-        thread.join(timeout=10)
-        assert results[0][0] == 404
+        assert same_answer(answers)[0] == 404
 
 
 class TestSubscribe:
@@ -332,7 +348,7 @@ class TestSubscribe:
             events,
             done,
         )
-        time.sleep(0.1)
+        wait_until_parked(server.registry.get("s")._gate)
         assert events == []  # parked: current version 2 is below from_version
         ingest(server, SIX_ROWS[4:])
         done.wait(timeout=10)
