@@ -1,21 +1,30 @@
 #!/usr/bin/env python
-"""Write-ahead-log fsync policy benchmark: ingest throughput per policy.
+"""Persisted-ingest fsync policy benchmark: ingest throughput per policy.
 
-Measures the durability tax of the per-session write-ahead log
-(:mod:`repro.resilience.wal`) on the registry's ingest path, directly
-against a :class:`~repro.serving.registry.SessionRegistry` (no HTTP, so
-the numbers isolate the journaling cost itself):
+Measures the durability tax of a persisted session on the registry's
+ingest path, directly against a
+:class:`~repro.serving.registry.SessionRegistry` (no HTTP, so the
+numbers isolate the persistence cost itself).  A persisted ack writes
+the chunk's new names and its frame to the session's segment log (the
+write-ahead copy, :mod:`repro.storage`) and then one slim
+``{"op": "ingest", "v", "rows"}`` reference to its journal
+(:mod:`repro.resilience.wal`); ``--wal-fsync`` sets the policy of both:
 
-* ``wal-off``: a memory-only registry (no ``state_dir``) -- the pre-WAL
+* ``wal-off``: a memory-only registry (no ``state_dir``) -- the
   baseline every policy is compared against.
-* ``never``: journal to the OS page cache only (one ``write(2)`` per
-  ingest, SIGKILL-safe, not power-loss-safe).
-* ``batch``: additionally ``fsync(2)`` every 32nd append (the serving
-  default -- bounded power-loss window at near-``never`` throughput).
-* ``always``: ``fsync(2)`` every append (full power-loss durability).
+* ``never``: flush to the OS page cache only (SIGKILL-safe, not
+  power-loss-safe).
+* ``batch``: additionally ``fsync(2)`` every 32nd append of each log
+  (the serving default -- a bounded power-loss window).
+* ``always``: ``fsync(2)`` the name logs, the segment and the journal on
+  every ack (full power-loss durability).
 
-Each cell ingests the same deterministic single-observation stream and
-reports ingests/second plus the relative overhead vs ``wal-off``.
+Each cell ingests the same deterministic single-observation stream
+(every observation brings a new source name) into a fresh session and
+reports ingests/second plus the relative overhead vs ``wal-off``.  The
+first 1024 rows precede the store's invariant files, so the stream
+covers the acks of a small session and those that also update the
+mmapped arrays.
 
 Run standalone to emit ``BENCH_wal_fsync.json``::
 
@@ -25,7 +34,7 @@ The numbers are filesystem-dependent (fsync latency spans three orders
 of magnitude across laptop SSDs, CI containers, and network volumes),
 so this benchmark is documentation, not a regression gate; the serving
 throughput gate (``bench_serving_throughput.py``) covers the served
-read path, which the WAL never touches.
+read path, which persistence never touches.
 """
 
 from __future__ import annotations
@@ -46,7 +55,7 @@ DEFAULT_OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_wal_fsync.json"
 PAPER_INGESTS = 2000
 QUICK_INGESTS = 400
 
-#: (label, registry kwargs) per cell; None state_dir means WAL-off.
+#: (label, registry kwargs) per cell; None means a memory-only registry.
 POLICIES = [
     ("wal-off", None),
     ("never", {"wal_fsync": "never"}),

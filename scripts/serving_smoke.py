@@ -33,7 +33,7 @@ jittered exponential backoff honouring the ``Retry-After`` header.
 ``--cluster N`` drives a ``repro.cli cluster`` router over N workers
 instead of a single server: the stream is delivered with the
 version-checked exactly-once protocol (a chaos SIGKILL of a worker is
-absorbed by the supervisor + WAL replay), then one forced rebalance
+absorbed by the supervisor + store recovery), then one forced rebalance
 (``POST /cluster/workers``) and one rolling restart
 (``POST /cluster/restart``) run mid-session -- every surface must stay
 byte-identical to the facade throughout::
@@ -172,7 +172,7 @@ class ServerProcess:
     """
 
     def __init__(self, state_dir: Path, *, faults: str | None = None,
-                 wal_fsync: str = "batch", store: str = "memory",
+                 wal_fsync: str = "batch", store: str | None = None,
                  cluster: "tuple[int, int] | None" = None) -> None:
         env = dict(os.environ)
         env.pop("REPRO_FAULTS", None)
@@ -188,10 +188,11 @@ class ServerProcess:
                     "--replicas", str(cluster[1]), "--worker-mode", "process"]
         else:
             argv = ["serve"]
+        if store:
+            argv += ["--store", store]
         self.process = subprocess.Popen(
             [sys.executable, "-m", "repro.cli", *argv, "--port", "0",
-             "--state-dir", str(state_dir), "--wal-fsync", wal_fsync,
-             "--store", store],
+             "--state-dir", str(state_dir), "--wal-fsync", wal_fsync],
             stdout=subprocess.PIPE,
             stderr=subprocess.STDOUT,
             text=True,
@@ -278,7 +279,7 @@ def record_surfaces(recorder: StepRecorder, suffix: str,
     )
 
 
-def run_graceful(outdir: Path, wal_fsync: str, store: str) -> int:
+def run_graceful(outdir: Path, wal_fsync: str, store: str | None) -> int:
     """The original smoke flow: SIGTERM mid-stream, restart, resume."""
     recorder = StepRecorder(outdir)
     state_dir = outdir / "state"
@@ -327,9 +328,9 @@ def run_graceful(outdir: Path, wal_fsync: str, store: str) -> int:
 def reconcile(server: ServerProcess) -> int:
     """Resend whatever the recovered ``state_version`` does not cover.
 
-    This is the write-ahead log's client contract: an unacknowledged
-    ingest was either journaled (the recovered version already covers
-    it; skip) or lost (resend).  Nothing gets applied twice.
+    This is the persisted ingest's client contract: an unacknowledged
+    ingest was either logged (the recovered version already covers it;
+    skip) or lost (resend).  Nothing gets applied twice.
     """
     sessions = {
         entry["session"]: entry
@@ -352,7 +353,7 @@ def reconcile(server: ServerProcess) -> int:
     return version
 
 
-def run_chaos(outdir: Path, faults: str, wal_fsync: str, store: str) -> int:
+def run_chaos(outdir: Path, faults: str, wal_fsync: str, store: str | None) -> int:
     """Chaos flow: armed fault SIGKILLs the server; restart + reconcile."""
     recorder = StepRecorder(outdir)
     state_dir = outdir / "state"
@@ -436,7 +437,7 @@ def ingest_stream(client: Client) -> None:
 
 
 def run_cluster_flow(outdir: Path, workers: int, replicas: int,
-                     faults: str | None, wal_fsync: str, store: str) -> int:
+                     faults: str | None, wal_fsync: str, store: str | None) -> int:
     """Cluster mode: chaos ingest, forced rebalance, rolling restart."""
     recorder = StepRecorder(outdir)
     state_dir = outdir / "state"
@@ -501,10 +502,10 @@ def main() -> int:
     )
     parser.add_argument(
         "--store",
-        default="memory",
+        default=None,
         choices=["memory", "disk"],
-        help="observation store of the server under test (see "
-        "'serve --store'); byte identity must hold either way",
+        help="pass --store to the server under test (see 'serve --store'); "
+        "omitted by default",
     )
     parser.add_argument(
         "--cluster",

@@ -350,11 +350,6 @@ class OpenWorldSession:
         return self._store
 
     @property
-    def store_kind(self) -> str:
-        """``"memory"`` or ``"disk"``."""
-        return self._store.kind
-
-    @property
     def attribute(self) -> str:
         """The session's aggregated attribute."""
         return self._attribute
@@ -433,31 +428,49 @@ class OpenWorldSession:
         :class:`~repro.utils.exceptions.ValidationError` and leaves the
         session exactly as it was.
         """
-        chunk = self.prepare_ingest(observations)
-        # Commit pass: cannot fail on session state.  A disk store makes
-        # the chunk durable (names + segment frame) before integrating
-        # and before the invariant arrays absorb it -- its internal
-        # ordering, see repro.storage.store.
+        if isinstance(observations, Observation):
+            chunk: Sequence[Observation] = (observations,)
+        elif isinstance(observations, (list, tuple)):
+            chunk = observations
+        else:
+            chunk = list(observations)
+        # Validation pass, which also digests the chunk for the delta log
+        # *before* the store mutates the membership dict: the digest
+        # mirrors the integration rule exactly (first occurrence appends
+        # with the fused value, every repeat re-observes).  Only
+        # first-seen observations carry the fused value, so those are the
+        # ones whose attribute must be readable.
+        attribute = self._attribute
+        state_values = self._state.values
+        appended: list[tuple[str, float]] = []
+        reobserved: list[str] = []
+        chunk_first: set[str] = set()
+        for obs in chunk:
+            if not isinstance(obs, Observation):
+                raise ValidationError(
+                    f"ingest expects Observation objects, got {type(obs).__name__}"
+                )
+            entity = obs.entity_id
+            if entity not in state_values and entity not in chunk_first:
+                chunk_first.add(entity)
+                try:
+                    value = float(obs.value(attribute))
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise ValidationError(
+                        f"observation of entity {entity!r} does not carry a "
+                        f"numeric attribute {attribute!r}"
+                    ) from exc
+                appended.append((entity, value))
+            else:
+                reobserved.append(entity)
         if chunk:
-            # Digest the chunk for the delta log *before* the store mutates
-            # the membership dict: the digest mirrors the integration rule
-            # exactly (first occurrence appends with the fused value, every
-            # repeat re-observes).
-            attribute = self._attribute
-            state_values = self._state.values
-            appended: list[tuple[str, float]] = []
-            reobserved: list[str] = []
-            chunk_first: set[str] = set()
-            for obs in chunk:
-                entity = obs.entity_id
-                if entity not in state_values and entity not in chunk_first:
-                    chunk_first.add(entity)
-                    appended.append((entity, float(obs.value(attribute))))
-                else:
-                    reobserved.append(entity)
+            # Commit pass: cannot fail on session state.  A disk store
+            # makes the chunk durable (names + segment frame) before
+            # integrating and before the invariant arrays absorb it --
+            # its internal ordering, see repro.storage.store.
             self._store.apply_chunk(
                 chunk,
-                self._attribute,
+                attribute,
                 self._state_version + 1,
                 self._n_ingested + len(chunk),
             )
@@ -480,44 +493,6 @@ class OpenWorldSession:
                     )
                 )
         return len(chunk)
-
-    def prepare_ingest(
-        self, observations: "Iterable[Observation] | Observation"
-    ) -> Sequence[Observation]:
-        """Normalize and fully validate a chunk **without mutating state**.
-
-        Returns the chunk :meth:`ingest` would commit, or raises
-        :class:`~repro.utils.exceptions.ValidationError`.  This is the
-        write-ahead hook: the serving layer validates here, journals the
-        chunk to the WAL, and only then commits -- so the log never
-        contains a record whose replay would fail.  Only first-seen
-        observations carry the fused value, so those are the ones whose
-        attribute must be readable.
-        """
-        if isinstance(observations, Observation):
-            chunk: Sequence[Observation] = (observations,)
-        elif isinstance(observations, (list, tuple)):
-            chunk = observations
-        else:
-            chunk = list(observations)
-        attribute = self._attribute
-        first_seen: set[str] = set()
-        for obs in chunk:
-            if not isinstance(obs, Observation):
-                raise ValidationError(
-                    f"ingest expects Observation objects, got {type(obs).__name__}"
-                )
-            entity = obs.entity_id
-            if entity not in self._state.values and entity not in first_seen:
-                first_seen.add(entity)
-                try:
-                    float(obs.value(attribute))
-                except (KeyError, TypeError, ValueError) as exc:
-                    raise ValidationError(
-                        f"observation of entity {entity!r} does not carry a "
-                        f"numeric attribute {attribute!r}"
-                    ) from exc
-        return chunk
 
     # ------------------------------------------------------------------ #
     # Snapshots of the integrated state

@@ -206,8 +206,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--state-dir",
         default=None,
         help=(
-            "directory for session persistence: sessions are restored from "
-            "it on startup and snapshotted back on graceful shutdown"
+            "directory for session persistence: every session keeps its "
+            "observations in a columnar segment log with mmap'd invariants "
+            "there, re-attached on startup and sealed on graceful shutdown "
+            "(default: sessions live in memory only)"
         ),
     )
     serve.add_argument(
@@ -221,22 +223,19 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("always", "batch", "never"),
         default="batch",
         help=(
-            "fsync policy of the write-ahead ingest logs under --state-dir: "
-            "'always' survives power loss, 'batch' (default) fsyncs every "
-            "32 appends, 'never' flushes to the OS only -- all three "
-            "survive SIGKILL"
+            "fsync policy of the segment logs and journals under "
+            "--state-dir: 'always' survives power loss, 'batch' (default) "
+            "fsyncs every 32 appends, 'never' flushes to the OS only -- all "
+            "three survive SIGKILL"
         ),
     )
     serve.add_argument(
         "--store",
         choices=("memory", "disk"),
-        default="memory",
+        default=None,
         help=(
-            "session observation store: 'memory' (default) keeps samples "
-            "in-process and checkpoints them as JSON snapshots; 'disk' "
-            "(requires --state-dir) appends them to per-session columnar "
-            "segment logs with mmap'd invariants, making checkpoints a "
-            "segment seal and restart an O(1) attach"
+            "selects nothing: --state-dir alone decides where sessions live. "
+            "'disk' requires --state-dir and 'memory' refuses it"
         ),
     )
     serve.add_argument(
@@ -295,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--wal-fsync",
         choices=("always", "batch", "never"),
         default="batch",
-        help="fsync policy of each worker's write-ahead ingest logs "
+        help="fsync policy of each worker's segment logs and journals "
         "(see 'serve --wal-fsync')",
     )
     cluster.add_argument(
@@ -324,10 +323,9 @@ def build_parser() -> argparse.ArgumentParser:
     cluster.add_argument(
         "--store",
         choices=("memory", "disk"),
-        default="memory",
-        help="per-worker observation store (see 'serve --store'); "
-        "migrations between disk-backed workers stream sealed segment "
-        "files instead of JSON snapshots",
+        default=None,
+        help="selects nothing: every worker keeps its sessions in segment "
+        "logs under its state shard, so 'memory' is refused",
     )
 
     return parser
@@ -547,12 +545,23 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_store_flag(store: "str | None", *, persisted: bool) -> None:
+    """Refuse a ``--store`` that contradicts where sessions actually live."""
+    if store == "memory" and persisted:
+        raise ValidationError(
+            "--store memory: persisted sessions always live in segment logs"
+        )
+    if store == "disk" and not persisted:
+        raise ValidationError("--store disk requires --state-dir")
+
+
 def _cmd_serve(args: argparse.Namespace) -> int:
     # Imported here: the serving stack is only needed by this subcommand,
     # and the other subcommands must keep working even if an embedding
     # strips the http.server module.
     from repro.serving.http import run_server
 
+    _check_store_flag(args.store, persisted=args.state_dir is not None)
     return run_server(
         args.host,
         args.port,
@@ -561,7 +570,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         cache_entries=args.cache_size,
         state_dir=args.state_dir,
         wal_fsync=args.wal_fsync,
-        store=args.store,
         max_inflight=args.max_inflight,
     )
 
@@ -571,6 +579,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     # is only needed by this subcommand.
     from repro.cluster.run import run_cluster
 
+    _check_store_flag(args.store, persisted=True)
     return run_cluster(
         args.host,
         args.port,
@@ -582,7 +591,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         cache_entries=args.cache_size,
         max_inflight=args.max_inflight,
         backend=args.backend,
-        store=args.store,
     )
 
 

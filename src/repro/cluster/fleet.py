@@ -15,7 +15,7 @@ Two spawn modes, same contract:
     misses run on N cores -- the GIL escape the cluster exists for.  On
     Linux each child arms ``PR_SET_PDEATHSIG`` so a SIGKILLed supervisor
     cannot leak orphans; orphan death is ungraceful by design, which is
-    exactly what the workers' write-ahead logs are for.
+    exactly what the workers' segment logs are for.
 
 ``thread`` (tests, examples)
     The same :func:`repro.serving.http.make_server` stack on an
@@ -31,10 +31,10 @@ surgery.
 
 :class:`Fleet` supervises: a monitor thread polls liveness, and a
 worker that died without being asked (crash, OOM, injected SIGKILL) is
-respawned on its same state-dir shard -- the worker's own
-snapshot-plus-WAL-replay recovery then restores every session it owned,
-byte-identically (PR 6's guarantee, inherited wholesale).  Graceful
-stops (:meth:`Worker.stop`) SIGTERM the worker so it checkpoints first.
+respawned on its same state-dir shard -- the worker's own recovery
+then re-attaches every session store it owned, byte-identically.
+Graceful stops (:meth:`Worker.stop`) SIGTERM the worker so it
+checkpoints first.
 """
 
 from __future__ import annotations
@@ -188,7 +188,6 @@ class Worker:
         cache_entries: "int | None" = None,
         max_inflight: "int | None" = None,
         backend: "str | None" = None,
-        store: "str | None" = None,
     ) -> None:
         if mode not in ("process", "thread"):
             raise ReproError(f"unknown worker mode {mode!r}")
@@ -199,7 +198,6 @@ class Worker:
         self.cache_entries = cache_entries
         self.max_inflight = max_inflight
         self.backend = backend
-        self.store = store
         self.base: "str | None" = None
         self.restarts = -1  # first start() brings this to 0
         self.ready = False
@@ -245,8 +243,6 @@ class Worker:
             args += ["--max-inflight", str(self.max_inflight)]
         if self.backend is not None:
             args += ["--backend", self.backend]
-        if self.store is not None:
-            args += ["--store", self.store]
         return args
 
     def _start_process(self) -> None:
@@ -298,7 +294,6 @@ class Worker:
             cache_entries=self.cache_entries,
             max_inflight=self.max_inflight,
             backend=self.backend,
-            store=self.store,
         )
         self._serve_thread = threading.Thread(
             target=self._server.serve_forever, name=f"{self.name}-serve", daemon=True
@@ -384,7 +379,6 @@ class Fleet:
         cache_entries: "int | None" = None,
         worker_max_inflight: "int | None" = None,
         backend: "str | None" = None,
-        store: "str | None" = None,
     ) -> None:
         self.state_dir = Path(state_dir)
         self.mode = mode
@@ -394,7 +388,6 @@ class Fleet:
             "cache_entries": cache_entries,
             "max_inflight": worker_max_inflight,
             "backend": backend,
-            "store": store,
         }
         self._workers: dict[str, Worker] = {}
         self._lock = threading.Lock()
@@ -470,7 +463,7 @@ class Fleet:
         """Stop-and-start one worker in place (the rolling-restart step).
 
         A graceful restart checkpoints the shard first; the respawned
-        worker replays whatever the checkpoint plus WAL tail says.  The
+        worker re-attaches whatever its stores hold.  The
         ``stopping`` flag parks the supervisor so the deliberate stop is
         not double-restarted.
         """

@@ -1,26 +1,28 @@
-"""Live session migration: quiesce -> snapshot -> transfer -> fence -> resume.
+"""Live session migration: quiesce -> archive -> transfer -> fence -> resume.
 
 Moving a session between workers is how the cluster rebalances when the
-ring changes and how a worker is drained for a rolling restart.  The
-protocol is deliberately tiny, because every hard part is delegated to
-an invariant that already exists:
+ring changes and how a worker is drained for a rolling restart.  Every
+worker persists its sessions in disk stores, so a migration always
+streams the store itself.  The protocol is deliberately tiny, because
+every hard part is delegated to an invariant that already exists:
 
 1. **Quiesce** (caller's job -- the router marks the session migrating
    *before* calling :func:`migrate_session`): no new request reaches
    either copy, and in-flight requests have drained.  Clients see HTTP
    503 + ``Retry-After`` for the migration window, never a hang and
    never a stale answer.
-2. **Snapshot**: ``GET /sessions/<name>/snapshot`` on the source -- the
-   same ``repro.result/v1`` envelope used by graceful shutdown and the
-   WAL's create records.  Under quiesce the envelope's
-   ``state_version`` *is* the session's one true version.
-3. **Transfer**: ``POST /sessions/<name>/restore`` on the destination.
-   Restore is replace-if-newer and version-reporting (see
-   :meth:`~repro.serving.registry.SessionRegistry.restore_session`), so
-   re-sending the same envelope is a no-op that reports the same
+2. **Archive**: ``GET /sessions/<name>/store`` on the source seals the
+   active segment and streams the store's files (manifest last) behind
+   a one-line header.  Under quiesce the header's ``state_version``
+   *is* the session's one true version.
+3. **Transfer**: ``POST /sessions/<name>/restore-store`` on the
+   destination, streamed without buffering.  Restore is
+   replace-if-newer and version-reporting (see
+   :meth:`~repro.serving.registry.SessionRegistry.restore_store`), so
+   re-sending the same archive is a no-op that reports the same
    version -- the step is idempotent.
 4. **Fence**: the destination's reported ``state_version`` must equal
-   the envelope's.  Equality proves the destination holds exactly the
+   the archive's.  Equality proves the destination holds exactly the
    transferred state -- not an older stray copy, not a newer one from a
    racing writer (impossible under quiesce, but the fence turns
    "impossible" into "checked").  On mismatch the source keeps the
@@ -37,6 +39,9 @@ The two ``cluster.*`` fault points make the window SIGKILL-testable
 exactly like the WAL points: ``cluster.before_transfer`` crashes after
 quiesce with zero copies moved, ``cluster.before_resume`` crashes with
 two fenced copies and no delete.
+
+:func:`fetch_snapshot` serves the other way a session moves: the
+router's replica push (``POST /sessions/<name>/restore``).
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from repro.cluster.fleet import worker_request, worker_request_json, worker_stream
+from repro.cluster.fleet import worker_request, worker_stream
 from repro.resilience.faults import fault_point
 from repro.utils.exceptions import ReproError
 
@@ -95,47 +100,19 @@ def fetch_snapshot(base: str, name: str, *, timeout: float = 60.0) -> dict[str, 
     return json.loads(payload)
 
 
-def _transfer_snapshot(
-    name: str, source_base: str, dest_base: str, *, timeout: float
-) -> int:
-    """The JSON-envelope transfer leg; returns the fenced version."""
-    envelope = fetch_snapshot(source_base, name, timeout=timeout)
-    version = int(envelope["state_version"])
-    fault_point("cluster.before_transfer")
-    status, restored = worker_request_json(
-        dest_base,
-        "POST",
-        f"/sessions/{name}/restore",
-        envelope,
-        timeout=timeout,
-    )
-    if status not in (200, 201):
-        raise MigrationError(
-            f"restore of {name!r} on {dest_base} failed with HTTP {status}: "
-            f"{restored!r}"
-        )
-    _check_fence(name, dest_base, restored, version)
-    return version
-
-
 def _transfer_store(
     name: str, source_base: str, dest_base: str, *, timeout: float
-) -> "int | None":
-    """The streamed store-archive transfer leg.
-
-    Returns the fenced version, or ``None`` when the source answers
-    anything but 200 for ``GET /sessions/<name>/store`` -- a memory
-    -backed session (HTTP 400) or a worker predating the route (404)
-    -- in which case the caller falls back to the snapshot path (where
-    a genuinely missing session still fails loudly).
-    """
+) -> int:
+    """The streamed store-archive transfer; returns the fenced version."""
     status, response, connection = worker_stream(
         source_base, "GET", f"/sessions/{name}/store", timeout=timeout
     )
     try:
         if status != 200:
-            response.read()
-            return None
+            raise MigrationError(
+                f"store archive of {name!r} on {source_base} failed with "
+                f"HTTP {status}: {response.read()[:200]!r}"
+            )
         length = int(response.headers.get("Content-Length") or 0)
         if length <= 0:
             raise MigrationError(
@@ -218,15 +195,11 @@ def migrate_session(
     delete -- used when the source copy should live on as a read
     replica.  Returns a summary with the fenced ``state_version``.
 
-    Disk-backed sessions transfer as a streamed store archive (sealed
-    segment files + manifest -- no JSON re-encode of the sample);
-    memory-backed sessions (or a source predating the store routes)
-    fall back to the snapshot-envelope path.  Both end at the same
-    fence: the destination must report exactly the transferred version.
+    The session moves as a streamed store archive (sealed segment
+    files + manifest -- no JSON re-encode of the sample), fenced on the
+    exact transferred version.
     """
     version = _transfer_store(name, source_base, dest_base, timeout=timeout)
-    if version is None:
-        version = _transfer_snapshot(name, source_base, dest_base, timeout=timeout)
     fault_point("cluster.before_resume")
     if not keep_source:
         status, payload, _ = worker_request(

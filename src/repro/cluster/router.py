@@ -30,7 +30,7 @@ read replicas.  The router enforces the cluster's traffic discipline:
   quiesce -- the migration starts only after in-flight requests drain;
 * **a dead worker degrades, never errors**: a refused/torn proxy leg
   becomes 503 + ``Retry-After`` while the fleet supervisor respawns the
-  worker and its WAL replay restores every session it owned.
+  worker and its recovery re-attaches every session it owned.
 
 Aggregation stays shared-nothing: ``/stats`` and ``/sessions`` are
 fan-out reads over the workers merged at the router (each session
@@ -55,7 +55,6 @@ Admin surface (cluster-only, not part of the single-server API)::
 
 from __future__ import annotations
 
-import itertools
 import json
 import queue
 import shutil
@@ -138,7 +137,6 @@ class _RoutingTable:
         self._primary_version: dict[str, int] = {}
         #: (name, worker) -> state_version last pushed to that replica.
         self._replica_version: dict[tuple[str, str], int] = {}
-        self._round_robin: dict[str, "itertools.cycle[int] | None"] = {}
         self._rr_counter: dict[str, int] = {}
 
     # ------------------------------------------------------------------ #
@@ -489,8 +487,8 @@ class ClusterRouter:
         """Drain each worker in turn, restart it, and restore placement.
 
         With a lone worker there is nowhere to drain to: the worker is
-        restarted in place and its own checkpoint + WAL replay brings
-        every session back (requests during the window shed with 503).
+        restarted in place and its own recovery re-attaches every
+        session (requests during the window shed with 503).
         """
         with self._admin_lock:
             report = []
@@ -529,8 +527,8 @@ class ClusterRouter:
     def _worker_restarted(self, worker: Worker) -> None:
         """Supervisor callback: re-sync replicas after a crash respawn.
 
-        The respawned worker replayed its own WAL shard, so its sessions
-        are back at their acked versions; replica bookkeeping for copies
+        The respawned worker re-attached its own state shard, so its
+        sessions are back at their acked versions; replica bookkeeping for copies
         *on* the worker is conservatively reset (they re-qualify at the
         next push).
         """

@@ -34,7 +34,6 @@ def make_cluster(
     cache_entries: "int | None" = None,
     max_inflight: "int | None" = None,
     backend: "str | None" = None,
-    store: "str | None" = None,
 ) -> "tuple[RouterServer, ClusterRouter, Fleet]":
     """Boot fleet + router and bind the router socket (not yet serving).
 
@@ -56,7 +55,6 @@ def make_cluster(
         cache_entries=cache_entries,
         worker_max_inflight=max_inflight,
         backend=backend,
-        store=store,
     )
     fleet.start(workers)
     fleet._scratch_dir = scratch  # noqa: SLF001 - lifetime anchor only
@@ -77,7 +75,6 @@ def run_cluster(
     cache_entries: "int | None" = None,
     max_inflight: "int | None" = None,
     backend: "str | None" = None,
-    store: "str | None" = None,
 ) -> int:
     """Serve the cluster until SIGINT/SIGTERM, then stop workers gracefully.
 
@@ -99,7 +96,6 @@ def run_cluster(
         cache_entries=cache_entries,
         max_inflight=max_inflight,
         backend=backend,
-        store=store,
     )
     stop = threading.Event()
     previous_handlers = {}

@@ -3,11 +3,10 @@
 The layer that lets :mod:`repro.serving` survive *ungraceful* death and
 *overload*, not just SIGTERM:
 
-* :mod:`repro.resilience.wal` -- the per-session write-ahead ingest log
+* :mod:`repro.resilience.wal` -- the per-session journal
   (length-prefixed, CRC32-framed records; configurable fsync policy;
-  torn-tail recovery), appended *before* session state mutates so
-  restart = snapshot + WAL-tail replay is bit-identical to a run that
-  never crashed;
+  torn-tail recovery) whose references cross-check the session's store
+  at restart; its fsync policies drive the stores' segment logs too;
 * :mod:`repro.resilience.faults` -- deterministic fault injection:
   named fault points inside the durability-critical paths, armed via
   ``REPRO_FAULTS=wal.before_fsync:crash@3``-style specs, so crash tests

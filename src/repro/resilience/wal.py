@@ -61,6 +61,7 @@ __all__ = [
     "WalCorruptionError",
     "WriteAheadLog",
     "fsync_directory",
+    "make_directories",
     "read_records",
 ]
 
@@ -91,10 +92,25 @@ def fsync_directory(path: "str | os.PathLike[str]") -> None:
         os.close(fd)
 
 
+def make_directories(path: "str | os.PathLike[str]", *, sync: bool) -> None:
+    """``mkdir -p path``; with ``sync``, fsync the parent of each directory made.
+
+    A new directory, like a new file, survives a power loss only once
+    the directory holding its entry is fsynced.
+    """
+    path = Path(path)
+    if path.is_dir():
+        return
+    make_directories(path.parent, sync=sync)
+    try:
+        path.mkdir()
+    except FileExistsError:
+        return  # a concurrent creator made it, and syncs its parent
+    if sync:
+        fsync_directory(path.parent)
+
+
 def _encode(record: "dict[str, Any]") -> bytes:
-    # Insertion order must survive the round-trip: snapshot payloads in
-    # create records carry first-seen dict order (counts, values) that
-    # the serving layer exposes byte-for-byte, so no sort_keys here.
     payload = json.dumps(
         record, separators=(",", ":"), allow_nan=False
     ).encode("utf-8")

@@ -7,7 +7,7 @@ a still-ingesting sample:
 * :mod:`repro.serving.locks` -- a writer-preferring reader/writer lock;
 * :mod:`repro.serving.registry` -- :class:`ServedSession` (one session
   behind the lock) and the thread-safe :class:`SessionRegistry` with
-  checkpoint + write-ahead-log persistence (crash = replay, bit-exact);
+  segment-log persistence (crash = re-attach, bit-exact);
 * :mod:`repro.serving.cache` -- the :class:`EstimateCache`, LRU-bounded
   and keyed by ``(session, state_version, spec, ...)`` so invalidation
   on ingest is exact and free;

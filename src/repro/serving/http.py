@@ -28,16 +28,16 @@ Routes::
     GET    /sessions/<name>/snapshot     the session-snapshot envelope
     POST   /sessions/<name>/restore      materialize from a snapshot envelope
                                          (migration/replica push; replace-if-newer)
-    GET    /sessions/<name>/store        stream a disk session's store archive
-                                         (exact Content-Length; disk mode only)
-    POST   /sessions/<name>/restore-store  receive a store archive (the disk
-                                         -mode migration transfer; same fence)
+    GET    /sessions/<name>/store        stream a persisted session's store
+                                         archive (exact Content-Length)
+    POST   /sessions/<name>/restore-store  receive a store archive (the
+                                         migration transfer; same fence)
 
 Liveness (``/healthz``) answers 200 from the moment the socket is bound
 -- it means "the process is up", nothing more.  Readiness (``/readyz``)
-answers 503 ``{"status": "recovering"}`` while the registry replays its
-write-ahead logs after a restart and 200 ``{"status": "ready"}`` once
-every session is byte-exact; load balancers should route on readiness.
+answers 503 ``{"status": "recovering"}`` while the registry re-attaches
+its stores after a restart and 200 ``{"status": "ready"}`` once every
+session is byte-exact; load balancers should route on readiness.
 
 Degradation, not collapse, under adverse conditions:
 
@@ -65,7 +65,7 @@ follow one set of wire rules.
 :func:`run_server` is the CLI's entry point: it begins accepting (for
 liveness) *before* restoring sessions from ``--state-dir``, prints the
 ``READY`` line once recovery finished, serves until SIGINT/SIGTERM,
-then snapshots every session back to the state dir before exiting.
+then checkpoints every session in the state dir before exiting.
 """
 
 from __future__ import annotations
@@ -861,15 +861,15 @@ class _Handler(ApiHandler):
         self._send_json(200, served.snapshot_payload())
 
     def _post_restore(self, parts, query) -> None:
-        # The receiving half of a cluster migration / replica push: the
-        # body is a session-snapshot envelope, the response reports the
-        # state_version this worker now holds (the migration fence).
+        # The receiving half of a replica push: the body is a
+        # session-snapshot envelope, the response reports the
+        # state_version this worker now holds (the fence).
         body = self._read_json_body()
         served = self.server.registry.restore_session(parts[1], body)
         self._send_json(200, served.info())
 
     def _get_store(self, parts, query) -> None:
-        # The sending half of a disk-mode migration: the body is the raw
+        # The sending half of a migration: the body is the raw
         # store archive (header line + file contents), streamed with an
         # exact Content-Length so the receiver knows when it has it all.
         # The session's write lock is held for the whole send; the
@@ -891,7 +891,7 @@ class _Handler(ApiHandler):
                 self.close_connection = True
 
     def _post_restore_store(self, parts, query) -> None:
-        # The receiving half of a disk-mode migration; same fence
+        # The receiving half of a migration; same fence
         # contract as /restore, but the body is the raw store archive.
         body = self._archive_body()
         served = self.server.registry.restore_store(parts[1], body.read)
@@ -913,7 +913,6 @@ def make_server(
     cache_entries: "int | None" = None,
     state_dir: "str | None" = None,
     wal_fsync: "str | None" = None,
-    store: "str | None" = None,
     max_inflight: "int | None" = None,
     queue_timeout: float = 0.0,
     defer_restore: bool = False,
@@ -924,10 +923,10 @@ def make_server(
     this); the bound address is ``server.server_address``.
 
     Without a ``registry`` the function builds one from the remaining
-    options: ``state_dir`` makes it persistent (write-ahead ingest logs
-    and checkpoints there, ``wal_fsync`` picks the durability policy)
-    and restores it.  A caller-supplied registry is served as it was
-    constructed, so it cannot be combined with ``state_dir``.
+    options: ``state_dir`` makes it persistent (a disk store and a
+    journal per session there, ``wal_fsync`` picks the durability
+    policy) and restores it.  A caller-supplied registry is served as
+    it was constructed, so it cannot be combined with ``state_dir``.
 
     ``max_inflight`` arms the admission gate; ``defer_restore=True``
     skips the restore (and marks the registry as recovering) so
@@ -947,8 +946,6 @@ def make_server(
             kwargs["state_dir"] = state_dir
         if wal_fsync is not None:
             kwargs["wal_fsync"] = wal_fsync
-        if store is not None:
-            kwargs["store"] = store
         registry = SessionRegistry(**kwargs)
     gate = (
         AdmissionGate(max_inflight, queue_timeout=queue_timeout)
@@ -975,10 +972,9 @@ def run_server(
     cache_entries: "int | None" = None,
     state_dir: "str | None" = None,
     wal_fsync: "str | None" = None,
-    store: "str | None" = None,
     max_inflight: "int | None" = None,
 ) -> int:
-    """Serve until SIGINT/SIGTERM, then snapshot sessions to the state dir.
+    """Serve until SIGINT/SIGTERM, then checkpoint sessions in the state dir.
 
     The serve loop runs on a daemon thread while the main thread waits on
     the shutdown latch -- signal handlers run on the main thread, and
@@ -987,7 +983,7 @@ def run_server(
 
     Ordering after a restart: the socket starts accepting *first* (so
     ``/healthz`` answers and ``/readyz`` reports 503 "recovering"), then
-    the state dir is restored and its write-ahead logs replayed, and
+    the state dir's stores are re-attached and checked, and
     only then is the ``READY http://host:port`` line printed -- wrappers
     (the CI smoke job, the benchmark) that wait for it never see a
     partially recovered registry.
@@ -1000,7 +996,6 @@ def run_server(
         cache_entries=cache_entries,
         state_dir=state_dir,
         wal_fsync=wal_fsync,
-        store=store,
         max_inflight=max_inflight,
         defer_restore=True,
     )

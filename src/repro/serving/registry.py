@@ -11,41 +11,35 @@ estimator failure feeding the session's
 
 :class:`SessionRegistry` manages the named sessions of one serving
 process -- creation, lookup, deletion, aggregate statistics -- and the
-state-dir persistence model:
+state-dir persistence model.  A registry persists if and only if it was
+constructed with a ``state_dir``, and then every session lives in a
+:class:`~repro.storage.store.DiskStore` under ``<state_dir>/store/<name>/``:
 
-* :meth:`save_state` checkpoints each **dirty** session into its own
-  atomically-replaced JSON file under ``<state_dir>/sessions/``, then
-  rotates that session's write-ahead log down to the records the
-  checkpoint does not cover (clean sessions are skipped entirely);
-* between checkpoints, every committed ingest is journaled to the
-  session's WAL (:mod:`repro.resilience.wal`) **before** the session
-  mutates, so ungraceful death (SIGKILL, OOM) loses nothing that was
-  acknowledged;
-* :meth:`load_state` restores the per-session checkpoints and replays
-  each WAL tail on top -- deduplicated by ``state_version``, so a crash
-  *between* the checkpoint replace and the log rotation replays records
-  the snapshot already covers exactly zero times.  Session creations
-  are journaled (a ``create`` head record); deletions write a durable
-  ``<name>.tombstone`` file *before* any state is unlinked, so the
-  session *set* is as crash-safe as the session contents.
+* the store's segment log is the write-ahead copy of the observations
+  (names and frame flushed before the state mutates), so the session's
+  write-ahead log (:mod:`repro.resilience.wal`) holds only a
+  ``{"op": "create_store"}`` head and one slim ``{"op": "ingest", "v",
+  "rows"}`` reference per acknowledged chunk;
+* :meth:`save_state` checkpoints each **dirty** session by sealing its
+  active segment and writing a small per-session file under
+  ``<state_dir>/sessions/``, then rotates the journal down to the
+  references the seal does not cover (clean sessions are skipped);
+* :meth:`load_state` re-attaches every store (O(1) on its mmapped
+  invariants; a small store is rebuilt from its log) and lets the
+  journal's references cross-check it.
+  Deletions write a durable ``<name>.tombstone`` file *before* any
+  state is unlinked, so the session *set* is as crash-safe as the
+  session contents.
 
-A registry persists if and only if it was constructed with a
-``state_dir``; :meth:`save_state` and :meth:`load_state` always act on
-that directory.
+A registry without a state dir keeps its sessions in
+:class:`~repro.storage.store.MemoryStore` instances -- the parity
+oracle every served surface of a persisted session is byte-identical
+to.
 
-With ``store="disk"`` new sessions persist through
-:class:`~repro.storage.store.DiskStore`: the segment log -- not the WAL
--- is the write-ahead copy of the observations, so WAL records shrink
-to slim ``{"op": "ingest", "v": ..., "rows": ...}`` references, a
-checkpoint becomes a segment *seal* plus a small manifest write (sealed
-segments are never rewritten, unlike the JSON snapshot which re-encoded
-the full sample every time), and restart is an O(1) mmap attach instead
-of an O(n) JSON parse.  Served surfaces stay byte-identical across
-store kinds.
-
-The recovery invariant all of this serves: state after crash + replay is
-bit-identical to the never-crashed run -- the same invariant the chunked
--vs-one-shot ingest parity rests on, extended across process death.
+The recovery invariant all of this serves: state after crash + restart
+is bit-identical to the never-crashed run -- the same invariant the
+chunked-vs-one-shot ingest parity rests on, extended across process
+death.
 
 Served payloads are the ``repro.result/v1`` dicts of the underlying
 session calls, with one deliberate exception: the ``runtime`` execution
@@ -72,12 +66,17 @@ from repro.api.session import OpenWorldSession
 from repro.data.records import Observation
 from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.faults import fault_point
-from repro.resilience.wal import WalCorruptionError, WriteAheadLog, fsync_directory
+from repro.resilience.wal import (
+    WalCorruptionError,
+    WriteAheadLog,
+    fsync_directory,
+    make_directories,
+)
 from repro.serving.batcher import CoalescingBatcher
 from repro.serving.cache import DEFAULT_CACHE_ENTRIES, EstimateCache, request_key
 from repro.serving.locks import RWLock
 from repro.serving.versions import VersionGate
-from repro.storage.store import STORE_KINDS, DiskStore
+from repro.storage.store import DiskStore
 from repro.storage.transfer import archive_header, unpack_archive
 from repro.utils.exceptions import ReproError, ValidationError
 
@@ -133,62 +132,26 @@ def _served_payload(payload: dict[str, Any]) -> dict[str, Any]:
 #
 # Record shapes living in a session's journal:
 #
-#   {"op": "create", "snapshot": <SessionSnapshot envelope>}
-#       Head record of a memory-store session created after the last
-#       checkpoint, carrying the session's state *at registration*
-#       (trivial for ``create``, possibly mid-stream for ``adopt``).  A
-#       surviving create record *overrides* any same-named checkpoint
-#       file: checkpointing removes create records, so one can only
-#       survive when the name was (re)created afterwards.
-#
 #   {"op": "create_store"}
-#       Head record of a disk-store session: the store directory, not
-#       the journal, carries the state.
-#
-#   {"op": "ingest", "v": <post-ingest state_version>,
-#    "observations": [[entity_id, source_id, attributes, sequence], ...]}
-#       One committed ingest chunk of a memory-store session.  Replay
-#       applies records with v > the restored session's state_version,
-#       in order, and asserts the version matches after each -- the
-#       bit-identity check.
+#       Head record: the session was created (or restored) after the
+#       last checkpoint.  The store directory, not the journal, carries
+#       the state.
 #
 #   {"op": "ingest", "v": <post-ingest state_version>, "rows": <count>}
-#       Slim reference appended *after* a disk store committed the
-#       chunk (the segment log is the write-ahead copy there).  Replay
-#       only validates: a reference beyond the store's recovered version
+#       Slim reference appended *after* the store committed the chunk
+#       (the segment log is the write-ahead copy).  Load only
+#       validates: a reference beyond the store's recovered version
 #       means the store lost an acknowledged chunk.
 #
 # Deletions are not journaled: a durable ``sessions/<name>.tombstone``
 # file is written before any state is unlinked.
 
-
-def _create_record(session: OpenWorldSession) -> "dict[str, Any] | None":
-    """The WAL head record carrying the session's state at registration.
-
-    ``None`` for sessions built around an estimator *instance*: those
-    cannot be snapshotted, so they are served memory-only.
-    """
-    if session.default_spec is None:
-        return None
-    return {"op": "create", "snapshot": session.snapshot().to_dict()}
-
-
-def _ingest_record(version: int, chunk: "list[Observation]") -> dict[str, Any]:
-    return {
-        "op": "ingest",
-        "v": int(version),
-        "observations": [
-            [obs.entity_id, obs.source_id, dict(obs.attributes), obs.sequence]
-            for obs in chunk
-        ],
-    }
-
-
-def _decode_observations(items: "list[Any]") -> list[Observation]:
-    return [
-        Observation(entity_id, attributes, source_id, int(sequence))
-        for entity_id, source_id, attributes, sequence in items
-    ]
+#: Journal and checkpoint shapes of the retired memory-store format,
+#: refused at load rather than silently dropped.
+_MEMORY_FORMAT = (
+    "the memory-store format (JSON snapshot checkpoints and "
+    "full-observation journal records)"
+)
 
 
 class ServedSession:
@@ -211,9 +174,9 @@ class ServedSession:
         ``estimate`` so the Monte-Carlo grid of spec-configured sessions
         shards across the server's configured backend.
     wal:
-        Optional :class:`~repro.resilience.wal.WriteAheadLog` journaling
-        this session's ingests (appended under the write lock, *before*
-        the session mutates).
+        Optional :class:`~repro.resilience.wal.WriteAheadLog` receiving
+        a slim reference per committed ingest (appended under the write
+        lock, after the store made the chunk durable).
     breaker:
         Optional :class:`~repro.resilience.breaker.CircuitBreaker` fed
         by unexpected estimator failures on the compute path.
@@ -270,41 +233,24 @@ class ServedSession:
     def ingest(self, observations: "list[Observation] | Observation") -> dict[str, Any]:
         """Exclusive ingest; returns the post-ingest version and counts.
 
-        Write-ahead discipline: the chunk is validated without mutating
-        anything, journaled to the WAL (flushed at least to the OS), and
-        only then committed -- so a SIGKILL at *any* instruction of this
-        method either loses an unacknowledged chunk entirely or replays
-        it exactly once, never half of it.
+        A persisted session's store is its own write-ahead copy:
+        ``session.ingest`` validates the whole chunk before any write,
+        then flushes names and the segment frame before the state
+        mutates.  The WAL then receives a slim ``{"v", "rows"}``
+        reference -- so a SIGKILL at *any* instruction of this method
+        either loses an unacknowledged chunk entirely or recovers it
+        exactly once, never half of it.
 
         Old cache entries need no explicit purge: they are keyed by the
         superseded version, unreachable from now on, and will age out of
         the LRU bound.
-
-        A disk-store session inverts the journaling order: the store's
-        segment log *is* the write-ahead copy (names + frame flushed
-        before the state mutates, inside ``session.ingest``), so the WAL
-        only receives a slim ``{"v", "rows"}`` reference afterwards --
-        there is no second full copy of the observations to rewrite on
-        every rotation.
         """
         with self._lock.write_locked():
-            chunk = list(self._session.prepare_ingest(observations))
-            if self._session.store_kind == "disk":
-                ingested = self._session.ingest(chunk)
-                if ingested and self._wal is not None:
-                    self._wal.append(
-                        {
-                            "op": "ingest",
-                            "v": self._session.state_version,
-                            "rows": ingested,
-                        }
-                    )
-            else:
-                if chunk and self._wal is not None:
-                    self._wal.append(
-                        _ingest_record(self._session.state_version + 1, chunk)
-                    )
-                ingested = self._session.ingest(chunk)
+            ingested = self._session.ingest(observations)
+            if ingested and self._wal is not None:
+                self._wal.append(
+                    {"op": "ingest", "v": self._session.state_version, "rows": ingested}
+                )
             with self._stats_lock:
                 self._ingest_requests += 1
             # Publish the new version while still write-locked: a waiter
@@ -586,9 +532,9 @@ class ServedSession:
 
         Runs under the write lock so no ingest can append between the
         cut-off decision and the rewrite.  Called *after* the checkpoint
-        file is durably in place: the create record (now redundant) and
-        every covered ingest record are dropped; anything newer -- an
-        ingest that raced the snapshot collection -- is kept.
+        file is durably in place: the ``create_store`` head (now
+        redundant) and every covered reference are dropped; anything
+        newer -- an ingest that raced the seal -- is kept.
         """
         if self._wal is None:
             return
@@ -622,7 +568,7 @@ class ServedSession:
     def store_archive(self):
         """Freeze the session and yield ``(header, files, version)``.
 
-        The disk-mode transfer source: seals the active segment, syncs
+        The migration source: seals the active segment, syncs
         every store file, and yields the archive header plus the file
         list (see :func:`repro.storage.transfer.archive_header`).  The
         write lock is held for the whole ``with`` block, so the files
@@ -633,8 +579,9 @@ class ServedSession:
             store = self._session.store
             if store.kind != "disk":
                 raise ValidationError(
-                    f"session {self.name!r} is not disk-backed; transfer it "
-                    "with the snapshot envelope (GET .../snapshot) instead"
+                    f"session {self.name!r} is not persisted (the server has "
+                    "no state dir); transfer it with the snapshot envelope "
+                    "(GET .../snapshot) instead"
                 )
             version = self._session.state_version
             store.seal()
@@ -681,11 +628,8 @@ class ServedSession:
         out["estimator_cache"] = self._session.estimator_cache_stats()
         if self._breaker is not None:
             out["circuit_breaker"] = self._breaker.stats()
-        if self._wal is not None:
+        if self._wal is not None:  # a persisted session, on a disk store
             out["wal"] = self._wal.stats()
-        if self._session.store_kind != "memory":
-            # Memory sessions stay byte-identical to the pre-storage
-            # /stats surface; only non-default stores add their block.
             out["store"] = self._session.store.stats()
         return out
 
@@ -711,19 +655,15 @@ class SessionRegistry:
     cache_entries:
         LRU bound of the shared answer cache.
     state_dir:
-        Enables crash-safe persistence: per-session write-ahead logs
-        under ``<state_dir>/wal/`` plus the per-session checkpoint
-        files under ``<state_dir>/sessions/`` written by
-        :meth:`save_state`.  Without it the registry is memory-only and
-        :meth:`save_state` / :meth:`load_state` refuse to run.
-    store:
-        State store of newly created sessions: ``"memory"`` (default)
-        or ``"disk"`` (requires ``state_dir``; stores live under
-        ``<state_dir>/store/<name>/``).  Sessions recovered by
-        :meth:`load_state` keep whatever store their on-disk state
-        says, regardless of this setting.
+        Enables crash-safe persistence: every session lives in a disk
+        store under ``<state_dir>/store/<name>/``, journals lifecycle
+        records to ``<state_dir>/wal/<name>.wal`` and is checkpointed
+        into ``<state_dir>/sessions/`` by :meth:`save_state`.  Without
+        it the registry keeps sessions in memory and :meth:`save_state`
+        / :meth:`load_state` refuse to run.
     wal_fsync / wal_batch_every:
-        Durability policy of the WALs (see :class:`WriteAheadLog`).
+        Durability policy of the journals and the stores' segment logs
+        (see :class:`WriteAheadLog`).
     breaker_threshold / breaker_cooldown:
         Per-session circuit-breaker settings; ``breaker_threshold=0``
         disables the breakers.  ``breaker_clock`` is injectable for
@@ -737,31 +677,25 @@ class SessionRegistry:
         workers: "int | None" = None,
         cache_entries: int = DEFAULT_CACHE_ENTRIES,
         state_dir: "str | os.PathLike[str] | None" = None,
-        store: str = "memory",
         wal_fsync: str = "batch",
         wal_batch_every: "int | None" = None,
         breaker_threshold: int = 5,
         breaker_cooldown: float = 30.0,
         breaker_clock: Any = None,
     ) -> None:
-        if store not in STORE_KINDS:
-            raise ValidationError(
-                f"unknown store kind {store!r}; expected one of "
-                f"{', '.join(STORE_KINDS)}"
-            )
-        if store == "disk" and state_dir is None:
-            raise ValidationError(
-                "store='disk' requires a state_dir to hold the stores"
-            )
         self._backend = backend
         self._workers = workers
-        self._store = store
         self.cache = EstimateCache(cache_entries)
         self.batcher = CoalescingBatcher(
             "thread" if backend == "process" else (backend or "serial"), workers
         )
         self._lock = threading.Lock()
         self._sessions: dict[str, ServedSession] = {}
+        # Names whose files a create, restore or delete is working on.
+        # Held from before the first filesystem step to after the last,
+        # so no other lifecycle call opens or deletes what it owns.
+        self._busy: set[str] = set()
+        self._idle = threading.Condition(self._lock)
         self._epochs = itertools.count(1)
         self._state_dir = Path(state_dir) if state_dir is not None else None
         self._wal_fsync = wal_fsync
@@ -788,6 +722,12 @@ class SessionRegistry:
             )
         return self._state_dir
 
+    def _subdir(self, name: str) -> Path:
+        """``<state_dir>/<name>``, created durably on first use."""
+        path = self._persisted_dir() / name
+        make_directories(path, sync=self._wal_fsync != "never")
+        return path
+
     def _sessions_dir(self) -> Path:
         return self._persisted_dir() / SESSIONS_DIRNAME
 
@@ -806,7 +746,7 @@ class SessionRegistry:
 
     @property
     def phase(self) -> str:
-        """Lifecycle phase: "ready", or "recovering" during WAL replay."""
+        """Lifecycle phase: "ready", or "recovering" during load."""
         with self._phase_lock:
             return self._phase
 
@@ -823,6 +763,26 @@ class SessionRegistry:
     # Session lifecycle
     # ------------------------------------------------------------------ #
 
+    @contextlib.contextmanager
+    def _owning(self, name: str, *, create: bool = False):
+        """Hold ``name`` for one lifecycle call that touches its files.
+
+        A create refuses (409) a name that is registered or held; a
+        restore or delete waits until the holder is done.
+        """
+        with self._lock:
+            if create and (name in self._sessions or name in self._busy):
+                raise DuplicateSessionError(f"session {name!r} already exists")
+            while name in self._busy:
+                self._idle.wait()
+            self._busy.add(name)
+        try:
+            yield
+        finally:
+            with self._lock:
+                self._busy.discard(name)
+                self._idle.notify_all()
+
     def create(
         self,
         name: str,
@@ -834,107 +794,101 @@ class SessionRegistry:
     ) -> ServedSession:
         """Create and register a fresh named session (409 on duplicates)."""
         self._validated_name(name)
-        session = OpenWorldSession(
-            attribute,
-            table_name=table_name,
-            estimator=estimator,
-            count_method=count_method,
-            store=self._new_store(name),
-        )
-        try:
-            return self._register(name, session, journal_create=True)
-        except DuplicateSessionError:
-            session.close()
-            raise
+        with self._owning(name, create=True):
+            store = None
+            if self._state_dir is not None:
+                # Traces of a dead incarnation of this name (a crash
+                # between its durable tombstone and the last unlink).
+                self._purge_session_files(name)
+                store = self._disk_store(self._subdir(STORE_DIRNAME) / name)
+            try:
+                session = OpenWorldSession(
+                    attribute,
+                    table_name=table_name,
+                    estimator=estimator,
+                    count_method=count_method,
+                    store=store,
+                )
+            except BaseException:
+                if store is not None:
+                    store.close()
+                    shutil.rmtree(store.directory, ignore_errors=True)
+                raise
+            return self._register(name, session, wal=self._journal_create(name))
 
-    def _new_store(self, name: str):
-        """A fresh store for a new session ``name`` (None = memory default)."""
-        if self._store != "disk":
-            return None
-        with self._lock:
-            registered = name in self._sessions
-        path = self.store_path(name)
-        if not registered and path.exists():
-            # Leftover store of a dead incarnation (a crash between the
-            # durable tombstone and the directory unlink): the tombstone
-            # made the deletion authoritative, so this is garbage.
-            shutil.rmtree(path)
-        return DiskStore(path, fsync=self._wal_fsync, **(
-            {"batch_every": self._wal_batch_every}
-            if self._wal_batch_every is not None
-            else {}
-        ))
+    def _disk_store(self, directory: Path) -> DiskStore:
+        return DiskStore(directory, **self._fsync_policy())
+
+    def _fsync_policy(self) -> "dict[str, Any]":
+        """The durability keywords of every journal and store."""
+        kwargs: dict[str, Any] = {"fsync": self._wal_fsync}
+        if self._wal_batch_every is not None:
+            kwargs["batch_every"] = self._wal_batch_every
+        return kwargs
 
     def adopt(self, name: str, session: OpenWorldSession) -> ServedSession:
-        """Register an existing session object under ``name``."""
+        """Register an existing in-memory session object under ``name``.
+
+        Memory-only registries only: a persisted registry keeps every
+        session in a disk store it creates itself.
+        """
+        if self._state_dir is not None:
+            raise ValidationError(
+                "adopt() registers a session object this registry did not "
+                "store; a persisted registry takes sessions only through "
+                "create() or restore_session()"
+            )
         self._validated_name(name)
-        return self._register(name, session, journal_create=True)
+        return self._register(name, session)
 
     def restore_session(
         self, name: str, payload: "dict[str, Any]"
     ) -> ServedSession:
         """Materialize ``name`` from a snapshot envelope (replace-if-newer).
 
-        The receiving half of a cluster migration or replica push.  The
-        semantics make retries safe and the migration fence checkable:
+        The receiving half of a replica push.  The semantics make
+        retries safe and the fence checkable:
 
-        * no current session -> restore and register (journaling a WAL
-          create record carrying the envelope, so the copy survives a
-          crash of *this* worker too);
+        * no current session -> restore and register;
         * current session at an **older** ``state_version`` -> replace
-          it (a replica catching up, or a re-migration onto a stale
+          it (a replica catching up, or a re-push onto a stale
           leftover);
         * current session at the **same or newer** version -> no-op
           that keeps the current instance (the idempotent-retry case).
 
         Either way the returned session's ``info()['state_version']`` is
         what the caller fences on: it equals the envelope's version
-        exactly when this worker now holds the transferred state.
+        exactly when this registry now holds the transferred state.
+
+        A persisted registry seeds a store in ``store/.incoming-<name>``
+        and only moves it to its final path once fully seeded, so a
+        crash mid-restore never leaves a half-written store under the
+        live name; the boot scavenger (:meth:`_scavenge_store_dir`)
+        discards interrupted promotions -- they were never
+        acknowledged, so the sender retries them.
         """
         self._validated_name(name)
-        if self._store == "disk":
-            return self._restore_session_disk(name, payload)
-        session = OpenWorldSession.restore(payload)
-        with self._lock:
-            existing = self._sessions.get(name)
-        if existing is not None:
-            with existing._lock.read_locked():
-                current_version = existing._session.state_version
-            if current_version >= session.state_version:
-                return existing
-            self.remove(name)
-        return self._register(name, session, journal_create=True)
-
-    def _restore_session_disk(
-        self, name: str, payload: "dict[str, Any]"
-    ) -> ServedSession:
-        """Disk-mode snapshot restore: seed an incoming store, promote it.
-
-        The store is built in ``store/.incoming-<name>`` and only moved
-        to its final path once fully seeded, so a crash mid-restore can
-        never leave a half-written store under the live name; the boot
-        scavenger (:meth:`_scavenge_store_dir`) discards interrupted
-        promotions -- they were never acknowledged, so the sender
-        retries them.
-        """
-        incoming = self.store_path(f".incoming-{name}")
-        if incoming.exists():
-            shutil.rmtree(incoming)
-        store = DiskStore(incoming, fsync=self._wal_fsync)
-        try:
-            session = OpenWorldSession.restore(payload, store=store)
-            store.sync()
-            (incoming / ".complete").touch()
-        except BaseException:
-            store.close()
-            shutil.rmtree(incoming, ignore_errors=True)
-            raise
-        version = session.state_version
-        session.close()
-        return self._promote_incoming(name, incoming, version)
+        with self._owning(name):
+            if self._state_dir is None:
+                session = OpenWorldSession.restore(payload)
+                if self._keeps_current(name, session.state_version):
+                    return self.get(name)
+                return self._register(name, session)
+            incoming = self._incoming_path(name)
+            store = self._disk_store(incoming)
+            try:
+                session = OpenWorldSession.restore(payload, store=store)
+                store.sync()
+            except BaseException:
+                store.close()
+                shutil.rmtree(incoming, ignore_errors=True)
+                raise
+            version = session.state_version
+            session.close()
+            return self._promote_incoming(name, incoming, version)
 
     def restore_store(self, name: str, read) -> ServedSession:
-        """Receive a streamed store archive (the disk-mode migration body).
+        """Receive a streamed store archive (the migration body).
 
         ``read(n)`` supplies the raw archive bytes (header line + file
         contents, see :mod:`repro.storage.transfer`).  The archive is
@@ -944,24 +898,42 @@ class SessionRegistry:
         :meth:`restore_session`.
         """
         self._validated_name(name)
-        if self._store != "disk":
+        if self._state_dir is None:
             raise ValidationError(
-                "this server keeps sessions in memory (--store memory); "
+                "this server keeps sessions in memory (no state dir); "
                 "push a snapshot envelope to .../restore instead"
             )
-        incoming = self.store_path(f".incoming-{name}")
+        with self._owning(name):
+            incoming = self._incoming_path(name)
+            try:
+                unpack_archive(read, incoming)
+                session = OpenWorldSession.attach(self._disk_store(incoming))
+            except BaseException:
+                shutil.rmtree(incoming, ignore_errors=True)
+                raise
+            version = session.state_version
+            session.close()
+            return self._promote_incoming(name, incoming, version)
+
+    def _incoming_path(self, name: str) -> Path:
+        """A clean ``store/.incoming-<name>`` (held under ``_owning``)."""
+        incoming = self._subdir(STORE_DIRNAME) / f".incoming-{name}"
         if incoming.exists():
             shutil.rmtree(incoming)
-        try:
-            unpack_archive(read, incoming)
-            store = DiskStore(incoming, fsync=self._wal_fsync)
-            session = OpenWorldSession.attach(store)
-        except BaseException:
-            shutil.rmtree(incoming, ignore_errors=True)
-            raise
-        version = session.state_version
-        session.close()
-        return self._promote_incoming(name, incoming, version)
+        return incoming
+
+    def _keeps_current(self, name: str, version: int) -> bool:
+        """Replace-if-newer: True to keep the current ``name``, else drop it."""
+        with self._lock:
+            existing = self._sessions.get(name)
+        if existing is None:
+            return False
+        with existing._lock.read_locked():
+            current_version = existing._session.state_version
+        if current_version >= version:
+            return True
+        self._discard(name)
+        return False
 
     def _promote_incoming(
         self, name: str, incoming: Path, version: int
@@ -973,49 +945,39 @@ class SessionRegistry:
         re-attached from disk -- reopening after the rename is cheaper
         to reason about than proving every held fd survives it.
         """
-        with self._lock:
-            existing = self._sessions.get(name)
-        if existing is not None:
-            with existing._lock.read_locked():
-                current_version = existing._session.state_version
-            if current_version >= version:
-                shutil.rmtree(incoming, ignore_errors=True)
-                return existing
-            self.remove(name)  # durable tombstone + store dir removal
+        if self._keeps_current(name, version):
+            shutil.rmtree(incoming, ignore_errors=True)
+            return self.get(name)
         final = self.store_path(name)
-        if final.exists():  # pragma: no cover - remove() already purged it
-            shutil.rmtree(final)
-        (incoming / ".complete").unlink(missing_ok=True)
         os.rename(incoming, final)
-        attached = OpenWorldSession.attach(
-            DiskStore(final, fsync=self._wal_fsync)
-        )
-        return self._register(name, attached, journal_create=True)
+        if self._wal_fsync != "never":
+            fsync_directory(final.parent)
+        attached = OpenWorldSession.attach(self._disk_store(final))
+        return self._register(name, attached, wal=self._journal_create(name))
+
+    def _journal_create(self, name: str) -> "WriteAheadLog | None":
+        """Journal the ``create_store`` head of ``name``'s new store.
+
+        The head supersedes a tombstone of a deleted previous
+        incarnation, which is cleared durably first; the journal is
+        rewritten (not appended) because it may hold that incarnation's
+        records.
+        """
+        if self._state_dir is None:
+            return None
+        self._clear_tombstone(name)
+        self._subdir(WAL_DIRNAME)
+        wal = self._open_wal(name)
+        wal.rewrite([{"op": "create_store"}])
+        return wal
 
     def _register(
         self,
         name: str,
         session: OpenWorldSession,
         *,
-        journal_create: bool = False,
         wal: "WriteAheadLog | None" = None,
     ) -> ServedSession:
-        if wal is None and self._state_dir is not None:
-            if session.store_kind == "disk":
-                create: "dict[str, Any] | None" = {"op": "create_store"}
-            else:
-                create = _create_record(session)
-            if create is not None:
-                # A durable tombstone of a deleted previous incarnation
-                # is superseded by this (re)creation.
-                if journal_create:
-                    self._tombstone_path(name).unlink(missing_ok=True)
-                wal = self._open_wal(name)
-                if journal_create:
-                    # rewrite (not append): the file may hold stale
-                    # records of a deleted previous incarnation of this
-                    # name.
-                    wal.rewrite([create])
         breaker = (
             CircuitBreaker(
                 self._breaker_threshold,
@@ -1049,10 +1011,7 @@ class SessionRegistry:
         return served
 
     def _open_wal(self, name: str) -> WriteAheadLog:
-        kwargs: dict[str, Any] = {"fsync": self._wal_fsync}
-        if self._wal_batch_every is not None:
-            kwargs["batch_every"] = self._wal_batch_every
-        return WriteAheadLog(self._wal_path(name), **kwargs)
+        return WriteAheadLog(self._wal_path(name), **self._fsync_policy())
 
     def get(self, name: str) -> ServedSession:
         """The served session called ``name`` (404 when absent)."""
@@ -1073,14 +1032,18 @@ class SessionRegistry:
         cannot resurrect the session (load honors the tombstone and
         finishes the cleanup), and a crash before it leaves the session
         fully intact -- deletion is atomic at the tombstone write.  The
-        WAL, checkpoint file and (for disk sessions) the store directory
-        are then removed.
+        WAL, checkpoint file and store directory are then removed.
 
         Its cache entries become unreachable and age out of the LRU bound
         like superseded versions do: keys carry the instance's unique
         epoch, so even a recreated session with the same name can never
         hit them.
         """
+        with self._owning(name):
+            self._discard(name)
+
+    def _discard(self, name: str) -> None:
+        """:meth:`remove` for a caller that already holds ``name``."""
         with self._lock:
             served = self._sessions.pop(name, None)
         if served is None:
@@ -1102,18 +1065,25 @@ class SessionRegistry:
             self._wal_path(name).unlink(missing_ok=True)
             self._checkpoint_path(name).unlink(missing_ok=True)
             served._session.close()
-            if served._session.store_kind == "disk":
-                shutil.rmtree(self.store_path(name), ignore_errors=True)
+            shutil.rmtree(self.store_path(name), ignore_errors=True)
 
     def _write_tombstone(self, name: str) -> None:
-        sessions_dir = self._sessions_dir()
-        sessions_dir.mkdir(parents=True, exist_ok=True)
+        sessions_dir = self._subdir(SESSIONS_DIRNAME)
         path = self._tombstone_path(name)
         with open(path, "wb") as handle:
             handle.write(b"{}\n")
             handle.flush()
             os.fsync(handle.fileno())
         fsync_directory(sessions_dir)
+
+    def _clear_tombstone(self, name: str) -> None:
+        """Unlink ``name``'s tombstone, durably when there was one."""
+        try:
+            self._tombstone_path(name).unlink()
+        except FileNotFoundError:
+            return
+        if self._wal_fsync != "never":
+            fsync_directory(self._sessions_dir())
 
     def names(self) -> list[str]:
         """Registered session names, sorted."""
@@ -1150,47 +1120,29 @@ class SessionRegistry:
     def save_state(self) -> Path:
         """Checkpoint every **dirty** session under ``<state_dir>/sessions/``.
 
-        Each session gets its own checkpoint file, written next to its
-        final location, fsynced, and moved into place with
-        :func:`os.replace` -- so a crash mid-write leaves that session's
-        previous checkpoint intact, never a torn file.  Sessions whose
-        ``state_version`` has not advanced since their last checkpoint
-        are skipped entirely.
-
-        Memory-store sessions checkpoint their full snapshot envelope;
-        disk-store sessions *seal* their active segment (the manifest
+        A checkpoint *seals* the session's active segment (the manifest
         write inside the store is the durability point -- sealed
-        segments are never rewritten) and the checkpoint file holds just
-        the covered version.  Either way the session's WAL is then
-        rotated down to the records the checkpoint does not cover, and
+        segments are never rewritten), then writes a small
+        ``sessions/<name>.json`` holding the covered version: next to
+        its final location, fsynced, and moved into place with
+        :func:`os.replace`, so a crash mid-write leaves the previous
+        file intact, never a torn one.  The session's WAL is then
+        rotated down to the references the seal does not cover, and
         leftovers of deleted sessions (tombstones whose state is gone,
-        orphan journals) are purged.
+        orphan journals) are purged.  Sessions whose ``state_version``
+        has not advanced since their last checkpoint are skipped.
 
         Returns the ``sessions/`` directory.
         """
-        sessions_dir = self._sessions_dir()
-        sessions_dir.mkdir(parents=True, exist_ok=True)
+        sessions_dir = self._subdir(SESSIONS_DIRNAME)
         for served in self.sessions():
             if not served.dirty:
                 continue
-            if served._session.default_spec is None:
-                continue  # estimator-instance sessions are memory-only
-            if served._session.store_kind == "disk":
-                version = served.seal_store()
-                payload: dict[str, Any] = {
-                    "schema": SESSION_STATE_SCHEMA,
-                    "store": "disk",
-                    "state_version": version,
-                }
-            else:
-                snapshot = served.snapshot_payload()
-                version = int(snapshot["state_version"])
-                payload = {
-                    "schema": SESSION_STATE_SCHEMA,
-                    "store": "memory",
-                    "snapshot": snapshot,
-                }
-            self._write_checkpoint_file(self._checkpoint_path(served.name), payload)
+            version = served.seal_store()
+            self._write_checkpoint_file(
+                self._checkpoint_path(served.name),
+                {"schema": SESSION_STATE_SCHEMA, "store": "disk", "state_version": version},
+            )
             # The checkpoint is durable; rotate the journal behind it.
             served.checkpoint_wal(version)
             served.checkpointed_version = max(
@@ -1211,6 +1163,11 @@ class SessionRegistry:
         os.replace(scratch, path)
         fsync_directory(path.parent)
 
+    def _live_names(self) -> "set[str]":
+        """Names whose files are in use: registered or held by a call."""
+        with self._lock:
+            return set(self._sessions) | self._busy
+
     def _purge_dead_state(self) -> None:
         """Clean up leftovers of deleted sessions (idempotent, crash-safe).
 
@@ -1219,11 +1176,10 @@ class SessionRegistry:
         crash in the middle of this sweep re-runs it harmlessly.
         """
         sessions_dir = self._sessions_dir()
-        with self._lock:
-            live = set(self._sessions)
+        live = self._live_names()
         for path in sessions_dir.glob("*.tombstone"):
             name = path.name[: -len(".tombstone")]
-            if name not in live:  # a recreated name: _register clears it
+            if name not in live:
                 self._purge_session_files(name)
         for path in sessions_dir.glob("*.json"):
             if path.stem not in live:
@@ -1234,23 +1190,21 @@ class SessionRegistry:
         self._wal_path(name).unlink(missing_ok=True)
         self._checkpoint_path(name).unlink(missing_ok=True)
         shutil.rmtree(self.store_path(name), ignore_errors=True)
-        self._tombstone_path(name).unlink(missing_ok=True)
+        self._clear_tombstone(name)
 
     def _purge_orphan_wals(self) -> None:
-        wal_dir = self._persisted_dir() / WAL_DIRNAME
-        with self._lock:
-            live = set(self._sessions)
-        for path in wal_dir.glob("*.wal"):
+        live = self._live_names()
+        for path in (self._persisted_dir() / WAL_DIRNAME).glob("*.wal"):
             if path.stem not in live:
                 path.unlink(missing_ok=True)
 
     def load_state(self) -> list[str]:
-        """Restore the checkpoints, then replay each WAL tail on top.
+        """Re-attach every stored session, cross-checked by its journal.
 
         Missing state files are not an error (first boot of a fresh
         ``--state-dir``).  Torn or corrupt WAL tails are truncated at
-        the last clean record boundary (CRC framing); a record that
-        replays to the *wrong* state version raises
+        the last clean record boundary (CRC framing); a journal that
+        references a version its store does not hold raises
         :class:`~repro.resilience.wal.WalCorruptionError` -- that is a
         bug or foreign tampering, not a crash artifact, and silently
         serving wrong answers is worse than refusing to start.
@@ -1301,34 +1255,28 @@ class SessionRegistry:
                 continue
             wal = self._open_wal(name) if name in journal_names else None
             records = wal.recover() if wal is not None else []
-            checkpointed = -1
-            if records and records[0].get("op") == "create":
-                # Created (or recreated) after the last checkpoint: the
-                # journal, not a stale checkpoint entry, is authoritative.
-                session = OpenWorldSession.restore(records[0]["snapshot"])
-                self._replay(name, session, records)
-            elif name in stores:
-                session = self._attach_store_session(name, records)
-                entry = checkpoints.get(name)
-                if entry is not None and entry.get("store") == "disk":
-                    checkpointed = int(entry.get("state_version", -1))
-            elif name in checkpoints:
-                entry = checkpoints[name]
-                if entry.get("store") == "disk":
-                    raise WalCorruptionError(
-                        f"checkpoint for {name!r} references a disk store "
-                        f"but {store_root / name} holds none"
-                    )
-                session = OpenWorldSession.restore(entry["snapshot"])
-                checkpointed = session.state_version
-                self._replay(name, session, records)
-            else:
-                raise WalCorruptionError(
-                    f"journal {name!r} has no create record and no "
-                    "checkpoint entry; cannot reconstruct the session"
+            entry = checkpoints.get(name)
+            if (entry is not None and entry.get("store") != "disk") or any(
+                record.get("op") == "create" or "observations" in record
+                for record in records
+            ):
+                raise ValidationError(
+                    f"state dir {directory} holds session {name!r} in "
+                    f"{_MEMORY_FORMAT}, which this version no longer reads; "
+                    "move it with GET .../snapshot on the version that "
+                    "wrote it and POST .../restore here"
                 )
-            served = self._register(name, session, wal=wal)
-            served.checkpointed_version = checkpointed
+            if name not in stores:
+                trace = "checkpoint" if entry is not None else "journal"
+                raise WalCorruptionError(
+                    f"{trace} for {name!r} references a disk store but "
+                    f"{store_root / name} holds none"
+                )
+            served = self._register(
+                name, self._attach_store_session(name, records), wal=wal
+            )
+            if entry is not None:
+                served.checkpointed_version = int(entry.get("state_version", -1))
             restored.append(name)
         return restored
 
@@ -1341,12 +1289,7 @@ class SessionRegistry:
         replayed from the WAL; its slim references only cross-check that
         the store recovered everything it acknowledged.
         """
-        store = DiskStore(self.store_path(name), fsync=self._wal_fsync, **(
-            {"batch_every": self._wal_batch_every}
-            if self._wal_batch_every is not None
-            else {}
-        ))
-        session = OpenWorldSession.attach(store)
+        session = OpenWorldSession.attach(self._disk_store(self.store_path(name)))
         for record in records:
             if record.get("op") != "ingest":
                 continue
@@ -1360,7 +1303,7 @@ class SessionRegistry:
         return session
 
     def _scavenge_store_dir(self) -> None:
-        """Discard interrupted store promotions (crash mid snapshot-restore).
+        """Discard interrupted store promotions (crash mid-restore).
 
         ``.incoming-<name>`` directories are only renamed into place
         *before* the restored session is registered and acknowledged, so
@@ -1369,27 +1312,6 @@ class SessionRegistry:
         """
         for path in (self._persisted_dir() / STORE_DIRNAME).glob(".incoming-*"):
             shutil.rmtree(path, ignore_errors=True)
-
-    @staticmethod
-    def _replay(name: str, session: OpenWorldSession, records: list) -> None:
-        for record in records:
-            if record.get("op") != "ingest":
-                continue
-            version = int(record.get("v", 0))
-            if version <= session.state_version:
-                continue  # already covered by the checkpoint
-            if version != session.state_version + 1:
-                raise WalCorruptionError(
-                    f"journal {name!r} jumps from state_version "
-                    f"{session.state_version} to {version}; refusing to "
-                    "replay a gapped log"
-                )
-            session.ingest(_decode_observations(record["observations"]))
-            if session.state_version != version:
-                raise WalCorruptionError(
-                    f"replaying journal {name!r} reached state_version "
-                    f"{session.state_version}, record claims {version}"
-                )
 
     @staticmethod
     def _validated_name(name: str) -> None:

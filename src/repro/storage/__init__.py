@@ -1,7 +1,7 @@
 """Per-session disk storage: segment log, name dictionaries, invariants.
 
-The package behind ``OpenWorldSession(store=...)`` and ``repro.cli
-serve --store disk``: an append-only columnar segment log for
+The package behind ``OpenWorldSession(store=...)`` and every session of
+``repro.cli serve --state-dir``: an append-only columnar segment log for
 observations, memory-mapped persistent invariants for O(1) restart, and
 streaming readers for progressive replay.  See DESIGN.md ("Storage
 layer") for the format specification and the crash-consistency
@@ -29,12 +29,7 @@ from repro.storage.segments import (
     scan_frames,
     segment_name,
 )
-from repro.storage.store import (
-    STORE_KINDS,
-    DiskStore,
-    MemoryStore,
-    open_store,
-)
+from repro.storage.store import DiskStore, MemoryStore
 from repro.storage.stream import SegmentObservationReader
 from repro.storage.transfer import (
     ARCHIVE_SCHEMA,
@@ -56,7 +51,6 @@ __all__ = [
     "MemoryStore",
     "NameCorruptionError",
     "NameLog",
-    "STORE_KINDS",
     "SegmentCorruptionError",
     "SegmentLog",
     "SegmentObservationReader",
@@ -67,7 +61,6 @@ __all__ = [
     "encode_frame",
     "encode_seed_frame",
     "iter_archive",
-    "open_store",
     "read_frames",
     "scan_frames",
     "segment_name",

@@ -6,7 +6,9 @@ f_j}`` -- is kept in fixed-width little-endian arrays backed by plain
 files and updated **incrementally on every ingest** (numpy fancy
 indexing over the chunk's touched indices).  Restart therefore attaches
 the files in O(1) and replays only the segment-log tail beyond the
-recorded ``state_version``, instead of parsing an O(n) JSON snapshot.
+recorded ``state_version``, instead of replaying the whole log.  The
+files appear with the first meta write: a store below
+``repro.storage.store._INVARIANT_ROWS`` logged rows keeps none.
 
 Files (in the store's ``invariants/`` directory):
 
@@ -83,8 +85,11 @@ class InvariantStore:
 
     def __init__(self, directory: "str | os.PathLike[str]") -> None:
         self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
-        self._meta_fd = os.open(self.directory / "meta.bin", os.O_RDWR | os.O_CREAT, 0o644)
+        # The directory and its files appear with the first meta write.
+        try:
+            self._meta_fd = os.open(self.directory / "meta.bin", os.O_RDWR)
+        except FileNotFoundError:
+            self._meta_fd = -1
         self._arrays: dict[str, np.memmap] = {}
         self.meta: dict[str, int] = {field: 0 for field in META_FIELDS}
         self._flags = 0
@@ -97,6 +102,8 @@ class InvariantStore:
     # ------------------------------------------------------------------ #
 
     def _read_meta(self) -> None:
+        if self._meta_fd < 0:
+            return  # no invariant files yet
         raw = os.pread(self._meta_fd, _META.size, 0)
         if not raw:
             return  # fresh store
@@ -123,6 +130,11 @@ class InvariantStore:
             *(int(self.meta[field]) for field in META_FIELDS),
         )
         raw = head + struct.pack("<I", zlib.crc32(head))
+        if self._meta_fd < 0:
+            self.directory.mkdir(parents=True, exist_ok=True)
+            self._meta_fd = os.open(
+                self.directory / "meta.bin", os.O_RDWR | os.O_CREAT, 0o644
+            )
         os.pwrite(self._meta_fd, raw, 0)
         self.meta_present = True
         self.meta_valid = True
@@ -150,21 +162,25 @@ class InvariantStore:
     # Arrays
     # ------------------------------------------------------------------ #
 
-    def _path(self, name: str) -> Path:
-        return self.directory / _ARRAY_FILES[name][0]
-
     def array(self, name: str, length: int) -> np.memmap:
-        """The array mmap, grown (file truncate + remap) to hold ``length``."""
+        """The array mmap, grown (file truncate + remap) to hold ``length``.
+
+        Only this object grows the array files or drops them
+        (:meth:`reset`), so a live mapping that already holds ``length``
+        is current: the per-ack path costs no ``stat``.
+        """
+        current = self._arrays.get(name)
+        if current is not None and len(current) >= length:
+            return current
         filename, dtype = _ARRAY_FILES[name]
         path = self.directory / filename
-        current = self._arrays.get(name)
-        try:
-            size = path.stat().st_size
-        except FileNotFoundError:
-            size = 0
-        capacity = size // dtype.itemsize
-        if current is not None and len(current) == capacity and capacity >= length:
-            return current
+        if current is not None:
+            capacity = len(current)
+        else:
+            try:
+                capacity = path.stat().st_size // dtype.itemsize
+            except FileNotFoundError:
+                capacity = 0
         if capacity < length:
             new_capacity = max(_MIN_CAPACITY, capacity or _MIN_CAPACITY)
             while new_capacity < length:
@@ -197,7 +213,8 @@ class InvariantStore:
         """msync the arrays and fsync the meta (power-loss durability)."""
         for mapped in self._arrays.values():
             mapped.flush()
-        os.fsync(self._meta_fd)
+        if self._meta_fd >= 0:
+            os.fsync(self._meta_fd)
 
     def close(self) -> None:
         for name in list(self._arrays):

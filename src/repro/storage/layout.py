@@ -11,7 +11,7 @@ A disk-backed session lives in one directory::
         names/
             entities.dat       # first-seen-order name dictionaries
             sources.dat        #   (repro.storage.names)
-        invariants/
+        invariants/            # only once the log holds 1024 rows
             meta.bin           # mmapped aggregate state
             counts.u64  values.f64  sources.u64  freq.u64
 
@@ -99,12 +99,12 @@ class StoreLayout:
         return self.names_dir / "sources.dat"
 
     def create_directories(self) -> None:
-        for path in (
-            self.directory,
-            self.segments_dir,
-            self.names_dir,
-            self.invariants_dir,
-        ):
+        """The store directory and the subdirectories every store writes.
+
+        ``invariants/`` is left to the first invariant write (see
+        :class:`~repro.storage.invariants.InvariantStore`).
+        """
+        for path in (self.directory, self.segments_dir, self.names_dir):
             path.mkdir(parents=True, exist_ok=True)
 
     def exists(self) -> bool:

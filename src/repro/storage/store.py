@@ -31,7 +31,9 @@ Crash consistency (the order of operations per ingest chunk):
 3. the chunk is folded into the in-memory state;
 4. the mmapped arrays absorb the chunk's touched indices, bracketed by
    the ``applying`` meta flag, and the meta header commits the new
-   counters.
+   counters.  A store creates its invariant files once its log holds
+   ``_INVARIANT_ROWS`` rows; a smaller one skips this step, and attach
+   rebuilds its state from the log.
 
 A SIGKILL before (2) loses the unacknowledged chunk only; between (2)
 and (4) attach finds frames beyond the meta's ``state_version`` and
@@ -52,7 +54,7 @@ import numpy as np
 
 from repro.data.progressive import IntegrationState
 from repro.data.records import Observation
-from repro.resilience.wal import DEFAULT_BATCH_EVERY
+from repro.resilience.wal import DEFAULT_BATCH_EVERY, make_directories
 from repro.storage.invariants import InvariantStore
 from repro.storage.layout import StorageError, StoreLayout
 from repro.storage.names import NameLog, encode_entries
@@ -65,13 +67,16 @@ from repro.storage.segments import (
     read_frames,
 )
 
-__all__ = ["STORE_KINDS", "MemoryStore", "DiskStore", "open_store"]
-
-#: Store kinds selectable via ``--store`` on the serving CLI.
-STORE_KINDS = ("memory", "disk")
+__all__ = ["MemoryStore", "DiskStore"]
 
 #: Config keys a store persists for O(1) re-attach.
 _CONFIG_KEYS = ("attribute", "table_name", "estimator", "count_method")
+
+#: Logged rows from which a store keeps its invariants in files.  Below
+#: it, attach rebuilds the state from the log (a few milliseconds), which
+#: costs less than creating the invariant directory and its five files
+#: for every small session.
+_INVARIANT_ROWS = 1024
 
 
 class MemoryStore:
@@ -139,17 +144,8 @@ class MemoryStore:
         state.frequencies = frequencies
         state.n = n
 
-    def seal(self) -> bool:
-        return False
-
-    def sync(self) -> None:
-        pass
-
     def close(self) -> None:
         pass
-
-    def stats(self) -> "dict[str, Any]":
-        return {"kind": "memory"}
 
 
 class DiskStore:
@@ -172,6 +168,9 @@ class DiskStore:
         batch_every: int = DEFAULT_BATCH_EVERY,
     ) -> None:
         self._layout = StoreLayout(directory)
+        # The subdirectories' entries become durable with the first
+        # manifest write, which fsyncs the store directory.
+        make_directories(self._layout.directory, sync=fsync != "never")
         self._layout.create_directories()
         self.fsync_policy = fsync
         self._segments = SegmentLog(
@@ -206,8 +205,10 @@ class DiskStore:
         self._n = 0
         self._c = 0
         self._n_sources = 0
-        self._attached_version = 0
-        self._attached_n_ingested = 0
+        # The committed state_version and n_ingested (recovered at attach,
+        # advanced by every chunk).
+        self._version = 0
+        self._n_ingested = 0
 
         self._attach()
 
@@ -286,7 +287,7 @@ class DiskStore:
             return
 
         self._n = int(meta["n"]) + sum(f.n_rows for f in tail)
-        self._attached_n_ingested = int(meta["n_ingested"]) + sum(
+        self._n_ingested = int(meta["n_ingested"]) + sum(
             f.n_rows for f in tail
         )
         self._c = int(meta["n_entities"])
@@ -295,7 +296,7 @@ class DiskStore:
             if frame.n_rows:
                 self._c = max(self._c, int(frame.entity_idx.max()) + 1)
                 self._n_sources = max(self._n_sources, int(frame.source_idx.max()) + 1)
-        self._attached_version = max(
+        self._version = max(
             baseline, max((f.state_version for f in tail), default=0)
         )
         self._max_count = int(meta["max_count"])
@@ -305,8 +306,8 @@ class DiskStore:
     def recovered_counters(self) -> "dict[str, int]":
         """Counters a session adopts when re-attaching this store."""
         return {
-            "state_version": self._attached_version,
-            "n_ingested": self._attached_n_ingested,
+            "state_version": self._version,
+            "n_ingested": self._n_ingested,
         }
 
     # ------------------------------------------------------------------ #
@@ -444,7 +445,7 @@ class DiskStore:
         self._max_count = max_count
         tail, self._tail_frames = self._tail_frames, []
         for frame in tail:
-            self._replay_frame(frame)
+            self._fold_tail_frame(frame)
 
     def _install_indexes(self) -> None:
         """Reconcile the name logs with the adopted state, build indexes.
@@ -478,7 +479,7 @@ class DiskStore:
         self._entities_bytes = _entries_bytes(self._entity_names)
         self._sources_bytes = _entries_bytes(self._source_names)
 
-    def _replay_frame(self, frame: Frame) -> None:
+    def _fold_tail_frame(self, frame: Frame) -> None:
         """Fold one recovered tail frame into state *and* arrays."""
         attribute = self.attribute
         state = self._state_obj
@@ -584,10 +585,11 @@ class DiskStore:
         self._needs_rebuild = False
         self._tail_frames = []
         self._install_indexes()
-        self._invariants.reset()
-        self._rewrite_arrays(state_version=last_version, n_ingested=n_ingested)
-        self._attached_version = last_version
-        self._attached_n_ingested = n_ingested
+        if self._invariants.meta_present or state.n >= _INVARIANT_ROWS:
+            self._invariants.reset()
+            self._rewrite_arrays(state_version=last_version, n_ingested=n_ingested)
+        self._version = last_version
+        self._n_ingested = n_ingested
 
     def _rewrite_arrays(self, *, state_version: int, n_ingested: int) -> None:
         """Write the arrays wholesale from the materialized state."""
@@ -711,8 +713,12 @@ class DiskStore:
         # 3. In-memory state.
         for obs in chunk:
             state.integrate(obs, attribute)
-        # 4. Incremental invariant maintenance.
-        self._apply_arrays(touched_old, sources_old, state_version, n_ingested)
+        self._version, self._n_ingested = state_version, n_ingested
+        # 4. Invariant maintenance: incremental once the files exist.
+        if self._invariants.meta_present:
+            self._apply_arrays(touched_old, sources_old, state_version, n_ingested)
+        elif state.n >= _INVARIANT_ROWS:
+            self._rewrite_arrays(state_version=state_version, n_ingested=n_ingested)
 
     def _apply_arrays(
         self,
@@ -828,9 +834,10 @@ class DiskStore:
         self._sources_bytes = len(source_entries)
         self._materialized = True
         self._seed_sizes = tuple(int(s) for s in seed_source_sizes)
-        self._rewrite_arrays(state_version=state_version, n_ingested=n_ingested)
-        self._attached_version = int(state_version)
-        self._attached_n_ingested = int(n_ingested)
+        if n >= _INVARIANT_ROWS:
+            self._rewrite_arrays(state_version=state_version, n_ingested=n_ingested)
+        self._version = int(state_version)
+        self._n_ingested = int(n_ingested)
         self._write_manifest()
 
     # ------------------------------------------------------------------ #
@@ -871,14 +878,13 @@ class DiskStore:
         return highest + 1
 
     def _write_manifest(self) -> None:
-        meta = self._invariants.meta
         self._layout.write_manifest(
             config=self._config or {},
             seed_source_sizes=list(self._seed_sizes),
             sealed=self._sealed_entries,
-            state_version=int(meta["state_version"]),
-            n=int(meta["n"]),
-            n_ingested=int(meta["n_ingested"]),
+            state_version=self._version,
+            n=self.n,
+            n_ingested=self._n_ingested,
         )
 
     # ------------------------------------------------------------------ #
@@ -958,21 +964,3 @@ def _file_crc(path) -> int:
                 return crc
             crc = zlib.crc32(block, crc)
 
-
-def open_store(
-    kind: str,
-    directory: "str | os.PathLike[str] | None" = None,
-    *,
-    fsync: str = "batch",
-    batch_every: int = DEFAULT_BATCH_EVERY,
-):
-    """Build a store of ``kind`` ("memory" needs no directory)."""
-    if kind == "memory":
-        return MemoryStore()
-    if kind == "disk":
-        if directory is None:
-            raise StorageError("a disk store requires a directory")
-        return DiskStore(directory, fsync=fsync, batch_every=batch_every)
-    raise StorageError(
-        f"unknown store kind {kind!r}; expected one of {', '.join(STORE_KINDS)}"
-    )

@@ -6,6 +6,7 @@ import struct
 
 import pytest
 
+from repro.resilience import wal as wal_module
 from repro.resilience.wal import (
     DEFAULT_BATCH_EVERY,
     WriteAheadLog,
@@ -200,4 +201,19 @@ def test_stats_surface(tmp_path):
     assert set(stats) == {"appends", "syncs", "unsynced", "bytes", "fsync_policy"}
     assert stats["appends"] == 1
     assert stats["bytes"] == log.tell()
+    log.close()
+
+
+def test_wal_record_over_the_bound_is_refused(tmp_path, monkeypatch):
+    """A record its reader would drop as a corrupt tail is never written."""
+    monkeypatch.setattr(wal_module, "_MAX_RECORD_BYTES", 64)
+    log = WriteAheadLog(tmp_path / "s.wal", fsync="never")
+    acked = [{"op": "ingest", "v": 1, "rows": 2}, {"op": "ingest", "v": 2, "rows": 1}]
+    log.append(acked[0])
+    size = log.tell()
+    with pytest.raises(ValidationError, match="record bound"):
+        log.append({"op": "ingest", "v": 2, "rows": 1, "pad": "x" * 64})
+    assert log.tell() == size
+    log.append(acked[1])
+    assert log.recover() == acked
     log.close()

@@ -258,8 +258,10 @@ def test_sigkill_during_checkpoint_replace(tmp_path):
 
 
 def test_torn_wal_tail_is_survived(tmp_path):
-    """Truncate the WAL mid-record (a torn write); the tail chunk is lost
-    cleanly, resent by the client, and the result is still bit-exact."""
+    """Tear the segment log mid-frame, and the WAL reference behind it, as
+    a power loss would; the tail chunk is lost cleanly, resent by the
+    client, and the result is still bit-exact.  (A session this small
+    keeps no invariant files, so the log alone is recovered.)"""
     state = tmp_path / "state"
     server = ServerProcess(state)
     try:
@@ -268,9 +270,10 @@ def test_torn_wal_tail_is_survived(tmp_path):
         server.wait_killed()
     finally:
         server.kill()
-    wal_path = state / "wal" / "s.wal"
-    raw = wal_path.read_bytes()
-    wal_path.write_bytes(raw[:-7])  # tear the last record's payload
+    store = state / "store" / "s"
+    assert not (store / "invariants").exists()
+    for path in (store / "segments" / "active.seg", state / "wal" / "s.wal"):
+        path.write_bytes(path.read_bytes()[:-7])  # tear the last record
     facade = never_crashed_facade()
     restarted = ServerProcess(state)
     try:

@@ -10,6 +10,7 @@ import pytest
 from serving_helpers import SIX_ROWS, CountingEstimator, make_observations
 from repro.api.session import OpenWorldSession
 from repro.serving.registry import (
+    SESSION_STATE_SCHEMA,
     DuplicateSessionError,
     SessionRegistry,
     UnknownSessionError,
@@ -49,6 +50,94 @@ class TestLifecycle:
     def test_invalid_names_rejected(self, name):
         with pytest.raises(ValidationError, match="session name"):
             SessionRegistry().create(name, "value")
+
+
+class TestPersistedLifecycle:
+    """Creates on a persisted registry own their name before any file."""
+
+    def test_duplicate_create_is_409_and_keeps_the_store(self, tmp_path):
+        registry = SessionRegistry(state_dir=tmp_path)
+        served = registry.create("s", "value", estimator="bucket/frequency")
+        served.ingest(make_observations(SIX_ROWS[:2]))
+        with pytest.raises(DuplicateSessionError, match="^session 's' already exists$"):
+            registry.create("s", "value", estimator="naive")
+        served.ingest(make_observations(SIX_ROWS[2:]))
+        reloaded = SessionRegistry(state_dir=tmp_path)
+        assert reloaded.load_state() == ["s"]
+        assert reloaded.get("s").snapshot_payload() == served.snapshot_payload()
+        assert reloaded.get("s").info()["estimator"] == "bucket/frequency"
+
+    def test_create_holds_the_name_before_touching_the_filesystem(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.serving.registry as registry_module
+
+        building, release = threading.Event(), threading.Event()
+        stores = []
+        real_store = registry_module.DiskStore
+
+        def paused_store(directory, **kwargs):
+            stores.append(directory)
+            if len(stores) == 1:  # the first creator pauses mid-create
+                building.set()
+                release.wait(timeout=10)
+            return real_store(directory, **kwargs)
+
+        monkeypatch.setattr(registry_module, "DiskStore", paused_store)
+        registry = SessionRegistry(state_dir=tmp_path)
+        created = []
+        first = threading.Thread(
+            target=lambda: created.append(
+                registry.create("s", "value", estimator="bucket/frequency")
+            )
+        )
+        first.start()
+        assert building.wait(timeout=10)
+        try:
+            with pytest.raises(DuplicateSessionError, match="already exists"):
+                registry.create("s", "value", estimator="naive")
+        finally:
+            release.set()
+            first.join(timeout=10)
+        assert len(stores) == 1  # the refused create built no store
+        created[0].ingest(make_observations(SIX_ROWS))
+        assert created[0].info()["state_version"] == 1
+
+    def test_racing_creates_leave_one_working_store(self, tmp_path):
+        for trial in range(10):
+            registry = SessionRegistry(state_dir=tmp_path / str(trial))
+            barrier = threading.Barrier(2)
+            outcomes: list = []
+
+            def create():
+                barrier.wait(timeout=10)
+                try:
+                    outcomes.append(
+                        registry.create("s", "value", estimator="bucket/frequency")
+                    )
+                except Exception as exc:  # noqa: BLE001 - the outcome under test
+                    outcomes.append(exc)
+
+            threads = [threading.Thread(target=create) for _ in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+            winners = [o for o in outcomes if not isinstance(o, Exception)]
+            losers = [o for o in outcomes if isinstance(o, Exception)]
+            assert len(winners) == 1, outcomes
+            assert [type(o) for o in losers] == [DuplicateSessionError]
+            winners[0].ingest(make_observations(SIX_ROWS))
+            reloaded = SessionRegistry(state_dir=tmp_path / str(trial))
+            assert reloaded.load_state() == ["s"]
+            assert reloaded.get("s").info()["state_version"] == 1
+
+    def test_adopt_is_refused_on_a_persisted_registry(self, tmp_path):
+        registry = SessionRegistry(state_dir=tmp_path)
+        with pytest.raises(ValidationError, match="persisted registry"):
+            registry.adopt("s", OpenWorldSession("value"))
+        assert registry.names() == []
+        assert not (tmp_path / "store").exists()
 
 
 class TestVersionKeyedCache:
@@ -234,9 +323,16 @@ class TestStatePersistence:
         registry.get("s").ingest(make_observations([("z", "s9", 5.0)]))
         registry.save_state()
         payload = json.loads((target / "s.json").read_text())
-        assert payload["store"] == "memory"
-        assert payload["snapshot"]["state_version"] == 2
+        assert payload == {
+            "schema": SESSION_STATE_SCHEMA,
+            "store": "disk",
+            "state_version": 2,
+        }
         assert not (target / "s.json.tmp").exists()
+        # The checkpoint covers exactly what the store sealed.
+        store = tmp_path / "store" / "s"
+        assert json.loads((store / "manifest.json").read_text())["state_version"] == 2
+        assert not (store / "manifest.json.tmp").exists()
 
     def test_clean_sessions_are_skipped_on_save(self, tmp_path):
         registry, _ = registry_with_session(state_dir=tmp_path)

@@ -88,12 +88,14 @@ def test_wal_append_counters_are_exact(tmp_path):
     stats = served.stats()
     assert stats["wal"]["appends"] == THREADS * ROUNDS
     assert stats["state_version"] == THREADS * ROUNDS
-    # The journal holds exactly one create record plus one per ingest.
+    # The journal holds exactly one create_store head plus one slim
+    # reference per ingest.
     from repro.resilience.wal import read_records
 
     records = read_records(tmp_path / "wal" / "s.wal")
     assert len(records) == 1 + THREADS * ROUNDS
-    assert records[0]["op"] == "create"
+    assert records[0] == {"op": "create_store"}
+    assert {record["rows"] for record in records[1:]} == {1}
     versions = [record["v"] for record in records[1:]]
     assert sorted(versions) == list(range(1, THREADS * ROUNDS + 1))
     assert versions == sorted(versions)  # appended in commit order

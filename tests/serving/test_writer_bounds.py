@@ -1,11 +1,13 @@
 """Writers refuse what their readers would drop as a corrupt tail.
 
-Each durable format bounds the length its reader accepts: the WAL
-record, the name-log entry and the segment frame.  A longer length
-prefix reads as a torn or corrupt tail and is truncated, together with
-everything after it.  These tests scale each bound down and check that
-an ingest crossing it fails with a client error before anything is
-written, so every acknowledged version survives a restart.
+Each durable format bounds the length its reader accepts: the name-log
+entry and the segment frame here (the WAL record bound, which a slim
+reference cannot reach, is tested against ``WriteAheadLog.append`` in
+``tests/resilience/test_wal.py``).  A longer length prefix reads as a
+torn or corrupt tail and is truncated, together with everything after
+it.  These tests scale each bound down and check that an ingest
+crossing it fails with a client error before anything is written, so
+every acknowledged version survives a restart.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ import pytest
 
 from serving_helpers import make_observations
 from repro.api.session import OpenWorldSession
-from repro.resilience import wal
 from repro.serving.http import make_server
 from repro.serving.registry import SessionRegistry
 from repro.storage import names, segments
@@ -42,9 +43,9 @@ def _reference():
     return session
 
 
-def _refuse_between_acks(tmp_path, store, refused_rows):
+def _refuse_between_acks(tmp_path, refused_rows):
     """Ack ACKED[0], refuse ``refused_rows``, ack the rest; then restart."""
-    registry = SessionRegistry(state_dir=tmp_path, store=store)
+    registry = SessionRegistry(state_dir=tmp_path)
     served = registry.create("s", "value", estimator=ESTIMATOR)
     served.ingest(make_observations(ACKED[0]))
     with pytest.raises(ValidationError, match="bound"):
@@ -52,7 +53,7 @@ def _refuse_between_acks(tmp_path, store, refused_rows):
     assert served.state_version == 1
     for rows in ACKED[1:]:
         served.ingest(make_observations(rows))
-    restarted = SessionRegistry(state_dir=tmp_path, store=store)
+    restarted = SessionRegistry(state_dir=tmp_path)
     assert restarted.load_state() == ["s"]
     recovered = restarted.get("s")
     reference = _reference()
@@ -60,33 +61,27 @@ def _refuse_between_acks(tmp_path, store, refused_rows):
     assert recovered.snapshot_payload() == reference.snapshot().to_dict()
 
 
-def test_wal_record_over_the_bound_is_refused(tmp_path, monkeypatch):
-    monkeypatch.setattr(wal, "_MAX_RECORD_BYTES", 4096)
-    big = [(f"entity-{i}", "s1", float(i)) for i in range(200)]
-    _refuse_between_acks(tmp_path, "memory", big)
-
-
 def test_name_over_the_bound_is_refused(tmp_path, monkeypatch):
     monkeypatch.setattr(names, "_MAX_NAME_BYTES", 64)
     # A new short name rides along: the refusal must not leave it indexed.
     rows = [("x", "s9", 9.0), ("e" * 65, "s1", 5.0)]
-    _refuse_between_acks(tmp_path, "disk", rows)
+    _refuse_between_acks(tmp_path, rows)
 
 
 def test_long_source_name_is_refused(tmp_path, monkeypatch):
     monkeypatch.setattr(names, "_MAX_NAME_BYTES", 64)
-    _refuse_between_acks(tmp_path, "disk", [("x", "s" * 65, 9.0)])
+    _refuse_between_acks(tmp_path, [("x", "s" * 65, 9.0)])
 
 
 def test_segment_frame_over_the_bound_is_refused(tmp_path, monkeypatch):
     monkeypatch.setattr(segments, "_MAX_FRAME_BYTES", 1024)
     # 60 rows x 25 bytes + the frame header word exceed 1 KiB.
     big = [("a", f"src-{i}", 1.0) for i in range(60)]
-    _refuse_between_acks(tmp_path, "disk", big)
+    _refuse_between_acks(tmp_path, big)
 
 
 def test_refused_ingest_is_a_client_error_over_http(tmp_path, monkeypatch):
-    monkeypatch.setattr(wal, "_MAX_RECORD_BYTES", 4096)
+    monkeypatch.setattr(names, "_MAX_NAME_BYTES", 64)
     server = make_server(state_dir=str(tmp_path))
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -109,12 +104,12 @@ def test_refused_ingest_is_a_client_error_over_http(tmp_path, monkeypatch):
         status, _ = post("/sessions", {"name": "s", "attribute": "value"})
         assert status == 201
         rows = [
-            {"entity_id": f"entity-{i}", "source_id": "s1", "attributes": {"value": i}}
-            for i in range(200)
+            {"entity_id": "x", "source_id": "s1", "attributes": {"value": 1}},
+            {"entity_id": "e" * 65, "source_id": "s1", "attributes": {"value": 2}},
         ]
         status, body = post("/sessions/s/ingest", {"observations": rows})
         assert status == 400
-        assert "record bound" in body["error"]
+        assert "bound of a name-log entry" in body["error"]
         assert server.registry.get("s").state_version == 0
     finally:
         server.shutdown()

@@ -2,7 +2,7 @@
 
 Run as a script (the test arms ``REPRO_FAULTS`` in the environment)::
 
-    python lifecycle_driver.py <state_dir> <memory|disk>
+    python lifecycle_driver.py <state_dir>
 
 Boots a :class:`~repro.serving.registry.SessionRegistry` on
 ``state_dir``, creates one session, ingests ``N_CHUNKS`` deterministic
@@ -51,10 +51,10 @@ def observations(index):
 
 
 def main() -> int:
-    state_dir, store = sys.argv[1], sys.argv[2]
+    state_dir = sys.argv[1]
     from repro.serving.registry import SessionRegistry
 
-    registry = SessionRegistry(state_dir=state_dir, store=store, wal_fsync="batch")
+    registry = SessionRegistry(state_dir=state_dir, wal_fsync="batch")
     registry.load_state()
     served = registry.create(SESSION, ATTRIBUTE, estimator=ESTIMATOR)
     for index in range(N_CHUNKS):

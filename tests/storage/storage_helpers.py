@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.api.session import OpenWorldSession
 from repro.data.records import Observation
 from repro.serving.http import dumps_result
+from repro.storage import store as store_module
 from repro.storage.store import DiskStore
 
 ATTRIBUTE = "value"
@@ -20,6 +23,12 @@ CHUNKS = [
     [("e", "s3", 50.0), ("a", "s3", None), ("f", "s3", 60.0), ("b", "s3", 20.0)],
     [("g", "s1", 70.0), ("c", "s2", 30.0)],
 ]
+
+
+@pytest.fixture
+def eager_invariants(monkeypatch):
+    """Invariant files from the first row: the array path on tiny streams."""
+    monkeypatch.setattr(store_module, "_INVARIANT_ROWS", 0)
 
 
 def observations(rows):

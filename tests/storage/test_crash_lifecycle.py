@@ -9,21 +9,21 @@ past the recovered ``state_version``), and then serve **byte-identical**
 estimate and snapshot payloads to an in-memory facade registry that
 ingested the same stream without ever crashing.
 
-Store-specific windows under test:
+Windows under test:
 
-``storage.after_frame`` (disk)
+``storage.after_frame``
     Dies mid-ingest: the frame is durable, the invariant arrays never
     absorbed it.  Attach replays the segment tail, so the chunk counts
     as acknowledged-and-kept and must **not** be resent.
-``storage.before_seal`` (disk)
+``storage.before_seal``
     Dies inside the checkpoint before the active segment is renamed:
     every frame still sits in ``active.seg``.
-``storage.after_seal`` (disk)
+``storage.after_seal``
     Dies after the rename but before the manifest write: the sealed
     segment is an *orphan* the next attach adopts by directory scan.
-``registry.before_replace`` (memory)
-    The pre-storage checkpoint window, kept in the same matrix as the
-    cross-backend control: the WAL alone recovers everything.
+``registry.before_replace``
+    Dies after the seal, before the checkpoint file is replaced: the
+    sealed store alone recovers everything.
 """
 
 from __future__ import annotations
@@ -39,11 +39,12 @@ import pytest
 import lifecycle_driver as driver
 from repro.serving.http import dumps_result
 from repro.serving.registry import SessionRegistry
+from storage_helpers import eager_invariants  # noqa: F401 - a fixture
 
 DRIVER = Path(driver.__file__).resolve()
 
 
-def run_driver_until_killed(state_dir, store, faults):
+def run_driver_until_killed(state_dir, faults):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (os.path.abspath("src"), env.get("PYTHONPATH")) if p
@@ -51,7 +52,7 @@ def run_driver_until_killed(state_dir, store, faults):
     env.pop("REPRO_FAULTS_STAMP_DIR", None)
     env["REPRO_FAULTS"] = faults
     proc = subprocess.run(
-        [sys.executable, str(DRIVER), str(state_dir), store],
+        [sys.executable, str(DRIVER), str(state_dir)],
         stdout=subprocess.PIPE,
         stderr=subprocess.DEVNULL,
         text=True,
@@ -93,40 +94,31 @@ def assert_bit_identical(served, facade):
 
 
 @pytest.mark.parametrize(
-    ("store", "faults", "min_recovered"),
+    ("faults", "min_recovered"),
     [
         # Mid-stream: the 57th frame reaches the log, the arrays never
         # absorb it -- attach must replay it from the segment tail.
-        pytest.param(
-            "disk", "storage.after_frame:crash@57", 57, id="disk-after-frame"
-        ),
+        pytest.param("storage.after_frame:crash@57", 57, id="disk-after-frame"),
         # Checkpoint windows: every chunk was ingested and acknowledged
         # before the crash, so recovery must find all of them.
         pytest.param(
-            "disk",
-            "storage.before_seal:crash@1",
-            driver.N_CHUNKS,
-            id="disk-before-seal",
+            "storage.before_seal:crash@1", driver.N_CHUNKS, id="disk-before-seal"
         ),
         pytest.param(
-            "disk",
-            "storage.after_seal:crash@1",
-            driver.N_CHUNKS,
-            id="disk-after-seal",
+            "storage.after_seal:crash@1", driver.N_CHUNKS, id="disk-after-seal"
         ),
         pytest.param(
-            "memory",
             "registry.before_replace:crash@1",
             driver.N_CHUNKS,
-            id="memory-before-replace",
+            id="disk-before-replace",
         ),
     ],
 )
-def test_sigkill_recovers_bit_identical(tmp_path, store, faults, min_recovered):
+def test_sigkill_recovers_bit_identical(tmp_path, faults, min_recovered):
     state = tmp_path / "state"
-    run_driver_until_killed(state, store, faults)
+    run_driver_until_killed(state, faults)
 
-    registry = SessionRegistry(state_dir=state, store=store, wal_fsync="batch")
+    registry = SessionRegistry(state_dir=state, wal_fsync="batch")
     assert registry.load_state() == [driver.SESSION]
     served = registry.get(driver.SESSION)
     recovered = reconcile(served)
@@ -139,7 +131,7 @@ def test_sigkill_recovers_bit_identical(tmp_path, store, faults, min_recovered):
     # A clean checkpoint + reload on top of the recovered state must
     # come back with nothing to resend and the same bytes.
     registry.save_state()
-    reloaded = SessionRegistry(state_dir=state, store=store, wal_fsync="batch")
+    reloaded = SessionRegistry(state_dir=state, wal_fsync="batch")
     assert reloaded.load_state() == [driver.SESSION]
     served = reloaded.get(driver.SESSION)
     assert reconcile(served) == driver.N_CHUNKS
@@ -161,7 +153,7 @@ def small_facade(n_chunks=5):
 
 
 def ingest_small_disk_registry(state):
-    registry = SessionRegistry(state_dir=state, store="disk", wal_fsync="batch")
+    registry = SessionRegistry(state_dir=state, wal_fsync="batch")
     served = registry.create(
         driver.SESSION, driver.ATTRIBUTE, estimator=driver.ESTIMATOR
     )
@@ -170,6 +162,7 @@ def ingest_small_disk_registry(state):
     return registry
 
 
+@pytest.mark.usefixtures("eager_invariants")
 def test_torn_tail_after_power_loss_recovers_the_durable_prefix(tmp_path):
     """Tear the segment tail AND the WAL tail AND drop the invariant meta
     (the power-loss ordering where nothing past the last barrier
@@ -183,7 +176,7 @@ def test_torn_tail_after_power_loss_recovers_the_durable_prefix(tmp_path):
     wal = state / "wal" / f"{driver.SESSION}.wal"
     wal.write_bytes(wal.read_bytes()[:-5])
 
-    registry = SessionRegistry(state_dir=state, store="disk", wal_fsync="batch")
+    registry = SessionRegistry(state_dir=state, wal_fsync="batch")
     assert registry.load_state() == [driver.SESSION]
     served = registry.get(driver.SESSION)
     assert served.info()["state_version"] == 4  # exactly the torn chunk lost
@@ -192,6 +185,7 @@ def test_torn_tail_after_power_loss_recovers_the_durable_prefix(tmp_path):
     assert_bit_identical(served, small_facade())
 
 
+@pytest.mark.usefixtures("eager_invariants")
 def test_torn_tail_with_acknowledged_wal_reference_fails_loudly(tmp_path):
     """If the store lost a chunk the WAL proves was acknowledged, boot
     must refuse rather than silently serve the shrunken state."""
@@ -203,6 +197,6 @@ def test_torn_tail_with_acknowledged_wal_reference_fails_loudly(tmp_path):
     active.write_bytes(active.read_bytes()[:-5])
     os.unlink(state / "store" / driver.SESSION / "invariants" / "meta.bin")
 
-    registry = SessionRegistry(state_dir=state, store="disk", wal_fsync="batch")
+    registry = SessionRegistry(state_dir=state, wal_fsync="batch")
     with pytest.raises(WalCorruptionError, match="lost an acknowledged chunk"):
         registry.load_state()

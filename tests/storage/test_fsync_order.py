@@ -1,9 +1,10 @@
 """The fsyncs the ``batch`` and ``always`` guarantees depend on, in order.
 
 An ``os.fsync`` spy records the inode of every synced file or directory.
-A created or renamed file is only durable once its directory is fsynced,
-and a durable segment frame must never reference a name a power loss can
-still drop, so the name logs are fsynced before every segment fsync.
+A created or renamed file or directory is only durable once its parent
+directory is fsynced, and a durable segment frame must never reference
+a name a power loss can still drop, so the name logs are fsynced before
+every segment fsync.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import pytest
 from storage_helpers import ATTRIBUTE, ESTIMATOR, observations
 from repro.api.session import OpenWorldSession
 from repro.resilience.wal import WriteAheadLog
+from repro.serving.registry import SessionRegistry
 from repro.storage.layout import StoreLayout
 from repro.storage.names import NameLog
 from repro.storage.segments import SegmentLog, encode_seed_frame
@@ -114,3 +116,73 @@ class TestNameLogsBeforeSegments:
             else:
                 unsynced.discard(ino)
         assert segment_syncs == 10 // batch_every + 1  # the last one at close
+
+
+class TestStateDirEntries:
+    """Directories a persisted registry creates or renames into place."""
+
+    @pytest.mark.parametrize("policy", ["always", "batch"])
+    def test_create_fsyncs_each_new_directory_into_its_parent(
+        self, tmp_path, synced, policy
+    ):
+        state = tmp_path / "state"
+        registry = SessionRegistry(state_dir=state, wal_fsync=policy)
+        registry.create("s", ATTRIBUTE, estimator=ESTIMATOR)
+        store = state / "store"
+        manifest = store / "s" / "manifest.json"
+        assert synced == [
+            inode(tmp_path),  # state/
+            inode(state),  # store/
+            inode(store),  # store/s/
+            inode(manifest),
+            inode(store / "s"),  # the manifest and the store's subdirectories
+            inode(state),  # wal/
+            inode(state / "wal" / "s.wal"),
+            inode(state / "wal"),
+        ]
+        synced.clear()
+        registry.save_state()
+        assert synced[0] == inode(state)  # sessions/
+
+    def test_never_fsyncs_no_new_directory(self, tmp_path, synced):
+        state = tmp_path / "state"
+        registry = SessionRegistry(state_dir=state, wal_fsync="never")
+        registry.create("s", ATTRIBUTE, estimator=ESTIMATOR)
+        registry.save_state()
+        for directory in (tmp_path, state, state / "store"):
+            assert inode(directory) not in synced
+
+    @pytest.mark.parametrize("policy", ["always", "batch", "never"])
+    def test_promoted_store_is_fsynced_into_store_after_the_rename(
+        self, tmp_path, monkeypatch, policy
+    ):
+        source = OpenWorldSession(ATTRIBUTE, estimator=ESTIMATOR)
+        source.ingest(observations([("a", "s1", 1.0), ("b", "s2", 2.0)]))
+        events: list[tuple[str, object]] = []
+
+        def fsync(fd, real=os.fsync):
+            events.append(("fsync", os.fstat(fd).st_ino))
+            real(fd)
+
+        def rename(src, dst, real=os.rename):
+            real(src, dst)
+            events.append(("rename", str(dst)))
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "rename", rename)
+        registry = SessionRegistry(state_dir=tmp_path, wal_fsync=policy)
+        registry.restore_session("s", source.snapshot().to_dict())
+        after = events[events.index(("rename", str(tmp_path / "store" / "s"))) + 1 :]
+        store_synced = ("fsync", inode(tmp_path / "store")) in after[:1]
+        assert store_synced == (policy != "never")
+
+    @pytest.mark.parametrize("policy", ["always", "batch", "never"])
+    def test_recreate_clears_the_tombstone_durably(self, tmp_path, synced, policy):
+        registry = SessionRegistry(state_dir=tmp_path, wal_fsync=policy)
+        registry.create("s", ATTRIBUTE, estimator=ESTIMATOR)
+        registry.remove("s")
+        synced.clear()
+        registry.create("s", ATTRIBUTE, estimator=ESTIMATOR)
+        assert not (tmp_path / "sessions" / "s.tombstone").exists()
+        sessions_synced = inode(tmp_path / "sessions") in synced
+        assert sessions_synced == (policy != "never")

@@ -16,7 +16,8 @@ import pytest
 
 from repro.api.session import OpenWorldSession
 from repro.resilience.faults import InjectedFaultError, arm, disarm
-from repro.storage.store import DiskStore, MemoryStore, open_store
+from repro.storage import store as store_module
+from repro.storage.store import DiskStore
 from repro.storage.layout import StorageError
 from repro.utils.exceptions import ValidationError
 from storage_helpers import (
@@ -25,6 +26,7 @@ from storage_helpers import (
     ESTIMATOR,
     assert_same_surfaces,
     disk_session,
+    eager_invariants,  # noqa: F401 - a fixture
     memory_session,
     observations,
 )
@@ -61,6 +63,7 @@ class TestParity:
         assert list(state.per_source) == list(oracle.store.state.per_source)
         assert state.frequencies == oracle.store.state.frequencies
 
+    @pytest.mark.usefixtures("eager_invariants")
     def test_counters_match_without_materializing(self, tmp_path):
         session = disk_session(tmp_path / "store", CHUNKS)
         session.store.seal()
@@ -117,6 +120,7 @@ class TestAttach:
             OpenWorldSession.attach(store)
 
 
+@pytest.mark.usefixtures("eager_invariants")
 class TestRecovery:
     def test_torn_active_tail_loses_exactly_the_torn_chunk(self, tmp_path):
         session = disk_session(tmp_path / "store", CHUNKS)
@@ -216,6 +220,39 @@ class TestRecovery:
             DiskStore(tmp_path / "store")
 
 
+class TestInvariantFiles:
+    """A store writes invariant files only once its log is large."""
+
+    def test_small_store_keeps_none_and_rebuilds_at_attach(self, tmp_path):
+        session = disk_session(tmp_path / "store", CHUNKS)
+        session.store.seal()
+        session.close()
+        assert not (tmp_path / "store" / "invariants").exists()
+        store = DiskStore(tmp_path / "store")
+        assert store.materialized  # rebuilt from the log at attach
+        attached = OpenWorldSession.attach(store)
+        assert attached.state_version == len(CHUNKS)
+        assert_same_surfaces(attached, memory_session(CHUNKS))
+        manifest = store._layout.read_manifest()
+        assert manifest["state_version"] == len(CHUNKS)
+        assert manifest["n"] == memory_session(CHUNKS).n
+
+    def test_files_appear_at_the_threshold_and_are_then_trusted(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(store_module, "_INVARIANT_ROWS", 6)
+        session = disk_session(tmp_path / "store", CHUNKS[:1])  # 3 rows
+        assert not (tmp_path / "store" / "invariants").exists()
+        for chunk in CHUNKS[1:]:
+            session.ingest(observations(chunk))
+        session.close()
+        store = DiskStore(tmp_path / "store")
+        assert store._invariants.meta["state_version"] == len(CHUNKS)
+        assert not store.materialized  # O(1) attach on the arrays
+        attached = OpenWorldSession.attach(store)
+        assert_same_surfaces(attached, memory_session(CHUNKS))
+
+
 class TestSeedAdoption:
     def test_restore_into_disk_store_matches_memory(self, tmp_path):
         snapshot = memory_session(CHUNKS[:2]).snapshot().to_dict()
@@ -295,13 +332,3 @@ class TestConfigBinding:
                     "count_method": "chao92",
                 }
             )
-
-    def test_open_store_dispatch(self, tmp_path):
-        assert isinstance(open_store("memory"), MemoryStore)
-        disk = open_store("disk", tmp_path / "store", fsync="never")
-        assert isinstance(disk, DiskStore)
-        disk.close()
-        with pytest.raises(StorageError, match="requires a directory"):
-            open_store("disk")
-        with pytest.raises(StorageError, match="unknown store kind"):
-            open_store("tape")

@@ -294,3 +294,19 @@ class TestExperimentCommand:
         code = main(["experiment", "figure6", "--set", "oops"])
         assert code == 2
         assert "KEY=VALUE" in capsys.readouterr().err
+
+
+class TestStoreFlag:
+    """``--store`` selects nothing: a state dir always means the segment log."""
+
+    @pytest.mark.parametrize(
+        ("argv", "message"),
+        [
+            (["serve", "--store", "memory", "--state-dir", "d"], "--store memory"),
+            (["serve", "--store", "disk"], "--store disk requires --state-dir"),
+            (["cluster", "--store", "memory"], "--store memory"),
+        ],
+    )
+    def test_a_contradicting_store_is_refused(self, argv, message, capsys):
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
