@@ -112,7 +112,7 @@ def _repetitions_param(default: int, doc: str) -> ParamSpec:
 # ---------------------------------------------------------------------- #
 
 
-def _progressive_dataset_cell(cell, seed, shared):
+def _dataset_replay_cell(cell, seed, shared):
     """One full progressive replay of a crowd-dataset stand-in."""
     dataset = load_dataset(cell["dataset"], **cell["kwargs"])
     runner = ProgressiveRunner(shared["estimators"])
@@ -126,7 +126,7 @@ def _progressive_dataset_cell(cell, seed, shared):
     }
 
 
-def _progressive_reduce(experiment_id: str, description: str):
+def _replay_reduce(experiment_id: str, description: str):
     """Reduction shared by every single-replay dataset experiment."""
 
     def reduce(results):
@@ -234,7 +234,7 @@ def _plan_figure2(params, estimators):
 # ---------------------------------------------------------------------- #
 
 
-def _register_progressive_dataset(
+def _register_dataset_replay(
     name: str,
     experiment_id: str,
     description: str,
@@ -263,31 +263,31 @@ def _register_progressive_dataset(
         }
         return ExperimentPlan(
             cells=[cell],
-            cell_fn=_progressive_dataset_cell,
-            reduce_fn=_progressive_reduce(experiment_id, description),
+            cell_fn=_dataset_replay_cell,
+            reduce_fn=_replay_reduce(experiment_id, description),
             shared={"estimators": estimators},
         )
 
 
-_register_progressive_dataset(
+_register_dataset_replay(
     "figure4", "fig4",
     "US tech-sector employment: estimator comparison over time",
     "us-tech-employment", default_seed=42, default_n_points=10,
     default_estimators_factory=default_estimators,
 )
-_register_progressive_dataset(
+_register_dataset_replay(
     "figure5a", "fig5a",
     "US tech-sector revenue: estimator comparison over time",
     "us-tech-revenue", default_seed=7, default_n_points=10,
     default_estimators_factory=default_estimators,
 )
-_register_progressive_dataset(
+_register_dataset_replay(
     "figure5b", "fig5b",
     "GDP per US state: streaker-affected estimator comparison",
     "us-gdp", default_seed=11, default_n_points=10,
     default_estimators_factory=default_estimators,
 )
-_register_progressive_dataset(
+_register_dataset_replay(
     "figure5c", "fig5c",
     "Proton beam studies: estimator comparison without a known truth",
     "proton-beam", default_seed=23, default_n_points=10,
@@ -697,7 +697,7 @@ def _static_bucket_estimators() -> dict[str, SumEstimator]:
     }
 
 
-_register_progressive_dataset(
+_register_dataset_replay(
     "figure8", "fig8",
     "Static vs dynamic buckets on US tech employment (skewed, correlated)",
     "us-tech-employment", default_seed=42, default_n_points=8,
@@ -779,8 +779,8 @@ def _plan_figure10(params, estimators):
     }
     return ExperimentPlan(
         cells=[cell],
-        cell_fn=_progressive_dataset_cell,
-        reduce_fn=_progressive_reduce("fig10", "Combined estimators on US tech employment"),
+        cell_fn=_dataset_replay_cell,
+        reduce_fn=_replay_reduce("fig10", "Combined estimators on US tech employment"),
         shared={"estimators": built},
     )
 

@@ -1077,12 +1077,24 @@ class SessionRegistry:
         fsync_directory(sessions_dir)
 
     def _clear_tombstone(self, name: str) -> None:
-        """Unlink ``name``'s tombstone, durably when there was one."""
-        try:
-            self._tombstone_path(name).unlink()
-        except FileNotFoundError:
+        """Unlink ``name``'s tombstone, durably when there was one.
+
+        An unlink survives a power loss only once its directory is
+        fsynced, so the directories that held the deleted session's
+        traces are fsynced first: a trace that outlived its tombstone
+        would resurrect the session, or stop the next load.
+        """
+        tombstone = self._tombstone_path(name)
+        if not tombstone.exists():
             return
-        if self._wal_fsync != "never":
+        sync = self._wal_fsync != "never"
+        if sync:
+            for dirname in (WAL_DIRNAME, STORE_DIRNAME, SESSIONS_DIRNAME):
+                directory = self._persisted_dir() / dirname
+                if directory.is_dir():
+                    fsync_directory(directory)
+        tombstone.unlink(missing_ok=True)
+        if sync:
             fsync_directory(self._sessions_dir())
 
     def names(self) -> list[str]:

@@ -10,7 +10,7 @@ recorded ``state_version``, instead of replaying the whole log.  The
 files appear with the first meta write: a store below
 ``repro.storage.store._INVARIANT_ROWS`` logged rows keeps none.
 
-Files (in the store's ``invariants/`` directory):
+Files (in the store directory):
 
 ``meta.bin``
     One small fixed struct, CRC-protected, rewritten in place with a
@@ -85,7 +85,7 @@ class InvariantStore:
 
     def __init__(self, directory: "str | os.PathLike[str]") -> None:
         self.directory = Path(directory)
-        # The directory and its files appear with the first meta write.
+        # The files appear with the first meta write.
         try:
             self._meta_fd = os.open(self.directory / "meta.bin", os.O_RDWR)
         except FileNotFoundError:
@@ -131,7 +131,6 @@ class InvariantStore:
         )
         raw = head + struct.pack("<I", zlib.crc32(head))
         if self._meta_fd < 0:
-            self.directory.mkdir(parents=True, exist_ok=True)
             self._meta_fd = os.open(
                 self.directory / "meta.bin", os.O_RDWR | os.O_CREAT, 0o644
             )

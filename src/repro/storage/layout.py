@@ -1,19 +1,20 @@
 """On-disk layout of one session store, and the manifest that anchors it.
 
-A disk-backed session lives in one directory::
+A disk-backed session lives in one flat directory::
 
     <store_dir>/
         manifest.json          # atomic (os.replace) anchor, see below
-        segments/
-            active.seg         # appendable segment (repro.storage.segments)
-            seg-00000001.seg   # sealed, immutable
-            ...
-        names/
-            entities.dat       # first-seen-order name dictionaries
-            sources.dat        #   (repro.storage.names)
-        invariants/            # only once the log holds 1024 rows
-            meta.bin           # mmapped aggregate state
-            counts.u64  values.f64  sources.u64  freq.u64
+        active.seg             # appendable segment (repro.storage.segments)
+        seg-00000001.seg       # sealed, immutable
+        ...
+        entities.dat           # first-seen-order name dictionaries
+        sources.dat            #   (repro.storage.names)
+        meta.bin               # mmapped aggregate state and arrays
+        counts.u64  values.f64  sources.u64  freq.u64
+                               #   (only once the log holds 1024 rows)
+
+No subdirectories: a new session creates its store on the serving
+path, and a directory costs as much to create as a file.
 
 ``manifest.json`` is the only file replaced in place (scratch + fsync +
 ``os.replace`` + directory fsync, the registry's checkpoint idiom) and
@@ -26,8 +27,8 @@ between two manifest writes loses nothing durable.
 
 Sealed segments that a crash orphaned (renamed before the manifest
 write -- the ``storage.after_seal`` window) are adopted by scanning the
-``segments/`` directory: names beyond the manifest's list are scanned
-frame by frame and re-listed at the next manifest write.
+store directory: names beyond the manifest's list are scanned frame by
+frame and re-listed at the next manifest write.
 """
 
 from __future__ import annotations
@@ -49,7 +50,9 @@ __all__ = [
 ]
 
 MANIFEST_NAME = "manifest.json"
-MANIFEST_SCHEMA = "repro.storage/v1"
+#: v1 kept segments, names and invariants in subdirectories; its stores
+#: are refused rather than read.
+MANIFEST_SCHEMA = "repro.storage/v2"
 
 
 class StorageError(ReproError):
@@ -79,33 +82,12 @@ class StoreLayout:
         return self.directory / MANIFEST_NAME
 
     @property
-    def segments_dir(self) -> Path:
-        return self.directory / "segments"
-
-    @property
-    def names_dir(self) -> Path:
-        return self.directory / "names"
-
-    @property
-    def invariants_dir(self) -> Path:
-        return self.directory / "invariants"
-
-    @property
     def entities_path(self) -> Path:
-        return self.names_dir / "entities.dat"
+        return self.directory / "entities.dat"
 
     @property
     def sources_path(self) -> Path:
-        return self.names_dir / "sources.dat"
-
-    def create_directories(self) -> None:
-        """The store directory and the subdirectories every store writes.
-
-        ``invariants/`` is left to the first invariant write (see
-        :class:`~repro.storage.invariants.InvariantStore`).
-        """
-        for path in (self.directory, self.segments_dir, self.names_dir):
-            path.mkdir(parents=True, exist_ok=True)
+        return self.directory / "sources.dat"
 
     def exists(self) -> bool:
         """True when the directory holds an initialized store (a manifest)."""
@@ -128,7 +110,9 @@ class StoreLayout:
         if payload.get("schema") != MANIFEST_SCHEMA:
             raise StorageError(
                 f"store manifest {self.manifest_path} has schema "
-                f"{payload.get('schema')!r}; expected {MANIFEST_SCHEMA!r}"
+                f"{payload.get('schema')!r}; expected {MANIFEST_SCHEMA!r} "
+                "(move the session with GET .../snapshot on the version "
+                "that wrote it and POST .../restore here)"
             )
         return payload
 
@@ -155,14 +139,21 @@ class StoreLayout:
         return payload
 
     def transfer_files(self) -> "list[Path]":
-        """Every file a store transfer must ship, manifest last.
+        """Every file a store transfer must ship: segments first, manifest last.
 
         The manifest is written last on the receiving side too, so an
-        interrupted unpack never looks like a complete store.
+        interrupted unpack never looks like a complete store: it leaves
+        log data without a manifest, which attach refuses.
         """
-        files: list[Path] = []
-        for directory in (self.segments_dir, self.names_dir, self.invariants_dir):
-            if directory.is_dir():
-                files.extend(sorted(p for p in directory.iterdir() if p.is_file()))
+        files = sorted(
+            (
+                path
+                for path in self.directory.iterdir()
+                if path.is_file()
+                and path.name != MANIFEST_NAME
+                and path.suffix != ".tmp"
+            ),
+            key=lambda path: (path.suffix != ".seg", path.name),
+        )
         files.append(self.manifest_path)
         return files

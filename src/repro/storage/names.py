@@ -65,7 +65,6 @@ class NameLog:
 
     def __init__(self, path: "str | os.PathLike[str]") -> None:
         self.path = Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
         self._file = None
         self._unsynced = False
         # True from creating the file until the directory entry is fsynced.

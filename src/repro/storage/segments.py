@@ -277,7 +277,6 @@ class SegmentLog:
                 f"{', '.join(FSYNC_POLICIES)}"
             )
         self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
         self.fsync_policy = fsync
         self.batch_every = int(batch_every)
         self.active_path = self.directory / self.ACTIVE_NAME

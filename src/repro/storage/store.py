@@ -40,7 +40,10 @@ and (4) attach finds frames beyond the meta's ``state_version`` and
 replays that small tail; *during* (4) the ``applying`` flag is still
 raised and attach rebuilds the arrays from the segment log, which is
 authoritative.  Nothing acknowledged is ever lost, matching the WAL's
-guarantee.
+guarantee.  A power loss can also keep the meta of a chunk whose frame
+it tore; attach finds the meta ahead of the log and rebuilds from the
+log too, so the chunk is lost (the client resends it) instead of
+served from arrays the log contradicts.
 """
 
 from __future__ import annotations
@@ -74,8 +77,8 @@ _CONFIG_KEYS = ("attribute", "table_name", "estimator", "count_method")
 
 #: Logged rows from which a store keeps its invariants in files.  Below
 #: it, attach rebuilds the state from the log (a few milliseconds), which
-#: costs less than creating the invariant directory and its five files
-#: for every small session.
+#: costs less than creating the five invariant files for every small
+#: session.
 _INVARIANT_ROWS = 1024
 
 
@@ -168,15 +171,12 @@ class DiskStore:
         batch_every: int = DEFAULT_BATCH_EVERY,
     ) -> None:
         self._layout = StoreLayout(directory)
-        # The subdirectories' entries become durable with the first
-        # manifest write, which fsyncs the store directory.
         make_directories(self._layout.directory, sync=fsync != "never")
-        self._layout.create_directories()
         self.fsync_policy = fsync
         self._segments = SegmentLog(
-            self._layout.segments_dir, fsync=fsync, batch_every=batch_every
+            self._layout.directory, fsync=fsync, batch_every=batch_every
         )
-        self._invariants = InvariantStore(self._layout.invariants_dir)
+        self._invariants = InvariantStore(self._layout.directory)
         self._entities_log = NameLog(self._layout.entities_path)
         self._sources_log = NameLog(self._layout.sources_path)
 
@@ -245,15 +245,21 @@ class DiskStore:
             self._manifest_dirty = True
         self._sealed_entries.sort(key=lambda entry: entry["segment"])
         for entry in self._sealed_entries:
-            segment_path = self._layout.segments_dir / entry["segment"]
+            segment_path = self._layout.directory / entry["segment"]
             if not segment_path.is_file():
                 raise StorageError(
                     f"manifest lists segment {entry['segment']} but the file "
-                    f"is missing from {self._layout.segments_dir}"
+                    f"is missing from {self._layout.directory}"
                 )
 
         meta = self._invariants.meta
         inv = self._invariants
+        # The highest version the log holds: the last seal's, or a frame's
+        # past it.
+        logged = max(
+            [int(manifest["state_version"]) if manifest is not None else 0]
+            + [frame.state_version for frame in orphan_frames + active_frames]
+        )
         if inv.meta_present and not inv.meta_valid:
             self._needs_rebuild = True
         elif inv.applying:
@@ -262,6 +268,10 @@ class DiskStore:
             active_frames or orphan_frames or self._sealed_entries
         ):
             self._needs_rebuild = True  # data without invariants
+        elif int(meta["state_version"]) > logged:
+            # A power loss kept the arrays of a chunk whose frame it tore:
+            # the log is authoritative, so the chunk is lost, not served.
+            self._needs_rebuild = True
 
         baseline = int(meta["state_version"]) if inv.meta_valid else 0
         tail = [
@@ -408,7 +418,7 @@ class DiskStore:
         s0 = int(meta["n_sources"])
         if len(self._entity_names) < c0 or len(self._source_names) < s0:
             raise StorageError(
-                f"name dictionaries at {self._layout.names_dir} are shorter "
+                f"name dictionaries at {self._layout.directory} are shorter "
                 "than the invariants reference (names are flushed before "
                 "frames, so this is external damage, not crash damage)"
             )
@@ -445,7 +455,7 @@ class DiskStore:
         self._max_count = max_count
         tail, self._tail_frames = self._tail_frames, []
         for frame in tail:
-            self._fold_tail_frame(frame)
+            self._replay_frame(frame)
 
     def _install_indexes(self) -> None:
         """Reconcile the name logs with the adopted state, build indexes.
@@ -479,7 +489,7 @@ class DiskStore:
         self._entities_bytes = _entries_bytes(self._entity_names)
         self._sources_bytes = _entries_bytes(self._source_names)
 
-    def _fold_tail_frame(self, frame: Frame) -> None:
+    def _replay_frame(self, frame: Frame) -> None:
         """Fold one recovered tail frame into state *and* arrays."""
         attribute = self.attribute
         state = self._state_obj
@@ -541,7 +551,7 @@ class DiskStore:
         frames: list[Frame] = []
         for entry in self._sealed_entries:
             frames.extend(
-                read_frames(self._layout.segments_dir / entry["segment"], sealed=True)
+                read_frames(self._layout.directory / entry["segment"], sealed=True)
             )
         frames.extend(self._segments.recover_active())
         entity_names = self._entity_names
@@ -907,7 +917,7 @@ class DiskStore:
         entries: list[tuple[Any, int]] = []
         for entry in self._sealed_entries:
             entries.append(
-                (self._layout.segments_dir / entry["segment"], None)
+                (self._layout.directory / entry["segment"], None)
             )
         active = self._segments.active_path
         if active.is_file() and active.stat().st_size:

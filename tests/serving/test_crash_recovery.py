@@ -271,8 +271,8 @@ def test_torn_wal_tail_is_survived(tmp_path):
     finally:
         server.kill()
     store = state / "store" / "s"
-    assert not (store / "invariants").exists()
-    for path in (store / "segments" / "active.seg", state / "wal" / "s.wal"):
+    assert not (store / "meta.bin").exists()
+    for path in (store / "active.seg", state / "wal" / "s.wal"):
         path.write_bytes(path.read_bytes()[:-7])  # tear the last record
     facade = never_crashed_facade()
     restarted = ServerProcess(state)

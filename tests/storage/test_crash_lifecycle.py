@@ -170,9 +170,9 @@ def test_torn_tail_after_power_loss_recovers_the_durable_prefix(tmp_path):
     and the result is still bit-exact."""
     state = tmp_path / "state"
     ingest_small_disk_registry(state)
-    active = state / "store" / driver.SESSION / "segments" / "active.seg"
+    active = state / "store" / driver.SESSION / "active.seg"
     active.write_bytes(active.read_bytes()[:-5])
-    os.unlink(state / "store" / driver.SESSION / "invariants" / "meta.bin")
+    os.unlink(state / "store" / driver.SESSION / "meta.bin")
     wal = state / "wal" / f"{driver.SESSION}.wal"
     wal.write_bytes(wal.read_bytes()[:-5])
 
@@ -193,9 +193,9 @@ def test_torn_tail_with_acknowledged_wal_reference_fails_loudly(tmp_path):
 
     state = tmp_path / "state"
     ingest_small_disk_registry(state)
-    active = state / "store" / driver.SESSION / "segments" / "active.seg"
+    active = state / "store" / driver.SESSION / "active.seg"
     active.write_bytes(active.read_bytes()[:-5])
-    os.unlink(state / "store" / driver.SESSION / "invariants" / "meta.bin")
+    os.unlink(state / "store" / driver.SESSION / "meta.bin")
 
     registry = SessionRegistry(state_dir=state, wal_fsync="batch")
     with pytest.raises(WalCorruptionError, match="lost an acknowledged chunk"):

@@ -69,15 +69,15 @@ class TestDirectoryEntries:
         synced.clear()
         session.ingest(observations([("a", "s1", 1.0)]))
         layout = StoreLayout(tmp_path)
-        active = layout.segments_dir / SegmentLog.ACTIVE_NAME
+        active = tmp_path / SegmentLog.ACTIVE_NAME
         # Each new file, then its directory entry; the names before the frame.
         assert synced[:6] == [
             inode(layout.entities_path),
-            inode(layout.names_dir),
+            inode(tmp_path),
             inode(layout.sources_path),
-            inode(layout.names_dir),
+            inode(tmp_path),
             inode(active),
-            inode(layout.segments_dir),
+            inode(tmp_path),
         ]
         session.close()
 
@@ -103,7 +103,7 @@ class TestNameLogsBeforeSegments:
         session = OpenWorldSession(ATTRIBUTE, estimator=ESTIMATOR, store=store)
         for i in range(10):  # every chunk brings a new entity and source
             session.ingest(observations([(f"e{i}", f"s{i}", float(i))]))
-        active = inode(StoreLayout(tmp_path).segments_dir / SegmentLog.ACTIVE_NAME)
+        active = inode(tmp_path / SegmentLog.ACTIVE_NAME)
         session.close()
         unsynced: set[int] = set()
         segment_syncs = 0
@@ -135,7 +135,7 @@ class TestStateDirEntries:
             inode(state),  # store/
             inode(store),  # store/s/
             inode(manifest),
-            inode(store / "s"),  # the manifest and the store's subdirectories
+            inode(store / "s"),  # the manifest
             inode(state),  # wal/
             inode(state / "wal" / "s.wal"),
             inode(state / "wal"),
@@ -175,6 +175,37 @@ class TestStateDirEntries:
         after = events[events.index(("rename", str(tmp_path / "store" / "s"))) + 1 :]
         store_synced = ("fsync", inode(tmp_path / "store")) in after[:1]
         assert store_synced == (policy != "never")
+
+    @pytest.mark.parametrize("policy", ["always", "batch", "never"])
+    @pytest.mark.parametrize("clear", ["save_state", "recreate"])
+    def test_traces_are_durably_gone_before_the_tombstone(
+        self, tmp_path, monkeypatch, policy, clear
+    ):
+        registry = SessionRegistry(state_dir=tmp_path, wal_fsync=policy)
+        registry.create("s", ATTRIBUTE, estimator=ESTIMATOR)
+        registry.save_state()  # a checkpoint file joins the traces
+        registry.remove("s")
+        events: list[object] = []
+
+        def fsync(fd, real=os.fsync):
+            events.append(os.fstat(fd).st_ino)
+            real(fd)
+
+        def unlink(path, *args, real=os.unlink, **kwargs):
+            real(path, *args, **kwargs)
+            if str(path).endswith(".tombstone"):
+                events.append("tombstone")
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "unlink", unlink)
+        if clear == "save_state":
+            registry.save_state()
+        else:
+            registry.create("s", ATTRIBUTE, estimator=ESTIMATOR)
+        before = events[: events.index("tombstone")]
+        for dirname in ("wal", "store", "sessions"):
+            synced_before = inode(tmp_path / dirname) in before
+            assert synced_before == (policy != "never"), dirname
 
     @pytest.mark.parametrize("policy", ["always", "batch", "never"])
     def test_recreate_clears_the_tombstone_durably(self, tmp_path, synced, policy):

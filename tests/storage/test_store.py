@@ -10,6 +10,7 @@ recovers exactly the durable prefix.
 
 from __future__ import annotations
 
+import json
 import os
 
 import pytest
@@ -119,32 +120,60 @@ class TestAttach:
         with pytest.raises(ValidationError, match="no session state"):
             OpenWorldSession.attach(store)
 
+    def test_nested_layout_store_is_refused_untouched(self, tmp_path):
+        # repro.storage/v1 kept segments, names and invariants in
+        # subdirectories; such a store is refused, not misread.
+        directory = tmp_path / "store"
+        (directory / "segments").mkdir(parents=True)
+        (directory / "segments" / "active.seg").write_bytes(b"\0" * 7)
+        (directory / "manifest.json").write_text(
+            json.dumps({"schema": "repro.storage/v1", "config": {}})
+        )
+        before = sorted(p.name for p in directory.rglob("*"))
+        with pytest.raises(StorageError, match="repro.storage/v1"):
+            DiskStore(directory)
+        assert sorted(p.name for p in directory.rglob("*")) == before
+
 
 @pytest.mark.usefixtures("eager_invariants")
 class TestRecovery:
     def test_torn_active_tail_loses_exactly_the_torn_chunk(self, tmp_path):
         session = disk_session(tmp_path / "store", CHUNKS)
         session.close()
-        active = tmp_path / "store" / "segments" / "active.seg"
+        active = tmp_path / "store" / "active.seg"
         active.write_bytes(active.read_bytes()[:-5])
         # Simulate power loss: the invariant meta that absorbed the torn
         # chunk did not survive either, so the segments are authoritative.
-        os.unlink(tmp_path / "store" / "invariants" / "meta.bin")
+        os.unlink(tmp_path / "store" / "meta.bin")
         attached = OpenWorldSession.attach(DiskStore(tmp_path / "store"))
         assert attached.state_version == len(CHUNKS) - 1
         assert_same_surfaces(attached, memory_session(CHUNKS[:-1]))
 
-    def test_committed_arrays_survive_a_torn_segment_tail(self, tmp_path):
-        # SIGKILL ordering: the arrays committed the chunk before the
-        # tail was torn (external damage), so the mmap copy still serves
-        # the full state -- aggregates never depend on re-reading frames.
+    def test_meta_ahead_of_a_torn_tail_is_rebuilt_from_the_log(self, tmp_path):
+        # A power loss can keep the meta page of a chunk whose frame it
+        # tore.  Trusting the arrays would serve the chunk, log the next
+        # one after a gap, and lose it at any later rebuild; the log is
+        # authoritative, so attach loses exactly the torn chunk.
         session = disk_session(tmp_path / "store", CHUNKS)
         session.close()
-        active = tmp_path / "store" / "segments" / "active.seg"
+        active = tmp_path / "store" / "active.seg"
         active.write_bytes(active.read_bytes()[:-5])
-        attached = OpenWorldSession.attach(DiskStore(tmp_path / "store"))
-        assert attached.state_version == len(CHUNKS)
-        assert_same_surfaces(attached, memory_session(CHUNKS))
+        store = DiskStore(tmp_path / "store")
+        assert store.materialized  # rebuilt at attach
+        attached = OpenWorldSession.attach(store)
+        assert attached.state_version == len(CHUNKS) - 1
+        assert_same_surfaces(attached, memory_session(CHUNKS[:-1]))
+        attached.ingest(observations(CHUNKS[-1]))  # the client resends it
+        attached.close()
+        # A forced rebuild from the log agrees with what was served.
+        meta = tmp_path / "store" / "meta.bin"
+        raw = bytearray(meta.read_bytes())
+        raw[3] ^= 0xFF
+        meta.write_bytes(bytes(raw))
+        rebuilt = OpenWorldSession.attach(DiskStore(tmp_path / "store"))
+        assert rebuilt.state_version == len(CHUNKS)
+        assert rebuilt.n == memory_session(CHUNKS).n
+        assert_same_surfaces(rebuilt, memory_session(CHUNKS))
 
     def test_applying_flag_forces_rebuild_from_segments(self, tmp_path):
         from repro.storage.invariants import InvariantStore
@@ -152,7 +181,7 @@ class TestRecovery:
         session = disk_session(tmp_path / "store", CHUNKS)
         session.close()
         # A crash between begin_apply and commit leaves the flag raised.
-        invariants = InvariantStore(tmp_path / "store" / "invariants")
+        invariants = InvariantStore(tmp_path / "store")
         invariants.begin_apply()
         invariants.close()
         store = DiskStore(tmp_path / "store")
@@ -169,7 +198,7 @@ class TestRecovery:
     def test_corrupt_meta_forces_rebuild_from_segments(self, tmp_path):
         session = disk_session(tmp_path / "store", CHUNKS)
         session.close()
-        meta = tmp_path / "store" / "invariants" / "meta.bin"
+        meta = tmp_path / "store" / "meta.bin"
         raw = bytearray(meta.read_bytes())
         raw[3] ^= 0xFF  # fails the CRC check
         meta.write_bytes(bytes(raw))
@@ -184,7 +213,7 @@ class TestRecovery:
             session.store.seal()  # renamed, but the manifest write was lost
         disarm()
         session.close()
-        sealed = tmp_path / "store" / "segments" / "seg-00000001.seg"
+        sealed = tmp_path / "store" / "seg-00000001.seg"
         assert sealed.is_file()
 
         store = DiskStore(tmp_path / "store")
@@ -206,7 +235,7 @@ class TestRecovery:
             session.store.seal()
         disarm()
         session.close()
-        assert (tmp_path / "store" / "segments" / "active.seg").is_file()
+        assert (tmp_path / "store" / "active.seg").is_file()
         attached = OpenWorldSession.attach(DiskStore(tmp_path / "store"))
         assert attached.state_version == len(CHUNKS)
         assert_same_surfaces(attached, memory_session(CHUNKS))
@@ -215,7 +244,7 @@ class TestRecovery:
         session = disk_session(tmp_path / "store", CHUNKS)
         session.close()
         os.unlink(tmp_path / "store" / "manifest.json")
-        os.unlink(tmp_path / "store" / "invariants" / "meta.bin")
+        os.unlink(tmp_path / "store" / "meta.bin")
         with pytest.raises(StorageError, match="no manifest"):
             DiskStore(tmp_path / "store")
 
@@ -227,7 +256,7 @@ class TestInvariantFiles:
         session = disk_session(tmp_path / "store", CHUNKS)
         session.store.seal()
         session.close()
-        assert not (tmp_path / "store" / "invariants").exists()
+        assert not (tmp_path / "store" / "meta.bin").exists()
         store = DiskStore(tmp_path / "store")
         assert store.materialized  # rebuilt from the log at attach
         attached = OpenWorldSession.attach(store)
@@ -242,7 +271,7 @@ class TestInvariantFiles:
     ):
         monkeypatch.setattr(store_module, "_INVARIANT_ROWS", 6)
         session = disk_session(tmp_path / "store", CHUNKS[:1])  # 3 rows
-        assert not (tmp_path / "store" / "invariants").exists()
+        assert not (tmp_path / "store" / "meta.bin").exists()
         for chunk in CHUNKS[1:]:
             session.ingest(observations(chunk))
         session.close()
