@@ -5,26 +5,25 @@ Measures the durability tax of a persisted session on the registry's
 ingest path, directly against a
 :class:`~repro.serving.registry.SessionRegistry` (no HTTP, so the
 numbers isolate the persistence cost itself).  A persisted ack writes
-the chunk's new names and its frame to the session's segment log (the
-write-ahead copy, :mod:`repro.storage`) and then one slim
-``{"op": "ingest", "v", "rows"}`` reference to its journal
-(:mod:`repro.resilience.wal`); ``--wal-fsync`` sets the policy of both:
+to one log: the chunk's new names and its frame go to the session's
+segment log (the write-ahead copy, :mod:`repro.storage`), whose fsync
+policy ``--wal-fsync`` sets:
 
 * ``wal-off``: a memory-only registry (no ``state_dir``) -- the
   baseline every policy is compared against.
 * ``never``: flush to the OS page cache only (SIGKILL-safe, not
   power-loss-safe).
-* ``batch``: additionally ``fsync(2)`` every 32nd append of each log
-  (the serving default -- a bounded power-loss window).
-* ``always``: ``fsync(2)`` the name logs, the segment and the journal on
-  every ack (full power-loss durability).
+* ``batch``: additionally ``fsync(2)`` every 32nd frame (the serving
+  default -- a bounded power-loss window).
+* ``always``: ``fsync(2)`` the name logs the chunk extended, then the
+  segment, on every ack (full power-loss durability).
 
 Each cell ingests the same deterministic single-observation stream
 (every observation brings a new source name) into a fresh session and
-reports ingests/second plus the relative overhead vs ``wal-off``.  The
-first 1024 rows precede the store's invariant files, so the stream
-covers the acks of a small session and those that also update the
-mmapped arrays.
+reports ingests/second plus the relative overhead vs ``wal-off``; a
+persisted cell also records its segment log's counters.  The first 1024
+rows precede the store's invariant files, so the stream covers the acks
+of a small session and those that also update the mmapped arrays.
 
 Run standalone to emit ``BENCH_wal_fsync.json``::
 
@@ -89,7 +88,7 @@ def run_cell(label: str, kwargs: "dict | None", n_ingests: int, root: Path) -> d
         "ingests_per_s": round(n_ingests / seconds, 1),
     }
     if kwargs is not None:
-        cell["wal"] = served.stats()["wal"]
+        cell["segment_log"] = served.stats()["store"]["segment_log"]
     return cell
 
 

@@ -12,8 +12,8 @@ the byte output of the equivalent in-process
 through a real socket.
 
 It also exercises the kill-and-restart contract: after the second
-ingest the server is stopped with SIGTERM (graceful shutdown snapshots
-to ``--state-dir``), restarted on the same state dir, and the stream
+ingest the server is stopped with SIGTERM (graceful shutdown seals the
+session stores in ``--state-dir``), restarted on the same state dir, and the stream
 continues -- the final answers must be byte-identical to an
 uninterrupted in-process run of the whole stream.
 
@@ -21,11 +21,11 @@ With ``--faults SPEC`` the driver turns into a chaos client: the spec is
 exported as ``REPRO_FAULTS`` so the server SIGKILLs itself at the armed
 fault point mid-stream.  The driver shrugs, restarts the server on the
 same state dir, *reconciles* -- resends every chunk past the recovered
-``state_version``, the write-ahead log's exactly-once retry protocol --
+``state_version``, the segment log's exactly-once retry protocol --
 and then requires the same byte identity as the graceful run::
 
     PYTHONPATH=src python scripts/serving_smoke.py --outdir /tmp/chaos \\
-        --faults 'wal.after_append:crash@2'
+        --faults 'storage.after_frame:crash@2'
 
 Shed 503 responses (admission gate, recovering window) are retried with
 jittered exponential backoff honouring the ``Retry-After`` header.
@@ -39,7 +39,7 @@ absorbed by the supervisor + store recovery), then one forced rebalance
 byte-identical to the facade throughout::
 
     PYTHONPATH=src python scripts/serving_smoke.py --outdir /tmp/cluster \\
-        --cluster 3 --faults 'wal.after_append:crash@2'
+        --cluster 3 --faults 'storage.after_frame:crash@2'
 
 ``--base-url URL`` (repeatable) skips process management entirely and
 drives an already-running server or router, rotating over the given
@@ -492,13 +492,13 @@ def main() -> int:
         "--faults",
         default=None,
         help="REPRO_FAULTS spec to arm in the server (chaos mode), "
-        "e.g. 'wal.after_append:crash@2'",
+        "e.g. 'storage.after_frame:crash@2'",
     )
     parser.add_argument(
         "--wal-fsync",
         default="batch",
         choices=["always", "batch", "never"],
-        help="write-ahead log fsync policy for the server (default: batch)",
+        help="segment-log fsync policy for the server (default: batch)",
     )
     parser.add_argument(
         "--store",

@@ -223,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("always", "batch", "never"),
         default="batch",
         help=(
-            "fsync policy of the segment logs and journals under "
+            "fsync policy of the session segment logs under "
             "--state-dir: 'always' survives power loss, 'batch' (default) "
             "fsyncs every 32 appends, 'never' flushes to the OS only -- all "
             "three survive SIGKILL"
@@ -294,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--wal-fsync",
         choices=("always", "batch", "never"),
         default="batch",
-        help="fsync policy of each worker's segment logs and journals "
+        help="fsync policy of each worker's session segment logs "
         "(see 'serve --wal-fsync')",
     )
     cluster.add_argument(

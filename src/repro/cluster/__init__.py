@@ -3,7 +3,7 @@
 The cluster layer scales :mod:`repro.serving` horizontally without
 changing its API: a router process consistent-hashes session names onto
 N serve workers (each a complete single-server stack with its own
-state-dir shard, WAL, and answer cache), proxies the single-server
+state-dir shard of session stores and its own answer cache), proxies the single-server
 HTTP/JSON API byte-for-byte, fans estimate reads out over version-fresh
 replicas, and live-migrates sessions for rebalancing and rolling
 restarts.  See DESIGN.md's "Cluster architecture" section for the

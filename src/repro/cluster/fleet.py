@@ -1,9 +1,9 @@
 """The serve-worker fleet: spawn, health-check, restart, drain.
 
 A *worker* is one complete :mod:`repro.serving` server -- its own
-:class:`~repro.serving.registry.SessionRegistry`, answer cache, write
--ahead logs and state-dir shard (``<state-dir>/<worker-name>/``) --
-reached only over HTTP.  Workers share **nothing**: the router
+:class:`~repro.serving.registry.SessionRegistry`, answer cache and
+state-dir shard (``<state-dir>/<worker-name>/``, one segment-log store
+per session) -- reached only over HTTP.  Workers share **nothing**: the router
 (:mod:`repro.cluster.router`) is the single place that knows more than
 one of them exists.
 

@@ -36,7 +36,7 @@ every hard part is delegated to an invariant that already exists:
    precise sense in which the transfer is exactly-once.
 
 The two ``cluster.*`` fault points make the window SIGKILL-testable
-exactly like the WAL points: ``cluster.before_transfer`` crashes after
+exactly like the storage points: ``cluster.before_transfer`` crashes after
 quiesce with zero copies moved, ``cluster.before_resume`` crashes with
 two fenced copies and no delete.
 

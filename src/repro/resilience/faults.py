@@ -6,27 +6,24 @@ a recovery bug that only manifests in one interleaving passes CI for
 months.  This module replaces the race with *named fault points* --
 instrumented call sites inside the durability-critical code paths::
 
-    fault_point("wal.after_append")     # in WriteAheadLog.append
-    fault_point("wal.before_fsync")     # just before the fsync syscall
-    fault_point("registry.before_replace")  # before os.replace of a checkpoint
     fault_point("parallel.worker_entry")    # top of a process-pool chunk
     fault_point("http.before_response")     # before any response bytes
     fault_point("cluster.before_transfer")  # migration: snapshot taken, not sent
     fault_point("cluster.before_resume")    # migration: fenced, source not dropped
-    fault_point("storage.after_frame")      # segment frame flushed, invariants not yet applied
+    fault_point("storage.after_frame")      # segment frame flushed, not yet fsynced or applied
     fault_point("storage.before_seal")      # active segment fsynced, not yet renamed
     fault_point("storage.after_seal")       # segment sealed, manifest not yet written
 
 armed through the ``REPRO_FAULTS`` environment variable (or :func:`arm`
 for in-process tests) with specs of the form::
 
-    REPRO_FAULTS="wal.before_fsync:crash@3"       # SIGKILL on the 3rd hit
-    REPRO_FAULTS="wal.after_append:raise"         # raise on the 1st hit
+    REPRO_FAULTS="storage.after_frame:crash@3"    # SIGKILL on the 3rd hit
+    REPRO_FAULTS="storage.after_seal:raise"       # raise on the 1st hit
     REPRO_FAULTS="a.b:crash@2,c.d:raise@5"        # several points at once
 
 ``crash`` delivers ``SIGKILL`` to the *current process* -- genuinely
 ungraceful death, no atexit hooks, no flushing -- which is exactly what
-the write-ahead log's recovery guarantee is stated against.  ``raise``
+the segment log's recovery guarantee is stated against.  ``raise``
 raises :class:`InjectedFaultError` (a :class:`~repro.utils.exceptions.
 ReproError`), for exercising exception paths without dying.
 
@@ -40,7 +37,7 @@ atomically creates ``<dir>/<point>.fired`` and skips the fault if the
 stamp already exists.
 
 The no-faults fast path is one module-global ``is None`` check, so
-instrumenting hot paths (every WAL append) costs nothing in production.
+instrumenting hot paths (every segment append) costs nothing in production.
 """
 
 from __future__ import annotations
@@ -74,9 +71,6 @@ STAMP_DIR_ENV = "REPRO_FAULTS_STAMP_DIR"
 #: test nothing.
 FAULT_POINTS = frozenset(
     {
-        "wal.after_append",
-        "wal.before_fsync",
-        "registry.before_replace",
         "parallel.worker_entry",
         "http.before_response",
         "cluster.before_transfer",

@@ -565,7 +565,7 @@ class _Handler(ApiHandler):
             return
         if not self.server.registry.ready:
             raise OverloadedError(
-                "server is recovering (replaying the write-ahead logs)",
+                "server is recovering (attaching the session stores)",
                 retry_after=1.0,
             )
         gate = self.server.gate
@@ -923,14 +923,14 @@ def make_server(
     this); the bound address is ``server.server_address``.
 
     Without a ``registry`` the function builds one from the remaining
-    options: ``state_dir`` makes it persistent (a disk store and a
-    journal per session there, ``wal_fsync`` picks the durability
-    policy) and restores it.  A caller-supplied registry is served as
+    options: ``state_dir`` makes it persistent (one disk store per
+    session under ``<state_dir>/store/``, ``wal_fsync`` picks the
+    durability policy of their segment logs) and restores it.  A caller-supplied registry is served as
     it was constructed, so it cannot be combined with ``state_dir``.
 
     ``max_inflight`` arms the admission gate; ``defer_restore=True``
     skips the restore (and marks the registry as recovering) so
-    :func:`run_server` can accept liveness probes while replaying --
+    :func:`run_server` can accept liveness probes while attaching --
     callers using it must invoke ``registry.load_state()`` themselves.
     """
     if registry is not None and state_dir:

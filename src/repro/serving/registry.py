@@ -12,24 +12,20 @@ estimator failure feeding the session's
 :class:`SessionRegistry` manages the named sessions of one serving
 process -- creation, lookup, deletion, aggregate statistics -- and the
 state-dir persistence model.  A registry persists if and only if it was
-constructed with a ``state_dir``, and then every session lives in a
-:class:`~repro.storage.store.DiskStore` under ``<state_dir>/store/<name>/``:
+constructed with a ``state_dir``, and then every session is one
+:class:`~repro.storage.store.DiskStore` directory,
+``<state_dir>/store/<name>/``, and nothing else:
 
-* the store's segment log is the write-ahead copy of the observations
-  (names and frame flushed before the state mutates), so the session's
-  write-ahead log (:mod:`repro.resilience.wal`) holds only a
-  ``{"op": "create_store"}`` head and one slim ``{"op": "ingest", "v",
-  "rows"}`` reference per acknowledged chunk;
-* :meth:`save_state` checkpoints each **dirty** session by sealing its
-  active segment and writing a small per-session file under
-  ``<state_dir>/sessions/``, then rotates the journal down to the
-  references the seal does not cover (clean sessions are skipped);
-* :meth:`load_state` re-attaches every store (O(1) on its mmapped
-  invariants; a small store is rebuilt from its log) and lets the
-  journal's references cross-check it.
-  Deletions write a durable ``<name>.tombstone`` file *before* any
-  state is unlinked, so the session *set* is as crash-safe as the
-  session contents.
+* the store's segment log is the session's write-ahead copy (names and
+  frame flushed before the state mutates);
+* every store is seeded in ``store/.incoming-<name>/`` and renamed into
+  place, so a live name never holds a half-written store;
+* a delete renames the store to ``store/.dead-<name>/`` and makes the
+  rename durable before it returns;
+* :meth:`save_state` seals every store (its manifest is the
+  checkpoint) and :meth:`load_state` discards every ``.incoming-*`` and
+  ``.dead-*`` and re-attaches every other store (O(1) on its mmapped
+  invariants; a small store is rebuilt from its log).
 
 A registry without a state dir keeps its sessions in
 :class:`~repro.storage.store.MemoryStore` instances -- the parity
@@ -54,7 +50,6 @@ from __future__ import annotations
 
 import contextlib
 import itertools
-import json
 import os
 import re
 import shutil
@@ -65,17 +60,11 @@ from typing import Any
 from repro.api.session import OpenWorldSession
 from repro.data.records import Observation
 from repro.resilience.breaker import CircuitBreaker
-from repro.resilience.faults import fault_point
-from repro.resilience.wal import (
-    WalCorruptionError,
-    WriteAheadLog,
-    fsync_directory,
-    make_directories,
-)
 from repro.serving.batcher import CoalescingBatcher
 from repro.serving.cache import DEFAULT_CACHE_ENTRIES, EstimateCache, request_key
 from repro.serving.locks import RWLock
 from repro.serving.versions import VersionGate
+from repro.storage.layout import fsync_directory, make_directories
 from repro.storage.store import DiskStore
 from repro.storage.transfer import archive_header, unpack_archive
 from repro.utils.exceptions import ReproError, ValidationError
@@ -86,26 +75,18 @@ __all__ = [
     "ServedSession",
     "SessionRegistry",
     "STATE_SCHEMA",
-    "SESSION_STATE_SCHEMA",
-    "WAL_DIRNAME",
-    "SESSIONS_DIRNAME",
     "STORE_DIRNAME",
 ]
 
 #: Envelope identifier of the registry's /stats payload.
 STATE_SCHEMA = "repro.serving/v1"
 
-#: Envelope identifier of one per-session checkpoint file.
-SESSION_STATE_SCHEMA = "repro.serving-session/v1"
-
-#: Subdirectory of the state dir holding the per-session WALs.
-WAL_DIRNAME = "wal"
-
-#: Subdirectory holding per-session checkpoint and tombstone files.
-SESSIONS_DIRNAME = "sessions"
-
-#: Subdirectory holding per-session disk stores.
+#: Subdirectory of the state dir holding the per-session disk stores.
 STORE_DIRNAME = "store"
+
+#: Subdirectories an earlier version kept next to ``store/`` (per-session
+#: journals and checkpoint files); a state dir holding one is refused.
+_EARLIER_LAYOUT = ("wal", "sessions")
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,63}$")
 
@@ -124,34 +105,6 @@ def _served_payload(payload: dict[str, Any]) -> dict[str, Any]:
         payload = dict(payload)
         payload["runtime"] = None
     return payload
-
-
-# ---------------------------------------------------------------------- #
-# WAL record conventions
-# ---------------------------------------------------------------------- #
-#
-# Record shapes living in a session's journal:
-#
-#   {"op": "create_store"}
-#       Head record: the session was created (or restored) after the
-#       last checkpoint.  The store directory, not the journal, carries
-#       the state.
-#
-#   {"op": "ingest", "v": <post-ingest state_version>, "rows": <count>}
-#       Slim reference appended *after* the store committed the chunk
-#       (the segment log is the write-ahead copy).  Load only
-#       validates: a reference beyond the store's recovered version
-#       means the store lost an acknowledged chunk.
-#
-# Deletions are not journaled: a durable ``sessions/<name>.tombstone``
-# file is written before any state is unlinked.
-
-#: Journal and checkpoint shapes of the retired memory-store format,
-#: refused at load rather than silently dropped.
-_MEMORY_FORMAT = (
-    "the memory-store format (JSON snapshot checkpoints and "
-    "full-observation journal records)"
-)
 
 
 class ServedSession:
@@ -173,10 +126,6 @@ class ServedSession:
         Optional :mod:`repro.parallel` overrides passed through to
         ``estimate`` so the Monte-Carlo grid of spec-configured sessions
         shards across the server's configured backend.
-    wal:
-        Optional :class:`~repro.resilience.wal.WriteAheadLog` receiving
-        a slim reference per committed ingest (appended under the write
-        lock, after the store made the chunk durable).
     breaker:
         Optional :class:`~repro.resilience.breaker.CircuitBreaker` fed
         by unexpected estimator failures on the compute path.
@@ -192,7 +141,6 @@ class ServedSession:
         backend: "str | None" = None,
         workers: "int | None" = None,
         epoch: int = 0,
-        wal: "WriteAheadLog | None" = None,
         breaker: "CircuitBreaker | None" = None,
     ) -> None:
         self.name = name
@@ -201,7 +149,6 @@ class ServedSession:
         self._batcher = batcher
         self._backend = backend
         self._workers = workers
-        self._wal = wal
         self._breaker = breaker
         self._lock = RWLock()
         # Cache/coalescing keys carry the registry-assigned epoch, not the
@@ -221,10 +168,6 @@ class ServedSession:
         self._subscribers_active = 0
         self._subscriber_pushes = 0
         self._subscriber_disconnects = 0
-        # Version covered by the last durable checkpoint of this session
-        # (-1 = never checkpointed, so even an empty session gets its
-        # first per-session checkpoint file written).
-        self.checkpointed_version = -1
 
     # ------------------------------------------------------------------ #
     # Writes
@@ -236,8 +179,7 @@ class ServedSession:
         A persisted session's store is its own write-ahead copy:
         ``session.ingest`` validates the whole chunk before any write,
         then flushes names and the segment frame before the state
-        mutates.  The WAL then receives a slim ``{"v", "rows"}``
-        reference -- so a SIGKILL at *any* instruction of this method
+        mutates -- so a SIGKILL at *any* instruction of this method
         either loses an unacknowledged chunk entirely or recovers it
         exactly once, never half of it.
 
@@ -247,10 +189,6 @@ class ServedSession:
         """
         with self._lock.write_locked():
             ingested = self._session.ingest(observations)
-            if ingested and self._wal is not None:
-                self._wal.append(
-                    {"op": "ingest", "v": self._session.state_version, "rows": ingested}
-                )
             with self._stats_lock:
                 self._ingest_requests += 1
             # Publish the new version while still write-locked: a waiter
@@ -524,45 +462,17 @@ class ServedSession:
             return self._session.snapshot().to_dict()
 
     # ------------------------------------------------------------------ #
-    # WAL checkpointing
+    # Checkpoint and transfer
     # ------------------------------------------------------------------ #
 
-    def checkpoint_wal(self, snapshot_version: int) -> None:
-        """Rotate the WAL down to records newer than ``snapshot_version``.
+    def seal_store(self) -> None:
+        """Seal the disk store's active segment (the checkpoint).
 
-        Runs under the write lock so no ingest can append between the
-        cut-off decision and the rewrite.  Called *after* the checkpoint
-        file is durably in place: the ``create_store`` head (now
-        redundant) and every covered reference are dropped; anything
-        newer -- an ingest that raced the seal -- is kept.
-        """
-        if self._wal is None:
-            return
-        with self._lock.write_locked():
-            records = self._wal.recover()
-            keep = [
-                record
-                for record in records
-                if record.get("op") == "ingest"
-                and int(record.get("v", 0)) > int(snapshot_version)
-            ]
-            self._wal.rewrite(keep)
-
-    @property
-    def dirty(self) -> bool:
-        """True when state has advanced past the last durable checkpoint."""
-        return self._session.state_version > self.checkpointed_version
-
-    def seal_store(self) -> int:
-        """Seal a disk store's active segment (the disk-mode checkpoint).
-
-        Under the write lock, so the sealed version is exact.  Returns
-        the session's ``state_version`` the seal covers.
+        Under the write lock, so the manifest records an exact version;
+        a store with nothing to seal writes nothing.
         """
         with self._lock.write_locked():
-            version = self._session.state_version
             self._session.store.seal()
-            return version
 
     @contextlib.contextmanager
     def store_archive(self):
@@ -628,8 +538,7 @@ class ServedSession:
         out["estimator_cache"] = self._session.estimator_cache_stats()
         if self._breaker is not None:
             out["circuit_breaker"] = self._breaker.stats()
-        if self._wal is not None:  # a persisted session, on a disk store
-            out["wal"] = self._wal.stats()
+        if self._session.store.kind == "disk":
             out["store"] = self._session.store.stats()
         return out
 
@@ -656,14 +565,13 @@ class SessionRegistry:
         LRU bound of the shared answer cache.
     state_dir:
         Enables crash-safe persistence: every session lives in a disk
-        store under ``<state_dir>/store/<name>/``, journals lifecycle
-        records to ``<state_dir>/wal/<name>.wal`` and is checkpointed
-        into ``<state_dir>/sessions/`` by :meth:`save_state`.  Without
-        it the registry keeps sessions in memory and :meth:`save_state`
-        / :meth:`load_state` refuse to run.
+        store under ``<state_dir>/store/<name>/``, checkpointed by
+        :meth:`save_state`.  Without it the registry keeps sessions in
+        memory and :meth:`save_state` / :meth:`load_state` refuse to
+        run.
     wal_fsync / wal_batch_every:
-        Durability policy of the journals and the stores' segment logs
-        (see :class:`WriteAheadLog`).
+        Durability policy of the stores' segment logs (see
+        :class:`~repro.storage.segments.SegmentLog`).
     breaker_threshold / breaker_cooldown:
         Per-session circuit-breaker settings; ``breaker_threshold=0``
         disables the breakers.  ``breaker_clock`` is injectable for
@@ -722,23 +630,22 @@ class SessionRegistry:
             )
         return self._state_dir
 
-    def _subdir(self, name: str) -> Path:
-        """``<state_dir>/<name>``, created durably on first use."""
-        path = self._persisted_dir() / name
-        make_directories(path, sync=self._wal_fsync != "never")
+    def _staging_path(self, kind: str, name: str) -> Path:
+        """A clean ``store/.<kind>-<name>`` (held under ``_owning``).
+
+        ``store/`` itself is created durably on first use.
+        """
+        root = self._persisted_dir() / STORE_DIRNAME
+        make_directories(root, sync=self._wal_fsync != "never")
+        path = root / f".{kind}-{name}"
+        if path.exists():
+            shutil.rmtree(path)
         return path
 
-    def _sessions_dir(self) -> Path:
-        return self._persisted_dir() / SESSIONS_DIRNAME
-
-    def _wal_path(self, name: str) -> Path:
-        return self._persisted_dir() / WAL_DIRNAME / f"{name}.wal"
-
-    def _checkpoint_path(self, name: str) -> Path:
-        return self._sessions_dir() / f"{name}.json"
-
-    def _tombstone_path(self, name: str) -> Path:
-        return self._sessions_dir() / f"{name}.tombstone"
+    def _sync_store_root(self) -> None:
+        """Make the renames in ``store/`` durable (unless policy is never)."""
+        if self._wal_fsync != "never":
+            fsync_directory(self._persisted_dir() / STORE_DIRNAME)
 
     # ------------------------------------------------------------------ #
     # Readiness
@@ -756,7 +663,7 @@ class SessionRegistry:
 
     @property
     def ready(self) -> bool:
-        """True once restore/replay has finished (or was never needed)."""
+        """True once the stores are attached (or none were needed)."""
         return self.phase == "ready"
 
     # ------------------------------------------------------------------ #
@@ -792,39 +699,36 @@ class SessionRegistry:
         estimator: str = "bucket",
         count_method: str = "chao92",
     ) -> ServedSession:
-        """Create and register a fresh named session (409 on duplicates)."""
+        """Create and register a fresh named session (409 on duplicates).
+
+        A persisted registry writes the new store's manifest in
+        ``store/.incoming-<name>`` and promotes it like a restore.
+        """
         self._validated_name(name)
+        config = {
+            "table_name": table_name,
+            "estimator": estimator,
+            "count_method": count_method,
+        }
         with self._owning(name, create=True):
-            store = None
-            if self._state_dir is not None:
-                # Traces of a dead incarnation of this name (a crash
-                # between its durable tombstone and the last unlink).
-                self._purge_session_files(name)
-                store = self._disk_store(self._subdir(STORE_DIRNAME) / name)
+            if self._state_dir is None:
+                return self._register(name, OpenWorldSession(attribute, **config))
+            incoming = self._staging_path("incoming", name)
+            store = self._disk_store(incoming)
             try:
-                session = OpenWorldSession(
-                    attribute,
-                    table_name=table_name,
-                    estimator=estimator,
-                    count_method=count_method,
-                    store=store,
-                )
+                OpenWorldSession(attribute, store=store, **config)
             except BaseException:
-                if store is not None:
-                    store.close()
-                    shutil.rmtree(store.directory, ignore_errors=True)
+                store.release()
+                shutil.rmtree(incoming, ignore_errors=True)
                 raise
-            return self._register(name, session, wal=self._journal_create(name))
+            store.close()
+            return self._promote_incoming(name, incoming, 0)
 
     def _disk_store(self, directory: Path) -> DiskStore:
-        return DiskStore(directory, **self._fsync_policy())
-
-    def _fsync_policy(self) -> "dict[str, Any]":
-        """The durability keywords of every journal and store."""
         kwargs: dict[str, Any] = {"fsync": self._wal_fsync}
         if self._wal_batch_every is not None:
             kwargs["batch_every"] = self._wal_batch_every
-        return kwargs
+        return DiskStore(directory, **kwargs)
 
     def adopt(self, name: str, session: OpenWorldSession) -> ServedSession:
         """Register an existing in-memory session object under ``name``.
@@ -863,9 +767,8 @@ class SessionRegistry:
         A persisted registry seeds a store in ``store/.incoming-<name>``
         and only moves it to its final path once fully seeded, so a
         crash mid-restore never leaves a half-written store under the
-        live name; the boot scavenger (:meth:`_scavenge_store_dir`)
-        discards interrupted promotions -- they were never
-        acknowledged, so the sender retries them.
+        live name; boot discards interrupted promotions -- they were
+        never acknowledged, so the sender retries them.
         """
         self._validated_name(name)
         with self._owning(name):
@@ -874,18 +777,17 @@ class SessionRegistry:
                 if self._keeps_current(name, session.state_version):
                     return self.get(name)
                 return self._register(name, session)
-            incoming = self._incoming_path(name)
+            incoming = self._staging_path("incoming", name)
             store = self._disk_store(incoming)
             try:
                 session = OpenWorldSession.restore(payload, store=store)
                 store.sync()
             except BaseException:
-                store.close()
+                store.release()
                 shutil.rmtree(incoming, ignore_errors=True)
                 raise
-            version = session.state_version
-            session.close()
-            return self._promote_incoming(name, incoming, version)
+            store.release()  # synced just above
+            return self._promote_incoming(name, incoming, session.state_version)
 
     def restore_store(self, name: str, read) -> ServedSession:
         """Receive a streamed store archive (the migration body).
@@ -904,23 +806,15 @@ class SessionRegistry:
                 "push a snapshot envelope to .../restore instead"
             )
         with self._owning(name):
-            incoming = self._incoming_path(name)
+            incoming = self._staging_path("incoming", name)
             try:
                 unpack_archive(read, incoming)
                 session = OpenWorldSession.attach(self._disk_store(incoming))
             except BaseException:
                 shutil.rmtree(incoming, ignore_errors=True)
                 raise
-            version = session.state_version
             session.close()
-            return self._promote_incoming(name, incoming, version)
-
-    def _incoming_path(self, name: str) -> Path:
-        """A clean ``store/.incoming-<name>`` (held under ``_owning``)."""
-        incoming = self._subdir(STORE_DIRNAME) / f".incoming-{name}"
-        if incoming.exists():
-            shutil.rmtree(incoming)
-        return incoming
+            return self._promote_incoming(name, incoming, session.state_version)
 
     def _keeps_current(self, name: str, version: int) -> bool:
         """Replace-if-newer: True to keep the current ``name``, else drop it."""
@@ -940,44 +834,23 @@ class SessionRegistry:
     ) -> ServedSession:
         """Make a fully-seeded incoming store the live one for ``name``.
 
+        Every persisted create, replica push and migration ends here.
         Replace-if-newer against any current session, then a single
-        ``os.rename`` flips the directory into place and the session is
-        re-attached from disk -- reopening after the rename is cheaper
-        to reason about than proving every held fd survives it.
+        ``os.rename`` flips the directory into place, an fsync of
+        ``store/`` makes the rename durable before the call is
+        acknowledged, and the session is re-attached from disk --
+        reopening after the rename is cheaper to reason about than
+        proving every held fd survives it.
         """
         if self._keeps_current(name, version):
             shutil.rmtree(incoming, ignore_errors=True)
             return self.get(name)
         final = self.store_path(name)
         os.rename(incoming, final)
-        if self._wal_fsync != "never":
-            fsync_directory(final.parent)
-        attached = OpenWorldSession.attach(self._disk_store(final))
-        return self._register(name, attached, wal=self._journal_create(name))
+        self._sync_store_root()
+        return self._register(name, OpenWorldSession.attach(self._disk_store(final)))
 
-    def _journal_create(self, name: str) -> "WriteAheadLog | None":
-        """Journal the ``create_store`` head of ``name``'s new store.
-
-        The head supersedes a tombstone of a deleted previous
-        incarnation, which is cleared durably first; the journal is
-        rewritten (not appended) because it may hold that incarnation's
-        records.
-        """
-        if self._state_dir is None:
-            return None
-        self._clear_tombstone(name)
-        self._subdir(WAL_DIRNAME)
-        wal = self._open_wal(name)
-        wal.rewrite([{"op": "create_store"}])
-        return wal
-
-    def _register(
-        self,
-        name: str,
-        session: OpenWorldSession,
-        *,
-        wal: "WriteAheadLog | None" = None,
-    ) -> ServedSession:
+    def _register(self, name: str, session: OpenWorldSession) -> ServedSession:
         breaker = (
             CircuitBreaker(
                 self._breaker_threshold,
@@ -999,19 +872,13 @@ class SessionRegistry:
             backend=self._backend,
             workers=self._workers,
             epoch=next(self._epochs),
-            wal=wal,
             breaker=breaker,
         )
         with self._lock:
             if name in self._sessions:
-                if wal is not None:
-                    wal.close()
                 raise DuplicateSessionError(f"session {name!r} already exists")
             self._sessions[name] = served
         return served
-
-    def _open_wal(self, name: str) -> WriteAheadLog:
-        return WriteAheadLog(self._wal_path(name), **self._fsync_policy())
 
     def get(self, name: str) -> ServedSession:
         """The served session called ``name`` (404 when absent)."""
@@ -1027,12 +894,12 @@ class SessionRegistry:
     def remove(self, name: str) -> None:
         """Forget the session called ``name`` (404 when absent).
 
-        With a state dir, a durable ``<name>.tombstone`` file is written
-        **before** any state is unlinked: a crash at any point after it
-        cannot resurrect the session (load honors the tombstone and
-        finishes the cleanup), and a crash before it leaves the session
-        fully intact -- deletion is atomic at the tombstone write.  The
-        WAL, checkpoint file and store directory are then removed.
+        With a state dir, the store is closed without syncing and
+        renamed to ``store/.dead-<name>``, and ``store/`` is fsynced
+        before the call returns: the delete is durable once
+        acknowledged, and a crash before the rename leaves the session
+        intact.  The directory is deleted after that; boot discards
+        any ``.dead-*`` a crash left behind.
 
         Its cache entries become unreachable and age out of the LRU bound
         like superseded versions do: keys carry the instance's unique
@@ -1055,47 +922,15 @@ class SessionRegistry:
         if self._state_dir is None:
             served._session.close()
             return
+        dead = self._staging_path("dead", name)
         # Under the session's write lock: an in-flight ingest that
         # grabbed the served object before the pop must not append
         # behind the deletion.
         with served._lock.write_locked():
-            self._write_tombstone(name)
-            if served._wal is not None:
-                served._wal.close()
-            self._wal_path(name).unlink(missing_ok=True)
-            self._checkpoint_path(name).unlink(missing_ok=True)
-            served._session.close()
-            shutil.rmtree(self.store_path(name), ignore_errors=True)
-
-    def _write_tombstone(self, name: str) -> None:
-        sessions_dir = self._subdir(SESSIONS_DIRNAME)
-        path = self._tombstone_path(name)
-        with open(path, "wb") as handle:
-            handle.write(b"{}\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        fsync_directory(sessions_dir)
-
-    def _clear_tombstone(self, name: str) -> None:
-        """Unlink ``name``'s tombstone, durably when there was one.
-
-        An unlink survives a power loss only once its directory is
-        fsynced, so the directories that held the deleted session's
-        traces are fsynced first: a trace that outlived its tombstone
-        would resurrect the session, or stop the next load.
-        """
-        tombstone = self._tombstone_path(name)
-        if not tombstone.exists():
-            return
-        sync = self._wal_fsync != "never"
-        if sync:
-            for dirname in (WAL_DIRNAME, STORE_DIRNAME, SESSIONS_DIRNAME):
-                directory = self._persisted_dir() / dirname
-                if directory.is_dir():
-                    fsync_directory(directory)
-        tombstone.unlink(missing_ok=True)
-        if sync:
-            fsync_directory(self._sessions_dir())
+            served._session.store.release()
+            os.rename(self.store_path(name), dead)
+            self._sync_store_root()
+        shutil.rmtree(dead, ignore_errors=True)
 
     def names(self) -> list[str]:
         """Registered session names, sorted."""
@@ -1130,96 +965,30 @@ class SessionRegistry:
     # ------------------------------------------------------------------ #
 
     def save_state(self) -> Path:
-        """Checkpoint every **dirty** session under ``<state_dir>/sessions/``.
+        """Checkpoint every session by sealing its store.
 
-        A checkpoint *seals* the session's active segment (the manifest
-        write inside the store is the durability point -- sealed
-        segments are never rewritten), then writes a small
-        ``sessions/<name>.json`` holding the covered version: next to
-        its final location, fsynced, and moved into place with
-        :func:`os.replace`, so a crash mid-write leaves the previous
-        file intact, never a torn one.  The session's WAL is then
-        rotated down to the references the seal does not cover, and
-        leftovers of deleted sessions (tombstones whose state is gone,
-        orphan journals) are purged.  Sessions whose ``state_version``
-        has not advanced since their last checkpoint are skipped.
-
-        Returns the ``sessions/`` directory.
+        The seal's manifest write (scratch, fsync, ``os.replace``,
+        directory fsync) is the checkpoint; a store with nothing new
+        since its last seal writes nothing.  Returns the ``store/``
+        directory.
         """
-        sessions_dir = self._subdir(SESSIONS_DIRNAME)
+        root = self._persisted_dir() / STORE_DIRNAME
         for served in self.sessions():
-            if not served.dirty:
-                continue
-            version = served.seal_store()
-            self._write_checkpoint_file(
-                self._checkpoint_path(served.name),
-                {"schema": SESSION_STATE_SCHEMA, "store": "disk", "state_version": version},
-            )
-            # The checkpoint is durable; rotate the journal behind it.
-            served.checkpoint_wal(version)
-            served.checkpointed_version = max(
-                served.checkpointed_version, version
-            )
-        self._purge_orphan_wals()
-        self._purge_dead_state()
-        return sessions_dir
-
-    @staticmethod
-    def _write_checkpoint_file(path: Path, payload: "dict[str, Any]") -> None:
-        scratch = path.with_suffix(path.suffix + ".tmp")
-        with open(scratch, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(payload, indent=2, allow_nan=False) + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        fault_point("registry.before_replace")
-        os.replace(scratch, path)
-        fsync_directory(path.parent)
-
-    def _live_names(self) -> "set[str]":
-        """Names whose files are in use: registered or held by a call."""
-        with self._lock:
-            return set(self._sessions) | self._busy
-
-    def _purge_dead_state(self) -> None:
-        """Clean up leftovers of deleted sessions (idempotent, crash-safe).
-
-        A tombstone file is only unlinked once every trace of its
-        session (journal, checkpoint, store directory) is gone, so a
-        crash in the middle of this sweep re-runs it harmlessly.
-        """
-        sessions_dir = self._sessions_dir()
-        live = self._live_names()
-        for path in sessions_dir.glob("*.tombstone"):
-            name = path.name[: -len(".tombstone")]
-            if name not in live:
-                self._purge_session_files(name)
-        for path in sessions_dir.glob("*.json"):
-            if path.stem not in live:
-                path.unlink(missing_ok=True)
-
-    def _purge_session_files(self, name: str) -> None:
-        """Unlink every trace of deleted ``name``, its tombstone last."""
-        self._wal_path(name).unlink(missing_ok=True)
-        self._checkpoint_path(name).unlink(missing_ok=True)
-        shutil.rmtree(self.store_path(name), ignore_errors=True)
-        self._clear_tombstone(name)
-
-    def _purge_orphan_wals(self) -> None:
-        live = self._live_names()
-        for path in (self._persisted_dir() / WAL_DIRNAME).glob("*.wal"):
-            if path.stem not in live:
-                path.unlink(missing_ok=True)
+            served.seal_store()
+        return root
 
     def load_state(self) -> list[str]:
-        """Re-attach every stored session, cross-checked by its journal.
+        """Re-attach every session store of the state dir.
 
-        Missing state files are not an error (first boot of a fresh
-        ``--state-dir``).  Torn or corrupt WAL tails are truncated at
-        the last clean record boundary (CRC framing); a journal that
-        references a version its store does not hold raises
-        :class:`~repro.resilience.wal.WalCorruptionError` -- that is a
-        bug or foreign tampering, not a crash artifact, and silently
-        serving wrong answers is worse than refusing to start.
+        One rule: every ``store/.incoming-*`` (a create or transfer that
+        was never acknowledged) and ``store/.dead-*`` (an acknowledged
+        delete) is discarded, and every other ``store/<name>/`` is
+        attached -- O(1) on its mmapped invariants, a small store
+        rebuilt from its log, a torn tail truncated at its last clean
+        frame.  A missing state dir is not an error (first boot of a
+        fresh ``--state-dir``); one that still holds an earlier
+        version's ``wal/`` or ``sessions/`` is refused before anything
+        in it is touched.
 
         Sets :attr:`phase` to ``"recovering"`` for the duration, so the
         HTTP readiness endpoint reports 503 until every session is
@@ -1232,98 +1001,26 @@ class SessionRegistry:
             self._set_phase("ready")
 
     def _load_state(self) -> list[str]:
-        """One rule per name, as DESIGN.md "Recovery rules on load" lists them."""
         directory = self._persisted_dir()
-        self._scavenge_store_dir()
-        sessions_dir = self._sessions_dir()
-        tombstones = {
-            path.name[: -len(".tombstone")]
-            for path in sessions_dir.glob("*.tombstone")
-        }
-        checkpoints: dict[str, dict[str, Any]] = {}
-        for path in sorted(sessions_dir.glob("*.json")):
-            payload = json.loads(path.read_text())
-            if (
-                not isinstance(payload, dict)
-                or payload.get("schema") != SESSION_STATE_SCHEMA
-            ):
-                raise ValidationError(
-                    f"{path} is not a {SESSION_STATE_SCHEMA!r} checkpoint"
-                )
-            checkpoints[path.stem] = payload
-        store_root = directory / STORE_DIRNAME
-        stores = {
-            path.parent.name
-            for path in store_root.glob("*/manifest.json")
-            if path.is_file() and not path.parent.name.startswith(".")
-        }
-        journal_names = {path.stem for path in (directory / WAL_DIRNAME).glob("*.wal")}
-        restored = []
-        for name in sorted(set(checkpoints) | stores | journal_names | tombstones):
-            if name in tombstones:
-                # Deleted: the durable tombstone is authoritative over
-                # any trace a crash left behind.  Finish the cleanup.
-                self._purge_session_files(name)
-                continue
-            wal = self._open_wal(name) if name in journal_names else None
-            records = wal.recover() if wal is not None else []
-            entry = checkpoints.get(name)
-            if (entry is not None and entry.get("store") != "disk") or any(
-                record.get("op") == "create" or "observations" in record
-                for record in records
-            ):
-                raise ValidationError(
-                    f"state dir {directory} holds session {name!r} in "
-                    f"{_MEMORY_FORMAT}, which this version no longer reads; "
-                    "move it with GET .../snapshot on the version that "
-                    "wrote it and POST .../restore here"
-                )
-            if name not in stores:
-                trace = "checkpoint" if entry is not None else "journal"
-                raise WalCorruptionError(
-                    f"{trace} for {name!r} references a disk store but "
-                    f"{store_root / name} holds none"
-                )
-            served = self._register(
-                name, self._attach_store_session(name, records), wal=wal
+        earlier = [name for name in _EARLIER_LAYOUT if (directory / name).exists()]
+        if earlier:
+            raise ValidationError(
+                f"state dir {directory} holds {' and '.join(f'{n}/' for n in earlier)} "
+                "of an earlier version's layout (per-session journals and "
+                "checkpoint files), which this version no longer reads; move "
+                "each session with GET .../snapshot on the version that "
+                "wrote it and POST .../restore here"
             )
-            if entry is not None:
-                served.checkpointed_version = int(entry.get("state_version", -1))
-            restored.append(name)
+        root = directory / STORE_DIRNAME
+        restored = []
+        for path in sorted(root.iterdir()) if root.is_dir() else ():
+            if path.name.startswith((".incoming-", ".dead-")):
+                shutil.rmtree(path, ignore_errors=True)
+            elif path.is_dir() and not path.name.startswith("."):
+                session = OpenWorldSession.attach(self._disk_store(path))
+                self._register(path.name, session)
+                restored.append(path.name)
         return restored
-
-    def _attach_store_session(
-        self, name: str, records: "list[dict[str, Any]]"
-    ) -> OpenWorldSession:
-        """O(1) re-attach of a disk store, validating the WAL references.
-
-        The store's segment log was the write-ahead copy, so nothing is
-        replayed from the WAL; its slim references only cross-check that
-        the store recovered everything it acknowledged.
-        """
-        session = OpenWorldSession.attach(self._disk_store(self.store_path(name)))
-        for record in records:
-            if record.get("op") != "ingest":
-                continue
-            version = int(record.get("v", 0))
-            if version > session.state_version:
-                raise WalCorruptionError(
-                    f"journal {name!r} references state_version {version} "
-                    f"but the store recovered only {session.state_version}; "
-                    "the store lost an acknowledged chunk"
-                )
-        return session
-
-    def _scavenge_store_dir(self) -> None:
-        """Discard interrupted store promotions (crash mid-restore).
-
-        ``.incoming-<name>`` directories are only renamed into place
-        *before* the restored session is registered and acknowledged, so
-        any still present at boot belongs to an unacknowledged transfer
-        the sender will retry -- discard, never adopt.
-        """
-        for path in (self._persisted_dir() / STORE_DIRNAME).glob(".incoming-*"):
-            shutil.rmtree(path, ignore_errors=True)
 
     @staticmethod
     def _validated_name(name: str) -> None:

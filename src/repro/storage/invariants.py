@@ -36,7 +36,7 @@ appends stay amortized O(1).
 
 SIGKILL safety needs no fsync (the page cache survives process death);
 the ``always`` policy additionally ``msync``/``fsync``s for power-loss
-durability, mirroring the WAL's policy table.
+durability, mirroring the segment log's fsync policy.
 """
 
 from __future__ import annotations
@@ -216,8 +216,13 @@ class InvariantStore:
             os.fsync(self._meta_fd)
 
     def close(self) -> None:
-        for name in list(self._arrays):
-            self._arrays.pop(name).flush()
+        for mapped in self._arrays.values():
+            mapped.flush()
+        self.release()
+
+    def release(self) -> None:
+        """Unmap the arrays and close the meta without syncing either."""
+        self._arrays.clear()
         if self._meta_fd >= 0:
             os.close(self._meta_fd)
             self._meta_fd = -1

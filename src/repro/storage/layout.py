@@ -17,8 +17,8 @@ No subdirectories: a new session creates its store on the serving
 path, and a directory costs as much to create as a file.
 
 ``manifest.json`` is the only file replaced in place (scratch + fsync +
-``os.replace`` + directory fsync, the registry's checkpoint idiom) and
-records: the session config (attribute, table name, default estimator
+``os.replace`` + directory fsync) and is the session's checkpoint.  It
+records the session config (attribute, table name, default estimator
 spec, count method), the seeded source sizes, the sealed-segment list
 with per-file (frames, rows, bytes, crc32), and the counters at the
 last seal.  Everything the manifest does not cover is recovered from
@@ -38,16 +38,25 @@ import os
 from pathlib import Path
 from typing import Any
 
-from repro.resilience.wal import fsync_directory
 from repro.utils.exceptions import ReproError
 
 __all__ = [
+    "DEFAULT_BATCH_EVERY",
+    "FSYNC_POLICIES",
     "MANIFEST_NAME",
     "MANIFEST_SCHEMA",
     "StorageError",
     "StoreLayout",
+    "fsync_directory",
+    "make_directories",
     "write_json_atomic",
 ]
+
+#: Accepted values of the fsync policy (``--wal-fsync``).
+FSYNC_POLICIES = ("always", "batch", "never")
+
+#: Appends between fsyncs under the "batch" policy.
+DEFAULT_BATCH_EVERY = 32
 
 MANIFEST_NAME = "manifest.json"
 #: v1 kept segments, names and invariants in subdirectories; its stores
@@ -57,6 +66,33 @@ MANIFEST_SCHEMA = "repro.storage/v2"
 
 class StorageError(ReproError):
     """A store directory is malformed beyond what recovery can heal."""
+
+
+def fsync_directory(path: "str | os.PathLike[str]") -> None:
+    """fsync a directory, making the entries created or renamed in it durable."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
+def make_directories(path: "str | os.PathLike[str]", *, sync: bool) -> None:
+    """``mkdir -p path``; with ``sync``, fsync the parent of each directory made.
+
+    A new directory, like a new file, survives a power loss only once
+    the directory holding its entry is fsynced.
+    """
+    path = Path(path)
+    if path.is_dir():
+        return
+    make_directories(path.parent, sync=sync)
+    try:
+        path.mkdir()
+    except FileExistsError:
+        return  # a concurrent creator made it, and syncs its parent
+    if sync:
+        fsync_directory(path.parent)
 
 
 def write_json_atomic(path: Path, payload: "dict[str, Any]") -> None:

@@ -29,7 +29,7 @@ import os
 import struct
 from pathlib import Path
 
-from repro.resilience.wal import fsync_directory
+from repro.storage.layout import fsync_directory
 from repro.utils.exceptions import ReproError, ValidationError
 
 __all__ = ["NameCorruptionError", "NameLog", "encode_entries"]
@@ -131,7 +131,7 @@ class NameLog:
         byte offset is recomputed from the kept prefix.  Used by attach
         to drop names whose referencing frame never became durable.
         """
-        self._close_handle()
+        self.release()
         offset = sum(_LEN.size + len(name.encode("utf-8")) for name in names[:keep])
         with open(self.path, "r+b") as handle:
             handle.truncate(offset)
@@ -139,9 +139,10 @@ class NameLog:
 
     def close(self) -> None:
         self.sync()
-        self._close_handle()
+        self.release()
 
-    def _close_handle(self) -> None:
+    def release(self) -> None:
+        """Close the handle without syncing it."""
         if self._file is not None:
             self._file.close()
             self._file = None

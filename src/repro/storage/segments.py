@@ -1,11 +1,9 @@
 """The append-only columnar segment log: CRC-framed observation chunks.
 
-One ingest chunk becomes one *frame* in the active segment file.  The
-framing reuses the write-ahead log's discipline (`repro.resilience.wal`)
--- an 8-byte big-endian ``(length, crc32)`` header in front of every
+One ingest chunk becomes one *frame* in the active segment file.  An
+8-byte big-endian ``(length, crc32)`` header sits in front of every
 payload, so recovery can truncate a torn or corrupt tail back to the
-last clean frame boundary -- but the payload is columnar binary instead
-of JSON::
+last clean frame boundary; the payload is columnar binary::
 
     +--------------------------+------------------------------------+
     | length: u32 big-endian   |  kind:          u8                 |
@@ -27,8 +25,8 @@ stream to log).  Entity/source ids are indices into the append-only
 name dictionaries (:mod:`repro.storage.names`), which are flushed
 *before* the frame that references them.
 
-Durability: the active segment follows the same ``always`` / ``batch``
-/ ``never`` fsync policies as the WAL; the first fsync of a newly
+Durability: the active segment follows the ``always`` / ``batch`` /
+``never`` fsync policy (``--wal-fsync``); the first fsync of a newly
 created ``active.seg`` also fsyncs the directory, so the file survives
 with its contents.  Sealing (checkpoint) fsyncs the active file,
 renames it to ``seg-<index>.seg`` (immutable from then on), fsyncs the
@@ -51,7 +49,7 @@ from typing import Any
 import numpy as np
 
 from repro.resilience.faults import fault_point
-from repro.resilience.wal import DEFAULT_BATCH_EVERY, FSYNC_POLICIES, fsync_directory
+from repro.storage.layout import DEFAULT_BATCH_EVERY, FSYNC_POLICIES, fsync_directory
 from repro.utils.exceptions import ReproError, ValidationError
 
 __all__ = [
@@ -67,7 +65,7 @@ __all__ = [
     "segment_name",
 ]
 
-_HEADER = struct.Struct(">II")  # (payload length, payload crc32) -- as in wal.py
+_HEADER = struct.Struct(">II")  # (payload length, payload crc32)
 _FRAME_META = struct.Struct(">BQI")  # (kind, state_version, n_rows)
 
 #: Frame kinds.
@@ -206,9 +204,9 @@ def _decode_payload(payload: bytes) -> "Frame | None":
 def scan_frames(raw: bytes) -> "tuple[list[Frame], int]":
     """Parse framed records from ``raw``; returns (frames, clean_offset).
 
-    Mirrors :func:`repro.resilience.wal.scan_records`: ``clean_offset``
-    is the byte offset just past the last frame that parsed *and* passed
-    its CRC -- everything beyond it is a torn or corrupt tail.
+    ``clean_offset`` is the byte offset just past the last frame that
+    parsed *and* passed its CRC -- everything beyond it is a torn or
+    corrupt tail.
     """
     frames: list[Frame] = []
     offset = 0
@@ -259,7 +257,7 @@ class SegmentLog:
     """The active (appendable) segment plus the seal operation.
 
     Not thread-safe: callers serialize appends (the disk store appends
-    under the session's exclusive write lock, same as the WAL).
+    under the session's exclusive write lock).
     """
 
     ACTIVE_NAME = "active.seg"
@@ -276,6 +274,8 @@ class SegmentLog:
                 f"unknown fsync policy {fsync!r}; expected one of "
                 f"{', '.join(FSYNC_POLICIES)}"
             )
+        if batch_every < 1:
+            raise ValidationError(f"batch_every must be >= 1, got {batch_every}")
         self.directory = Path(directory)
         self.fsync_policy = fsync
         self.batch_every = int(batch_every)
@@ -319,8 +319,8 @@ class SegmentLog:
         """Append one encoded frame; flushed to the OS unconditionally.
 
         The flush is what makes a SIGKILL after ``append`` returns lose
-        nothing; the fsync policy decides power-loss durability exactly
-        as for the WAL (``sync=None`` asks :meth:`sync_due`).
+        nothing; the fsync policy decides power-loss durability
+        (``sync=None`` asks :meth:`sync_due`).
         ``storage.after_frame`` fires once the frame is out of user
         space but before the invariant arrays absorb it.
         """
@@ -357,11 +357,11 @@ class SegmentLog:
         """Read the active segment, truncating any torn/corrupt tail.
 
         Must run before :meth:`append` on a directory that may have been
-        written by a crashed process, for the same reason as WAL
-        recovery: appending after a torn tail would bury the corruption
-        mid-file.  Rebuilds the running (rows, crc, bytes) counters.
+        written by a crashed process: appending after a torn tail would
+        bury the corruption mid-file.  Rebuilds the running (rows, crc,
+        bytes) counters.
         """
-        self._close_handle()
+        self.release()
         try:
             raw = self.active_path.read_bytes()
         except FileNotFoundError:
@@ -391,7 +391,7 @@ class SegmentLog:
         handle = self._handle()
         handle.flush()
         os.fsync(handle.fileno())
-        self._close_handle()
+        self.release()
         fault_point("storage.before_seal")
         sealed_path = self.directory / segment_name(index)
         os.rename(self.active_path, sealed_path)
@@ -421,9 +421,10 @@ class SegmentLog:
         if self._file is not None and self.fsync_policy != "never":
             self._file.flush()
             self._fsync_active(self._file)
-        self._close_handle()
+        self.release()
 
-    def _close_handle(self) -> None:
+    def release(self) -> None:
+        """Close the handle without syncing it."""
         if self._file is not None:
             self._file.close()
             self._file = None

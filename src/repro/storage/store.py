@@ -39,11 +39,11 @@ A SIGKILL before (2) loses the unacknowledged chunk only; between (2)
 and (4) attach finds frames beyond the meta's ``state_version`` and
 replays that small tail; *during* (4) the ``applying`` flag is still
 raised and attach rebuilds the arrays from the segment log, which is
-authoritative.  Nothing acknowledged is ever lost, matching the WAL's
-guarantee.  A power loss can also keep the meta of a chunk whose frame
-it tore; attach finds the meta ahead of the log and rebuilds from the
-log too, so the chunk is lost (the client resends it) instead of
-served from arrays the log contradicts.
+authoritative.  Nothing acknowledged is ever lost: the segment log is
+the session's only write-ahead copy.  A power loss can also keep the
+meta of a chunk whose frame it tore; attach finds the meta ahead of the
+log and rebuilds from the log too, so the chunk is lost (the client
+resends it) instead of served from arrays the log contradicts.
 """
 
 from __future__ import annotations
@@ -57,9 +57,13 @@ import numpy as np
 
 from repro.data.progressive import IntegrationState
 from repro.data.records import Observation
-from repro.resilience.wal import DEFAULT_BATCH_EVERY, make_directories
 from repro.storage.invariants import InvariantStore
-from repro.storage.layout import StorageError, StoreLayout
+from repro.storage.layout import (
+    DEFAULT_BATCH_EVERY,
+    StorageError,
+    StoreLayout,
+    make_directories,
+)
 from repro.storage.names import NameLog, encode_entries
 from repro.storage.segments import (
     FRAME_SEED,
@@ -155,10 +159,10 @@ class DiskStore:
     """Per-session disk store: segment log + name logs + mmap invariants.
 
     Mutations are not thread-safe by themselves: they are serialized by
-    the caller (the serving layer's per-session writer lock), same as the
-    WAL.  The lazy decode/materialization a first read triggers is
-    guarded here, because concurrent readers (or a reader racing a
-    replica push) can trigger it together.
+    the caller (the serving layer's per-session writer lock).  The lazy
+    decode/materialization a first read triggers is guarded here,
+    because concurrent readers (or a reader racing a replica push) can
+    trigger it together.
     """
 
     kind = "disk"
@@ -939,6 +943,17 @@ class DiskStore:
         self._sources_log.close()
         self._segments.close()
         self._invariants.close()
+
+    def release(self) -> None:
+        """Close every handle without syncing.
+
+        For a store that was just synced, or one being deleted or
+        replaced, whose files it would be wasted work to make durable.
+        """
+        self._entities_log.release()
+        self._sources_log.release()
+        self._segments.release()
+        self._invariants.release()
 
     def stats(self) -> "dict[str, Any]":
         return {

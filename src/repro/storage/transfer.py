@@ -28,8 +28,7 @@ import os
 from pathlib import Path
 from typing import Any, Callable
 
-from repro.resilience.wal import fsync_directory
-from repro.storage.layout import StorageError, StoreLayout
+from repro.storage.layout import StorageError, StoreLayout, fsync_directory
 
 __all__ = [
     "ARCHIVE_SCHEMA",

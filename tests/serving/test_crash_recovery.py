@@ -9,8 +9,8 @@ everything past the recovered ``state_version``), and then asserts that
 snapshot -- is byte-identical to an in-process facade session that
 ingested the same stream without ever crashing.
 
-The reconcile rule is the protocol contract of the write-ahead log: an
-ingest the client never got an ack for was either journaled (the replay
+The reconcile rule is the protocol contract of the segment log: an
+ingest the client never got an ack for was either logged (attach
 recovers it; the resend is skipped because the recovered
 ``state_version`` already covers it) or not (the resend supplies it).
 Nothing is ever applied one-and-a-half times.
@@ -26,6 +26,7 @@ import subprocess
 import sys
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import pytest
 
@@ -199,14 +200,15 @@ def assert_bit_identical(server, facade):
 @pytest.mark.parametrize(
     ("faults", "wal_fsync"),
     [
-        # Crash inside WriteAheadLog.append while handling the 2nd ingest:
-        # the record is flushed but the session never committed or acked.
-        pytest.param("wal.after_append:crash@2", "batch", id="after-append"),
-        # Crash just before the fsync syscall of the 1st ingest (policy
-        # "always"): SIGKILL-durability must not depend on fsync finishing.
-        pytest.param("wal.before_fsync:crash@1", "always", id="before-fsync"),
+        # Crash inside SegmentLog.append while handling the 2nd ingest:
+        # the frame is flushed but the session never committed or acked.
+        pytest.param("storage.after_frame:crash@2", "batch", id="after-append"),
+        # Under "always", the same point sits between the 1st frame's
+        # flush and its fsync: SIGKILL-durability must not depend on
+        # fsync finishing.
+        pytest.param("storage.after_frame:crash@1", "always", id="before-fsync"),
         # Crash after the final ingest fully committed but before its HTTP
-        # response: the client retries an already-journaled chunk.
+        # response: the client retries an already-logged chunk.
         pytest.param("http.before_response:crash@4", "batch", id="before-response"),
     ],
 )
@@ -223,9 +225,9 @@ def test_sigkill_mid_ingest_recovers_bit_identical(tmp_path, faults, wal_fsync):
     try:
         reconcile(restarted)
         assert_bit_identical(restarted, facade)
-        # Graceful shutdown checkpoints (snapshot + WAL rotation); a third
-        # boot must restore from the checkpoint with nothing to replay and
-        # still serve the same bytes.
+        # Graceful shutdown checkpoints (seals the store); a third boot
+        # must attach the sealed store with nothing to resend and still
+        # serve the same bytes.
         assert restarted.terminate_gracefully() == 0
         final = ServerProcess(state, wal_fsync=wal_fsync)
         try:
@@ -238,30 +240,55 @@ def test_sigkill_mid_ingest_recovers_bit_identical(tmp_path, faults, wal_fsync):
 
 
 def test_sigkill_during_checkpoint_replace(tmp_path):
-    """Die inside save_state, before os.replace: the WAL alone recovers."""
+    """Die inside save_state, after the seal's rename and before its
+    manifest write: attach adopts the orphan sealed segment."""
     state = tmp_path / "state"
-    server = ServerProcess(state, faults="registry.before_replace:crash@1")
+    server = ServerProcess(state, faults="storage.after_seal:crash@1")
     try:
         assert not drive_until_crash(server)  # every request succeeds
         server.proc.send_signal(signal.SIGTERM)  # triggers save_state -> fault
         server.wait_killed()
     finally:
         server.kill()
-    assert not list((state / "sessions").glob("*.json"))  # died before replace
+    store = state / "store" / "s"
+    assert (store / "seg-00000001.seg").exists()  # renamed ...
+    assert json.loads((store / "manifest.json").read_text())["sealed"] == []
     facade = never_crashed_facade()
     restarted = ServerProcess(state)
     try:
-        assert reconcile(restarted) == len(CHUNKS)  # fully replayed from WAL
+        assert reconcile(restarted) == len(CHUNKS)  # nothing acked was lost
         assert_bit_identical(restarted, facade)
     finally:
         restarted.kill()
 
 
+def test_deleted_session_leaves_only_the_store_dir(tmp_path):
+    """Create, ingest, delete, SIGTERM: no journal, checkpoint or
+    tombstone is left, and the restart finds no session."""
+    state = tmp_path / "state"
+    server = ServerProcess(state)
+    try:
+        assert not drive_until_crash(server)
+        assert server.request("DELETE", "/sessions/s")[0] == 200
+        assert server.terminate_gracefully() == 0
+    finally:
+        server.kill()
+    assert [path.relative_to(state) for path in state.rglob("*")] == [
+        Path("store")
+    ]
+    restarted = ServerProcess(state)
+    try:
+        status, body = restarted.request("GET", "/sessions")
+        assert status == 200 and json.loads(body)["sessions"] == []
+    finally:
+        restarted.kill()
+
+
 def test_torn_wal_tail_is_survived(tmp_path):
-    """Tear the segment log mid-frame, and the WAL reference behind it, as
-    a power loss would; the tail chunk is lost cleanly, resent by the
-    client, and the result is still bit-exact.  (A session this small
-    keeps no invariant files, so the log alone is recovered.)"""
+    """Tear the segment log mid-frame, as a power loss would; the tail
+    chunk is lost cleanly, resent by the client, and the result is still
+    bit-exact.  (A session this small keeps no invariant files, so the
+    log alone is recovered.)"""
     state = tmp_path / "state"
     server = ServerProcess(state)
     try:
@@ -272,8 +299,8 @@ def test_torn_wal_tail_is_survived(tmp_path):
         server.kill()
     store = state / "store" / "s"
     assert not (store / "meta.bin").exists()
-    for path in (store / "active.seg", state / "wal" / "s.wal"):
-        path.write_bytes(path.read_bytes()[:-7])  # tear the last record
+    active = store / "active.seg"
+    active.write_bytes(active.read_bytes()[:-7])  # tear the last frame
     facade = never_crashed_facade()
     restarted = ServerProcess(state)
     try:

@@ -1,13 +1,13 @@
-"""The reconcile rules of ``SessionRegistry.load_state``, case by case.
+"""The one recovery rule of ``SessionRegistry.load_state``, case by case.
 
-A state dir holds four kinds of per-session traces: journals
-(``wal/<name>.wal``), store directories (``store/<name>/``), checkpoint
-files (``sessions/<name>.json``) and tombstones
-(``sessions/<name>.tombstone``).  Each case builds one combination with
-a real registry -- or, for the retired memory-store format, writes the
-traces that format left -- and asserts the version it restores to, or
-the exact error it refuses with; a tombstone over any of them deletes
-the session.
+A state dir holds one directory per session, ``store/<name>/``, plus
+``store/.incoming-<name>/`` (a create or transfer that was never
+acknowledged) and ``store/.dead-<name>/`` (an acknowledged delete) that
+a crash left behind.  Load discards the latter two and attaches every
+store.  Earlier versions kept journals (``wal/<name>.wal``), checkpoint
+files and tombstones (``sessions/``) next to the stores; each case of
+that layout is written as the raw bytes those versions left, and load
+must refuse it, naming the layout, without touching a byte.
 """
 
 from __future__ import annotations
@@ -16,22 +16,23 @@ import json
 import os
 import re
 import shutil
+import struct
 import subprocess
 import sys
+import zlib
 
 import pytest
 
 from serving_helpers import SIX_ROWS, make_observations
 from repro.api.session import OpenWorldSession
-from repro.resilience.wal import WalCorruptionError, WriteAheadLog
-from repro.serving.registry import SESSION_STATE_SCHEMA, SessionRegistry
+from repro.serving.registry import SessionRegistry
 from repro.utils.exceptions import ValidationError
 
 CHUNKS = [SIX_ROWS[:2], SIX_ROWS[2:4], SIX_ROWS[4:]]
 
 
-def _ingest(registry, count):
-    served = registry.create("s", "value", estimator="bucket/frequency")
+def _ingest(registry, count, name="s"):
+    served = registry.create(name, "value", estimator="bucket/frequency")
     for rows in CHUNKS[:count]:
         served.ingest(make_observations(rows))
     return served
@@ -44,11 +45,25 @@ def _snapshot(count):
     return session.snapshot().to_dict()
 
 
-def _memory_journal(state_dir, records):
-    """A journal of the retired memory-store format."""
-    journal = WriteAheadLog(state_dir / "wal" / "s.wal")
-    journal.rewrite(records)
-    journal.close()
+def _journal(state_dir, records):
+    """``wal/s.wal`` as earlier versions framed it: ``>II`` (length,
+    crc32) ahead of each compact-JSON record."""
+    frames = b""
+    for record in records:
+        payload = json.dumps(record, separators=(",", ":")).encode("utf-8")
+        frames += struct.pack(">II", len(payload), zlib.crc32(payload)) + payload
+    (state_dir / "wal").mkdir(parents=True, exist_ok=True)
+    (state_dir / "wal" / "s.wal").write_bytes(frames)
+
+
+def _sessions_file(state_dir, filename, payload):
+    (state_dir / "sessions").mkdir(parents=True, exist_ok=True)
+    (state_dir / "sessions" / filename).write_bytes(payload)
+
+
+def _checkpoint(state_dir, payload):
+    raw = json.dumps({"schema": "repro.serving-session/v1", **payload}, indent=2)
+    _sessions_file(state_dir, "s.json", raw.encode("utf-8") + b"\n")
 
 
 def _observations_record(version):
@@ -64,128 +79,142 @@ def _observations_record(version):
 
 
 def memory_checkpoint(state_dir):
-    (state_dir / "sessions").mkdir(parents=True)
-    (state_dir / "sessions" / "s.json").write_text(
-        json.dumps(
-            {"schema": SESSION_STATE_SCHEMA, "store": "memory", "snapshot": _snapshot(2)}
-        )
-    )
-    _memory_journal(state_dir, [])  # the journal rotated down to nothing
+    _checkpoint(state_dir, {"store": "memory", "snapshot": _snapshot(2)})
+    _journal(state_dir, [])  # the journal rotated down to nothing
 
 
 def memory_checkpoint_with_tail(state_dir):
     memory_checkpoint(state_dir)
-    _memory_journal(state_dir, [_observations_record(3)])
+    _journal(state_dir, [_observations_record(3)])
 
 
 def create_head_alone(state_dir):
-    _memory_journal(
+    _journal(
         state_dir,
         [{"op": "create", "snapshot": _snapshot(0)}]
         + [_observations_record(version) for version in (1, 2, 3)],
     )
 
 
-def disk_store_without_refs(state_dir):
+def disk_store_with_checkpoint(state_dir):
     registry = SessionRegistry(state_dir=state_dir)
     _ingest(registry, 2)
-    registry.save_state()  # seals the store; the journal rotates down to nothing
+    registry.save_state()
+    _checkpoint(state_dir, {"store": "disk", "state_version": 2})
+    _journal(state_dir, [])
 
 
 def disk_store_with_refs(state_dir):
     _ingest(SessionRegistry(state_dir=state_dir), 3)
+    _journal(
+        state_dir,
+        [{"op": "create_store"}]
+        + [{"op": "ingest", "v": v, "rows": len(CHUNKS[v - 1])} for v in (1, 2, 3)],
+    )
 
 
 def ref_beyond_the_store(state_dir):
     _ingest(SessionRegistry(state_dir=state_dir), 2)
-    journal = WriteAheadLog(state_dir / "wal" / "s.wal")
-    journal.append({"op": "ingest", "v": 3, "rows": 2})
-    journal.close()
+    _journal(state_dir, [{"op": "ingest", "v": 3, "rows": 2}])
 
 
 def store_journal_without_store(state_dir):
-    _ingest(SessionRegistry(state_dir=state_dir), 2)
-    shutil.rmtree(state_dir / "store" / "s")
+    _journal(state_dir, [{"op": "create_store"}, {"op": "ingest", "v": 1, "rows": 2}])
 
 
 def disk_checkpoint_without_store(state_dir):
-    disk_store_without_refs(state_dir)
-    shutil.rmtree(state_dir / "store" / "s")
+    _checkpoint(state_dir, {"store": "disk", "state_version": 2})
+    _journal(state_dir, [])
 
 
-#: The refusal of every trace of the retired memory-store format.
-MEMORY_FORMAT = (
-    ValidationError,
-    "state dir {state_dir} holds session 's' in the memory-store format "
-    "(JSON snapshot checkpoints and full-observation journal records), which "
-    "this version no longer reads; move it with GET .../snapshot on the "
-    "version that wrote it and POST .../restore here",
-)
+def tombstone_over_a_store(state_dir):
+    _ingest(SessionRegistry(state_dir=state_dir), 2)
+    _sessions_file(state_dir, "s.tombstone", b"{}\n")
 
-#: (builder, restored state_version or the exact refusal)
-CASES = {
-    "memory-checkpoint": (memory_checkpoint, MEMORY_FORMAT),
-    "memory-checkpoint+journal-tail": (memory_checkpoint_with_tail, MEMORY_FORMAT),
-    "journal-create-head": (create_head_alone, MEMORY_FORMAT),
-    "disk-store": (disk_store_without_refs, 2),
-    "disk-store+slim-refs": (disk_store_with_refs, 3),
-    "ref-beyond-store": (
-        ref_beyond_the_store,
-        (
-            WalCorruptionError,
-            "journal 's' references state_version 3 but the store recovered "
-            "only 2; the store lost an acknowledged chunk",
-        ),
+
+def _refusal(*dirnames):
+    return (
+        "state dir {state_dir} holds "
+        + " and ".join(f"{dirname}/" for dirname in dirnames)
+        + " of an earlier version's layout (per-session journals and checkpoint "
+        "files), which this version no longer reads; move each session with "
+        "GET .../snapshot on the version that wrote it and POST .../restore here"
+    )
+
+
+#: builder -> the exact refusal of its state dir
+EARLIER_LAYOUTS = {
+    "memory-checkpoint": (memory_checkpoint, _refusal("wal", "sessions")),
+    "memory-checkpoint+journal-tail": (
+        memory_checkpoint_with_tail,
+        _refusal("wal", "sessions"),
     ),
+    "journal-create-head": (create_head_alone, _refusal("wal")),
+    "disk-store+checkpoint": (disk_store_with_checkpoint, _refusal("wal", "sessions")),
+    "disk-store+slim-refs": (disk_store_with_refs, _refusal("wal")),
+    "ref-beyond-store": (ref_beyond_the_store, _refusal("wal")),
     "create-store-journal-without-store": (
         store_journal_without_store,
-        (
-            WalCorruptionError,
-            "journal for 's' references a disk store but {state_dir}/store/s "
-            "holds none",
-        ),
+        _refusal("wal"),
     ),
     "disk-checkpoint-without-store": (
         disk_checkpoint_without_store,
-        (
-            WalCorruptionError,
-            "checkpoint for 's' references a disk store but {state_dir}/store/s "
-            "holds none",
-        ),
+        _refusal("wal", "sessions"),
     ),
+    "tombstone": (tombstone_over_a_store, _refusal("sessions")),
 }
 
 
-@pytest.mark.parametrize("case", list(CASES))
-def test_load_state_reconciles(tmp_path, case):
-    build, expected = CASES[case]
+def _tree(state_dir):
+    return {
+        str(path.relative_to(state_dir)): path.read_bytes() if path.is_file() else None
+        for path in sorted(state_dir.rglob("*"))
+    }
+
+
+@pytest.mark.parametrize("case", list(EARLIER_LAYOUTS))
+def test_earlier_layout_is_refused_and_kept(tmp_path, case):
+    build, message = EARLIER_LAYOUTS[case]
     build(tmp_path)
+    before = _tree(tmp_path)
+    message = message.format(state_dir=tmp_path)
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        SessionRegistry(state_dir=tmp_path).load_state()
+    assert _tree(tmp_path) == before
+
+
+@pytest.mark.parametrize(("sealed", "version"), [(True, 2), (False, 3)])
+def test_every_store_is_attached(tmp_path, sealed, version):
     registry = SessionRegistry(state_dir=tmp_path)
-    if isinstance(expected, tuple):
-        error, message = expected
-        message = message.format(state_dir=tmp_path)
-        with pytest.raises(error, match=f"^{re.escape(message)}$"):
-            registry.load_state()
-        return
-    assert registry.load_state() == ["s"]
-    assert registry.get("s").state_version == expected
+    _ingest(registry, version)
+    if sealed:
+        registry.save_state()
+    reloaded = SessionRegistry(state_dir=tmp_path)
+    assert reloaded.load_state() == ["s"]
+    assert reloaded.get("s").state_version == version
 
 
-@pytest.mark.parametrize("case", list(CASES))
-def test_tombstone_deletes_every_trace(tmp_path, case):
-    build, _ = CASES[case]
-    build(tmp_path)
-    (tmp_path / "sessions").mkdir(exist_ok=True)
-    (tmp_path / "sessions" / "s.tombstone").write_text("{}\n")
-    assert SessionRegistry(state_dir=tmp_path).load_state() == []
-    assert not (tmp_path / "wal" / "s.wal").exists()
-    assert not (tmp_path / "store" / "s").exists()
-    assert not list((tmp_path / "sessions").iterdir())
+def test_boot_discards_incoming_and_dead_stores_and_keeps_the_live_ones(tmp_path):
+    registry = SessionRegistry(state_dir=tmp_path)
+    live = [_ingest(registry, 2, name).snapshot_payload() for name in ("a", "b")]
+    _ingest(registry, 1, "gone")
+    _ingest(registry, 3, "half")
+    store = tmp_path / "store"
+    # A delete that was acknowledged (renamed away) and a create or
+    # transfer that never was (not yet renamed into place).
+    os.rename(store / "gone", store / ".dead-gone")
+    os.rename(store / "half", store / ".incoming-half")
+    shutil.copytree(store / "a", store / ".incoming-a")
+
+    reloaded = SessionRegistry(state_dir=tmp_path)
+    assert reloaded.load_state() == ["a", "b"]
+    assert sorted(path.name for path in store.iterdir()) == ["a", "b"]
+    assert [reloaded.get(name).snapshot_payload() for name in ("a", "b")] == live
 
 
 def test_serve_refuses_a_memory_format_state_dir_and_keeps_it(tmp_path):
     memory_checkpoint_with_tail(tmp_path)
-    before = sorted(path for path in tmp_path.rglob("*"))
+    before = _tree(tmp_path)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (os.path.abspath("src"), env.get("PYTHONPATH")) if p
@@ -200,5 +229,5 @@ def test_serve_refuses_a_memory_format_state_dir_and_keeps_it(tmp_path):
     )
     assert proc.returncode == 2
     assert "READY" not in proc.stdout
-    assert "in the memory-store format" in proc.stderr
-    assert sorted(path for path in tmp_path.rglob("*")) == before
+    assert "of an earlier version's layout" in proc.stderr
+    assert _tree(tmp_path) == before

@@ -10,7 +10,6 @@ import pytest
 from serving_helpers import SIX_ROWS, CountingEstimator, make_observations
 from repro.api.session import OpenWorldSession
 from repro.serving.registry import (
-    SESSION_STATE_SCHEMA,
     DuplicateSessionError,
     SessionRegistry,
     UnknownSessionError,
@@ -96,10 +95,10 @@ class TestPersistedLifecycle:
         try:
             with pytest.raises(DuplicateSessionError, match="already exists"):
                 registry.create("s", "value", estimator="naive")
+            assert len(stores) == 1  # the refused create built no store
         finally:
             release.set()
             first.join(timeout=10)
-        assert len(stores) == 1  # the refused create built no store
         created[0].ingest(make_observations(SIX_ROWS))
         assert created[0].info()["state_version"] == 1
 
@@ -314,48 +313,41 @@ class TestStatePersistence:
     def test_load_rejects_foreign_files(self, tmp_path):
         (tmp_path / "sessions").mkdir()
         (tmp_path / "sessions" / "s.json").write_text('{"schema": "other/v9"}')
-        with pytest.raises(ValidationError, match="checkpoint"):
+        with pytest.raises(ValidationError, match="earlier version's layout"):
             SessionRegistry(state_dir=tmp_path).load_state()
 
     def test_save_is_atomic_replace(self, tmp_path):
         registry, _ = registry_with_session(state_dir=tmp_path)
         target = registry.save_state()
+        assert target == tmp_path / "store"
         registry.get("s").ingest(make_observations([("z", "s9", 5.0)]))
         registry.save_state()
-        payload = json.loads((target / "s.json").read_text())
-        assert payload == {
-            "schema": SESSION_STATE_SCHEMA,
-            "store": "disk",
-            "state_version": 2,
-        }
-        assert not (target / "s.json.tmp").exists()
-        # The checkpoint covers exactly what the store sealed.
-        store = tmp_path / "store" / "s"
+        # The sealed manifest is the checkpoint.
+        store = target / "s"
         assert json.loads((store / "manifest.json").read_text())["state_version"] == 2
         assert not (store / "manifest.json.tmp").exists()
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["store"]
 
     def test_clean_sessions_are_skipped_on_save(self, tmp_path):
         registry, _ = registry_with_session(state_dir=tmp_path)
-        target = registry.save_state()
-        first_mtime = (target / "s.json").stat().st_mtime_ns
-        registry.save_state()  # nothing dirty: no rewrite
-        assert (target / "s.json").stat().st_mtime_ns == first_mtime
+        manifest = registry.save_state() / "s" / "manifest.json"
+        first_mtime = manifest.stat().st_mtime_ns
+        registry.save_state()  # nothing new: no rewrite
+        assert manifest.stat().st_mtime_ns == first_mtime
         registry.get("s").ingest(make_observations([("z", "s9", 5.0)]))
         registry.save_state()
-        assert (target / "s.json").stat().st_mtime_ns > first_mtime
+        assert manifest.stat().st_mtime_ns > first_mtime
 
-    def test_remove_leaves_durable_tombstone(self, tmp_path):
+    def test_remove_leaves_no_trace(self, tmp_path):
         registry = SessionRegistry(state_dir=tmp_path)
         registry.create("s", "value").ingest(
             make_observations([("a", "s1", 1.0)])
         )
         registry.save_state()
         registry.remove("s")
-        assert (tmp_path / "sessions" / "s.tombstone").exists()
-        assert not (tmp_path / "sessions" / "s.json").exists()
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["store"]
+        assert list((tmp_path / "store").iterdir()) == []
         assert SessionRegistry(state_dir=tmp_path).load_state() == []
-        # load finished the cleanup: the tombstone itself is purged
-        assert not (tmp_path / "sessions" / "s.tombstone").exists()
 
 
 class TestSessionRecreation:

@@ -13,6 +13,7 @@ import threading
 from serving_helpers import SIX_ROWS, make_observations
 from repro.serving.cache import EstimateCache, request_key
 from repro.serving.registry import SessionRegistry
+from repro.storage.segments import read_frames
 
 THREADS = 8
 ROUNDS = 50
@@ -74,7 +75,7 @@ def test_session_and_registry_counters_are_exact():
     assert block["state_version"] == 1 + THREADS * ROUNDS
 
 
-def test_wal_append_counters_are_exact(tmp_path):
+def test_segment_log_append_counters_are_exact(tmp_path):
     registry = SessionRegistry(backend="thread", state_dir=tmp_path)
     served = registry.create("s", "value", estimator="bucket/frequency")
 
@@ -86,16 +87,10 @@ def test_wal_append_counters_are_exact(tmp_path):
 
     hammer(worker)
     stats = served.stats()
-    assert stats["wal"]["appends"] == THREADS * ROUNDS
+    assert stats["store"]["segment_log"]["appends"] == THREADS * ROUNDS
     assert stats["state_version"] == THREADS * ROUNDS
-    # The journal holds exactly one create_store head plus one slim
-    # reference per ingest.
-    from repro.resilience.wal import read_records
-
-    records = read_records(tmp_path / "wal" / "s.wal")
-    assert len(records) == 1 + THREADS * ROUNDS
-    assert records[0] == {"op": "create_store"}
-    assert {record["rows"] for record in records[1:]} == {1}
-    versions = [record["v"] for record in records[1:]]
-    assert sorted(versions) == list(range(1, THREADS * ROUNDS + 1))
-    assert versions == sorted(versions)  # appended in commit order
+    # The segment log holds exactly one single-row frame per ingest.
+    frames = read_frames(tmp_path / "store" / "s" / "active.seg")
+    assert [frame.n_rows for frame in frames] == [1] * (THREADS * ROUNDS)
+    versions = [frame.state_version for frame in frames]
+    assert versions == list(range(1, THREADS * ROUNDS + 1))  # in commit order

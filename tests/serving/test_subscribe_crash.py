@@ -86,10 +86,10 @@ def subscribe(server, path, events, done):
 
 def test_sigkill_mid_subscription_resumes_gapless(tmp_path):
     state = tmp_path / "state"
-    # Crash inside WriteAheadLog.append of the 2nd ingest: the subscriber
+    # Crash inside SegmentLog.append of the 2nd ingest: the subscriber
     # is live when the process dies, and the crashed commit was never
     # acked (nor pushed).
-    server = ServerProcess(state, faults="wal.after_append:crash@2")
+    server = ServerProcess(state, faults="storage.after_frame:crash@2")
     status, _ = server.request(
         "POST",
         "/sessions",

@@ -1,9 +1,7 @@
 """Writers refuse what their readers would drop as a corrupt tail.
 
 Each durable format bounds the length its reader accepts: the name-log
-entry and the segment frame here (the WAL record bound, which a slim
-reference cannot reach, is tested against ``WriteAheadLog.append`` in
-``tests/resilience/test_wal.py``).  A longer length prefix reads as a
+entry and the segment frame.  A longer length prefix reads as a
 torn or corrupt tail and is truncated, together with everything after
 it.  These tests scale each bound down and check that an ingest
 crossing it fails with a client error before anything is written, so

@@ -4,7 +4,8 @@ An ``os.fsync`` spy records the inode of every synced file or directory.
 A created or renamed file or directory is only durable once its parent
 directory is fsynced, and a durable segment frame must never reference
 a name a power loss can still drop, so the name logs are fsynced before
-every segment fsync.
+every segment fsync.  A store on its way out (deleted, or replaced by a
+newer copy) is closed without any fsync of its own files.
 """
 
 from __future__ import annotations
@@ -13,9 +14,9 @@ import os
 
 import pytest
 
-from storage_helpers import ATTRIBUTE, ESTIMATOR, observations
+from storage_helpers import ATTRIBUTE, CHUNKS, ESTIMATOR, observations
+from storage_helpers import eager_invariants  # noqa: F401 - a fixture
 from repro.api.session import OpenWorldSession
-from repro.resilience.wal import WriteAheadLog
 from repro.serving.registry import SessionRegistry
 from repro.storage.layout import StoreLayout
 from repro.storage.names import NameLog
@@ -42,18 +43,6 @@ def inode(path) -> int:
 
 
 class TestDirectoryEntries:
-    @pytest.mark.parametrize("policy", ["always", "batch"])
-    def test_wal_rewrite_fsyncs_the_directory_after_the_rename(
-        self, tmp_path, synced, policy
-    ):
-        log = WriteAheadLog(tmp_path / "wal" / "s.wal", fsync=policy)
-        log.rewrite([{"op": "create_store"}])
-        assert synced == [inode(log.path), inode(tmp_path / "wal")]
-
-    def test_wal_rewrite_under_never_fsyncs_nothing(self, tmp_path, synced):
-        WriteAheadLog(tmp_path / "s.wal", fsync="never").rewrite([{"op": "x"}])
-        assert synced == []
-
     @pytest.mark.parametrize("policy", ["always", "batch"])
     def test_active_segment_recreated_after_a_seal(self, tmp_path, synced, policy):
         log = SegmentLog(tmp_path, fsync=policy, batch_every=1)
@@ -133,16 +122,14 @@ class TestStateDirEntries:
         assert synced == [
             inode(tmp_path),  # state/
             inode(state),  # store/
-            inode(store),  # store/s/
+            inode(store),  # store/.incoming-s/
             inode(manifest),
             inode(store / "s"),  # the manifest
-            inode(state),  # wal/
-            inode(state / "wal" / "s.wal"),
-            inode(state / "wal"),
+            inode(store),  # the rename to store/s/
         ]
         synced.clear()
         registry.save_state()
-        assert synced[0] == inode(state)  # sessions/
+        assert synced == []  # nothing to seal
 
     def test_never_fsyncs_no_new_directory(self, tmp_path, synced):
         state = tmp_path / "state"
@@ -176,44 +163,37 @@ class TestStateDirEntries:
         store_synced = ("fsync", inode(tmp_path / "store")) in after[:1]
         assert store_synced == (policy != "never")
 
+    @pytest.mark.usefixtures("eager_invariants")
     @pytest.mark.parametrize("policy", ["always", "batch", "never"])
-    @pytest.mark.parametrize("clear", ["save_state", "recreate"])
-    def test_traces_are_durably_gone_before_the_tombstone(
-        self, tmp_path, monkeypatch, policy, clear
+    def test_delete_fsyncs_only_store_before_it_returns(
+        self, tmp_path, synced, policy
     ):
         registry = SessionRegistry(state_dir=tmp_path, wal_fsync=policy)
-        registry.create("s", ATTRIBUTE, estimator=ESTIMATOR)
-        registry.save_state()  # a checkpoint file joins the traces
-        registry.remove("s")
-        events: list[object] = []
-
-        def fsync(fd, real=os.fsync):
-            events.append(os.fstat(fd).st_ino)
-            real(fd)
-
-        def unlink(path, *args, real=os.unlink, **kwargs):
-            real(path, *args, **kwargs)
-            if str(path).endswith(".tombstone"):
-                events.append("tombstone")
-
-        monkeypatch.setattr(os, "fsync", fsync)
-        monkeypatch.setattr(os, "unlink", unlink)
-        if clear == "save_state":
-            registry.save_state()
-        else:
-            registry.create("s", ATTRIBUTE, estimator=ESTIMATOR)
-        before = events[: events.index("tombstone")]
-        for dirname in ("wal", "store", "sessions"):
-            synced_before = inode(tmp_path / dirname) in before
-            assert synced_before == (policy != "never"), dirname
-
-    @pytest.mark.parametrize("policy", ["always", "batch", "never"])
-    def test_recreate_clears_the_tombstone_durably(self, tmp_path, synced, policy):
-        registry = SessionRegistry(state_dir=tmp_path, wal_fsync=policy)
-        registry.create("s", ATTRIBUTE, estimator=ESTIMATOR)
-        registry.remove("s")
+        served = registry.create("s", ATTRIBUTE, estimator=ESTIMATOR)
+        for chunk in CHUNKS:  # leaves unsynced appends under batch
+            served.ingest(observations(chunk))
         synced.clear()
-        registry.create("s", ATTRIBUTE, estimator=ESTIMATOR)
-        assert not (tmp_path / "sessions" / "s.tombstone").exists()
-        sessions_synced = inode(tmp_path / "sessions") in synced
-        assert sessions_synced == (policy != "never")
+        registry.remove("s")
+        expected = [inode(tmp_path / "store")] if policy != "never" else []
+        assert synced == expected
+        assert list((tmp_path / "store").iterdir()) == []
+
+    @pytest.mark.usefixtures("eager_invariants")
+    @pytest.mark.parametrize("policy", ["always", "batch"])
+    def test_replace_fsyncs_no_file_of_the_discarded_copy(
+        self, tmp_path, synced, policy
+    ):
+        newer = OpenWorldSession(ATTRIBUTE, estimator=ESTIMATOR)
+        for chunk in CHUNKS:
+            newer.ingest(observations(chunk))
+        registry = SessionRegistry(state_dir=tmp_path, wal_fsync=policy)
+        served = registry.create("s", ATTRIBUTE, estimator=ESTIMATOR)
+        for chunk in CHUNKS[:2]:
+            served.ingest(observations(chunk))
+        old = tmp_path / "store" / "s"
+        discarded = {inode(old)} | {inode(path) for path in old.iterdir()}
+        synced.clear()
+        replaced = registry.restore_session("s", newer.snapshot().to_dict())
+        assert replaced.state_version == len(CHUNKS)
+        assert synced, "the incoming copy is made durable"
+        assert not discarded & set(synced)

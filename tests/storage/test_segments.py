@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.storage.layout import DEFAULT_BATCH_EVERY
 from repro.storage.segments import (
     FRAME_OBSERVATIONS,
     FRAME_SEED,
@@ -203,3 +204,43 @@ class TestSegmentLog:
     def test_unknown_fsync_policy_rejected(self, tmp_path):
         with pytest.raises(ValidationError, match="unknown fsync policy"):
             SegmentLog(tmp_path, fsync="sometimes")
+
+    def test_bad_batch_every_rejected(self, tmp_path):
+        with pytest.raises(ValidationError, match="batch_every"):
+            SegmentLog(tmp_path, fsync="batch", batch_every=0)
+
+    def test_default_policy_is_batch(self, tmp_path):
+        log = SegmentLog(tmp_path)
+        assert log.fsync_policy == "batch"
+        assert log.batch_every == DEFAULT_BATCH_EVERY
+
+    def test_never_still_flushes_to_the_os(self, tmp_path):
+        log = SegmentLog(tmp_path, fsync="never")
+        log.append(make_frame(1, 2), 2)
+        # Bytes are in the page cache with the handle still open: another
+        # reader sees the whole frame (this is what makes the policy
+        # SIGKILL-safe, if not power-loss-safe).
+        assert [frame.n_rows for frame in read_frames(log.active_path)] == [2]
+        assert log.stats()["syncs"] == 0
+        log.close()
+
+    def test_forced_sync_overrides_batching(self, tmp_path):
+        log = SegmentLog(tmp_path, fsync="batch")
+        log.append(encode_seed_frame(1, {}), 0, sync=True)
+        assert log.stats()["syncs"] == 1
+        log.close()
+
+    def test_stats_surface(self, tmp_path):
+        log = SegmentLog(tmp_path, fsync="never")
+        frame = make_frame(1, 3)
+        log.append(frame, 3)
+        assert log.stats() == {
+            "appends": 1,
+            "syncs": 0,
+            "unsynced": 1,
+            "active_frames": 1,
+            "active_rows": 3,
+            "active_bytes": len(frame),
+            "fsync_policy": "never",
+        }
+        log.close()
