@@ -8,10 +8,19 @@ store.  Earlier versions kept journals (``wal/<name>.wal``), checkpoint
 files and tombstones (``sessions/``) next to the stores; each case of
 that layout is written as the raw bytes those versions left, and load
 must refuse it, naming the layout, without touching a byte.
+
+The lifecycle calls are checked against the rule too: a delete leaves
+nothing behind whatever the store held, and a call cut short at each
+of its filesystem steps boots to one side of that step -- the session
+exists exactly when its rename into (or out of) ``store/<name>`` was
+reached.  The cut is simulated in process: the broken step raises a
+:class:`Crash`, which no cleanup handler catches, so the files are left
+as a SIGKILL there would leave them.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import re
@@ -20,12 +29,15 @@ import struct
 import subprocess
 import sys
 import zlib
+from pathlib import Path
 
 import pytest
 
 from serving_helpers import SIX_ROWS, make_observations
 from repro.api.session import OpenWorldSession
+from repro.serving.http import dumps_result
 from repro.serving.registry import SessionRegistry
+from repro.storage.transfer import iter_archive
 from repro.utils.exceptions import ValidationError
 
 CHUNKS = [SIX_ROWS[:2], SIX_ROWS[2:4], SIX_ROWS[4:]]
@@ -210,6 +222,204 @@ def test_boot_discards_incoming_and_dead_stores_and_keeps_the_live_ones(tmp_path
     assert reloaded.load_state() == ["a", "b"]
     assert sorted(path.name for path in store.iterdir()) == ["a", "b"]
     assert [reloaded.get(name).snapshot_payload() for name in ("a", "b")] == live
+
+
+def _archive(state_dir, count):
+    """The store archive a migration source streams for ``count`` chunks."""
+    served = _ingest(SessionRegistry(state_dir=state_dir), count)
+    with served.store_archive() as (header, files, _):
+        return b"".join(iter_archive(header, files))
+
+
+def _expected_snapshot(count):
+    """Exact snapshot bytes of a never-persisted ``s`` after ``count`` chunks."""
+    return dumps_result(_ingest(SessionRegistry(), count).snapshot_payload())
+
+
+def _store_entries(state_dir):
+    return sorted(path.name for path in (state_dir / "store").iterdir())
+
+
+def created(registry, tmp_path):
+    registry.create("s", "value", estimator="bucket/frequency")
+    return registry
+
+
+def ingested(registry, tmp_path):
+    _ingest(registry, 3)
+    return registry
+
+
+def sealed(registry, tmp_path):
+    _ingest(registry, 3)
+    registry.save_state()
+    return registry
+
+
+def sealed_with_tail(registry, tmp_path):
+    served = _ingest(registry, 2)
+    registry.save_state()
+    served.ingest(make_observations(CHUNKS[2]))
+    return registry
+
+
+def pushed(registry, tmp_path):
+    registry.restore_session("s", _snapshot(3))
+    return registry
+
+
+def migrated(registry, tmp_path):
+    registry.restore_store("s", io.BytesIO(_archive(tmp_path / "source", 3)).read)
+    return registry
+
+
+def replaced(registry, tmp_path):
+    _ingest(registry, 1)
+    registry.restore_session("s", _snapshot(3))
+    return registry
+
+
+def reloaded(registry, tmp_path):
+    sealed_with_tail(registry, tmp_path)
+    fresh = SessionRegistry(state_dir=tmp_path / "state")
+    assert fresh.load_state() == ["s"]
+    return fresh
+
+
+#: how the session to delete came to be -> a builder returning its registry
+ORIGINS = {
+    "created": created,
+    "ingested": ingested,
+    "sealed": sealed,
+    "sealed+tail": sealed_with_tail,
+    "pushed": pushed,
+    "migrated": migrated,
+    "replaced": replaced,
+    "reloaded": reloaded,
+}
+
+
+@pytest.mark.parametrize("origin", list(ORIGINS))
+def test_delete_leaves_no_trace(tmp_path, origin):
+    state = tmp_path / "state"
+    registry = ORIGINS[origin](SessionRegistry(state_dir=state), tmp_path)
+    registry.remove("s")
+    assert sorted(path.name for path in state.iterdir()) == ["store"]
+    assert _store_entries(state) == []
+    assert SessionRegistry(state_dir=state).load_state() == []
+
+    # A session created under the same name inherits nothing.
+    created(registry, tmp_path)
+    rebooted = SessionRegistry(state_dir=state)
+    assert rebooted.load_state() == ["s"]
+    assert dumps_result(rebooted.get("s").snapshot_payload()) == _expected_snapshot(0)
+
+
+class Crash(BaseException):
+    """Stands in for a SIGKILL at the broken step (no handler catches it)."""
+
+
+def crash_at_rename(target, *, done):
+    """Break the rename whose destination is ``store/<target>``.
+
+    ``done=False`` dies before the rename, ``done=True`` right after it.
+    """
+
+    def install(monkeypatch):
+        real = os.rename
+
+        def rename(src, dst):
+            if Path(dst).name != target:
+                return real(src, dst)
+            if done:
+                real(src, dst)
+            raise Crash(f"rename to {target}")
+
+        monkeypatch.setattr(os, "rename", rename)
+
+    return install
+
+
+def crash_at_rmtree(target, *, unlink_first=()):
+    """Break the removal of ``store/<target>``, after unlinking some files."""
+
+    def install(monkeypatch):
+        real = shutil.rmtree
+
+        def rmtree(path, *args, **kwargs):
+            if Path(path).name != target:
+                return real(path, *args, **kwargs)
+            for filename in unlink_first:
+                os.unlink(Path(path) / filename)
+            raise Crash(f"rmtree of {target}")
+
+        monkeypatch.setattr(shutil, "rmtree", rmtree)
+
+    return install
+
+
+def create_call(registry, tmp_path):
+    return lambda: registry.create("s", "value", estimator="bucket/frequency")
+
+
+def push_call(registry, tmp_path):
+    payload = _snapshot(3)
+    return lambda: registry.restore_session("s", payload)
+
+
+def migrate_call(registry, tmp_path):
+    body = _archive(tmp_path / "source", 3)
+    return lambda: registry.restore_store("s", io.BytesIO(body).read)
+
+
+def replace_call(registry, tmp_path):
+    _ingest(registry, 1)
+    return push_call(registry, tmp_path)
+
+
+def delete_call(registry, tmp_path):
+    _ingest(registry, 3)
+    return lambda: registry.remove("s")
+
+
+#: window -> (the call to cut, where it is cut, chunks of ``s`` at boot or None)
+WINDOWS = {
+    "create-before-rename": (create_call, crash_at_rename("s", done=False), None),
+    "create-after-rename": (create_call, crash_at_rename("s", done=True), 0),
+    "push-before-rename": (push_call, crash_at_rename("s", done=False), None),
+    "push-after-rename": (push_call, crash_at_rename("s", done=True), 3),
+    "migrate-before-rename": (migrate_call, crash_at_rename("s", done=False), None),
+    "migrate-after-rename": (migrate_call, crash_at_rename("s", done=True), 3),
+    "replace-after-rename": (replace_call, crash_at_rename("s", done=True), 3),
+    "delete-before-rename": (delete_call, crash_at_rename(".dead-s", done=False), 3),
+    "delete-before-rmtree": (delete_call, crash_at_rmtree(".dead-s"), None),
+    "delete-mid-rmtree": (
+        delete_call,
+        crash_at_rmtree(".dead-s", unlink_first=("manifest.json", "active.seg")),
+        None,
+    ),
+}
+
+
+@pytest.mark.parametrize("window", list(WINDOWS))
+def test_a_cut_lifecycle_call_boots_to_one_side_of_its_rename(
+    tmp_path, monkeypatch, window
+):
+    setup, cut, chunks = WINDOWS[window]
+    state = tmp_path / "state"
+    call = setup(SessionRegistry(state_dir=state), tmp_path)
+    cut(monkeypatch)
+    with pytest.raises(Crash):
+        call()
+    monkeypatch.undo()
+
+    rebooted = SessionRegistry(state_dir=state)
+    expected = [] if chunks is None else ["s"]
+    assert rebooted.load_state() == expected
+    assert _store_entries(state) == expected
+    if chunks is not None:
+        snapshot = dumps_result(rebooted.get("s").snapshot_payload())
+        assert snapshot == _expected_snapshot(chunks)
 
 
 def test_serve_refuses_a_memory_format_state_dir_and_keeps_it(tmp_path):

@@ -10,6 +10,7 @@ newer copy) is closed without any fsync of its own files.
 
 from __future__ import annotations
 
+import io
 import os
 
 import pytest
@@ -19,6 +20,7 @@ from storage_helpers import eager_invariants  # noqa: F401 - a fixture
 from repro.api.session import OpenWorldSession
 from repro.serving.registry import SessionRegistry
 from repro.storage.layout import StoreLayout
+from repro.storage.transfer import iter_archive
 from repro.storage.names import NameLog
 from repro.storage.segments import SegmentLog, encode_seed_frame
 from repro.storage.store import DiskStore
@@ -131,6 +133,25 @@ class TestStateDirEntries:
         registry.save_state()
         assert synced == []  # nothing to seal
 
+    @pytest.mark.parametrize("policy", ["always", "batch", "never"])
+    def test_recreate_after_delete_fsyncs_only_the_new_store(
+        self, tmp_path, synced, policy
+    ):
+        registry = SessionRegistry(state_dir=tmp_path, wal_fsync=policy)
+        registry.create("s", ATTRIBUTE, estimator=ESTIMATOR)
+        registry.save_state()
+        registry.remove("s")
+        synced.clear()
+        registry.create("s", ATTRIBUTE, estimator=ESTIMATOR)
+        store = tmp_path / "store"
+        # The manifest's atomic write syncs under every policy; store/
+        # is synced for the new directory and its rename unless "never".
+        manifest = [inode(store / "s" / "manifest.json"), inode(store / "s")]
+        if policy == "never":
+            assert synced == manifest
+        else:
+            assert synced == [inode(store), *manifest, inode(store)]
+
     def test_never_fsyncs_no_new_directory(self, tmp_path, synced):
         state = tmp_path / "state"
         registry = SessionRegistry(state_dir=state, wal_fsync="never")
@@ -196,4 +217,28 @@ class TestStateDirEntries:
         replaced = registry.restore_session("s", newer.snapshot().to_dict())
         assert replaced.state_version == len(CHUNKS)
         assert synced, "the incoming copy is made durable"
+        assert not discarded & set(synced)
+
+    @pytest.mark.usefixtures("eager_invariants")
+    @pytest.mark.parametrize("policy", ["always", "batch"])
+    def test_migration_fsyncs_no_file_of_the_discarded_copy(
+        self, tmp_path, synced, policy
+    ):
+        source = SessionRegistry(state_dir=tmp_path / "source")
+        newer = source.create("s", ATTRIBUTE, estimator=ESTIMATOR)
+        for chunk in CHUNKS:
+            newer.ingest(observations(chunk))
+        with newer.store_archive() as (header, files, _):
+            body = b"".join(iter_archive(header, files))
+        state = tmp_path / "state"
+        registry = SessionRegistry(state_dir=state, wal_fsync=policy)
+        served = registry.create("s", ATTRIBUTE, estimator=ESTIMATOR)
+        for chunk in CHUNKS[:2]:
+            served.ingest(observations(chunk))
+        old = state / "store" / "s"
+        discarded = {inode(old)} | {inode(path) for path in old.iterdir()}
+        synced.clear()
+        migrated = registry.restore_store("s", io.BytesIO(body).read)
+        assert migrated.state_version == len(CHUNKS)
+        assert inode(state / "store") in synced  # both renames are durable
         assert not discarded & set(synced)

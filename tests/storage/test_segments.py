@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import os
+import zlib
+
 import numpy as np
 import pytest
 
+from repro.storage import segments as segments_module
 from repro.storage.layout import DEFAULT_BATCH_EVERY
 from repro.storage.segments import (
     FRAME_OBSERVATIONS,
@@ -106,6 +110,36 @@ class TestTornTails:
     def test_empty_input_is_no_frames(self):
         assert scan_frames(b"") == ([], 0)
 
+    def test_garbage_without_a_frame_has_clean_offset_zero(self):
+        assert scan_frames(b"garbage that is no header") == ([], 0)
+
+    def test_corruption_mid_stream_drops_everything_after_it(self):
+        first, second, third = make_frame(1, 2), make_frame(2, 2), make_frame(3, 2)
+        raw = bytearray(first + second + third)
+        raw[len(first) + 12] ^= 0xFF  # inside the second frame's payload
+        frames, clean = scan_frames(bytes(raw))
+        # The clean third frame is indistinguishable from a torn tail.
+        assert [f.state_version for f in frames] == [1]
+        assert clean == len(first)
+
+
+class TestFrameBound:
+    def test_writer_and_reader_agree_at_the_bound(self, monkeypatch):
+        seed = {"pad": "x" * 40}
+        at_bound = len(encode_seed_frame(1, seed)) - 8  # less the header
+        monkeypatch.setattr(segments_module, "_MAX_FRAME_BYTES", at_bound)
+        raw = encode_seed_frame(1, seed)
+        frames, clean = scan_frames(raw)
+        assert [f.seed for f in frames] == [seed]
+        assert clean == len(raw)
+
+    def test_a_frame_over_the_bound_is_never_encoded(self, monkeypatch):
+        monkeypatch.setattr(segments_module, "_MAX_FRAME_BYTES", 64)
+        with pytest.raises(ValidationError, match="64-byte frame bound"):
+            encode_seed_frame(1, {"pad": "x" * 64})
+        with pytest.raises(ValidationError, match="64-byte frame bound"):
+            make_frame(1, 3)  # 13 + 3 * 25 payload bytes
+
 
 class TestSegmentLog:
     def test_recover_active_truncates_torn_tail(self, tmp_path):
@@ -121,6 +155,96 @@ class TestSegmentLog:
         assert [f.state_version for f in frames] == [1, 2]
         assert recovered.active_rows == 5
         assert recovered.active_path.read_bytes() == raw  # tail gone
+
+    def test_recover_active_keeps_a_clean_segment_as_it_is(self, tmp_path):
+        log = SegmentLog(tmp_path, fsync="never")
+        for version in (1, 2, 3):
+            log.append(make_frame(version, 2), 2)
+        log.close()
+        raw = log.active_path.read_bytes()
+
+        recovered = SegmentLog(tmp_path, fsync="never")
+        assert [f.state_version for f in recovered.recover_active()] == [1, 2, 3]
+        assert recovered.active_rows == 6
+        assert recovered.active_path.read_bytes() == raw
+
+    def test_recover_active_without_an_active_segment_is_empty(self, tmp_path):
+        log = SegmentLog(tmp_path, fsync="never")
+        assert log.recover_active() == []
+        assert log.active_rows == 0
+        assert not log.active_path.exists()
+        assert log.seal(1) is None
+
+    @pytest.mark.parametrize(
+        "tail",
+        [
+            pytest.param(lambda frame: frame[:5], id="torn-header"),
+            pytest.param(
+                lambda frame: frame[:-1] + bytes([frame[-1] ^ 0xFF]),
+                id="corrupt-crc",
+            ),
+            pytest.param(
+                lambda frame: b"\xff\xff\xff\xff" + frame[4:], id="absurd-length"
+            ),
+        ],
+    )
+    def test_recover_active_truncates_a_bad_last_frame(self, tmp_path, tail):
+        log = SegmentLog(tmp_path, fsync="never")
+        log.append(make_frame(1, 3), 3)
+        log.close()
+        raw = log.active_path.read_bytes()
+        log.active_path.write_bytes(raw + tail(make_frame(2, 2)))
+
+        recovered = SegmentLog(tmp_path, fsync="never")
+        assert [f.state_version for f in recovered.recover_active()] == [1]
+        assert recovered.active_path.read_bytes() == raw
+
+    def test_mid_segment_corruption_truncates_the_rest(self, tmp_path):
+        log = SegmentLog(tmp_path, fsync="never")
+        first = make_frame(1, 2)
+        log.append(first, 2)
+        log.append(make_frame(2, 2), 2)
+        log.append(make_frame(3, 2), 2)
+        log.close()
+        raw = bytearray(log.active_path.read_bytes())
+        raw[len(first) + 12] ^= 0xFF  # inside the second frame
+        log.active_path.write_bytes(bytes(raw))
+
+        recovered = SegmentLog(tmp_path, fsync="never")
+        assert [f.state_version for f in recovered.recover_active()] == [1]
+        # The next append lands right after the clean prefix.
+        recovered.append(make_frame(4, 1), 1)
+        recovered.close()
+        assert [f.state_version for f in read_frames(recovered.active_path)] == [1, 4]
+
+    def test_seal_after_recovery_reports_the_clean_prefix(self, tmp_path):
+        first, second = make_frame(1, 3), make_frame(2, 2)
+        log = SegmentLog(tmp_path, fsync="never")
+        log.append(first, 3)
+        log.append(second, 2)
+        log.close()
+        log.active_path.write_bytes(first + second + make_frame(3, 4)[:-2])
+
+        recovered = SegmentLog(tmp_path, fsync="never")
+        recovered.recover_active()
+        assert recovered.seal(1) == {
+            "segment": segment_name(1),
+            "frames": 2,
+            "rows": 5,
+            "bytes": len(first) + len(second),
+            "crc": zlib.crc32(first + second),
+        }
+
+    def test_recover_active_reads_only_frames_after_the_last_seal(self, tmp_path):
+        log = SegmentLog(tmp_path, fsync="never")
+        log.append(make_frame(1, 2), 2)
+        log.seal(1)
+        log.append(make_frame(2, 3), 3)
+        log.close()
+
+        recovered = SegmentLog(tmp_path, fsync="never")
+        assert [f.state_version for f in recovered.recover_active()] == [2]
+        assert recovered.active_rows == 3
 
     def test_append_after_recovery_extends_cleanly(self, tmp_path):
         log = SegmentLog(tmp_path, fsync="never")
@@ -200,6 +324,49 @@ class TestSegmentLog:
         log.append(make_frame(2, 1), 1)
         assert log.stats()["syncs"] == 2
         log.close()
+
+    @pytest.mark.parametrize(
+        ("policy", "due"),
+        [
+            pytest.param("always", [True, True, True], id="always"),
+            pytest.param("batch", [False, True, False], id="batch"),
+            pytest.param("never", [False, False, False], id="never"),
+        ],
+    )
+    def test_sync_due_follows_the_policy(self, tmp_path, policy, due):
+        log = SegmentLog(tmp_path, fsync=policy, batch_every=2)
+        seen = []
+        for version in (1, 2, 3):
+            seen.append(log.sync_due())
+            log.append(make_frame(version, 1), 1)
+        assert seen == due
+        log.release()
+
+    def test_release_closes_without_any_fsync(self, tmp_path, monkeypatch):
+        log = SegmentLog(tmp_path, fsync="batch")
+        log.append(make_frame(1, 2), 2)
+        synced = []
+        monkeypatch.setattr(os, "fsync", synced.append)
+        log.release()
+        assert synced == []
+        # Flushed to the OS at append, so the frame is there regardless.
+        assert [frame.n_rows for frame in read_frames(log.active_path)] == [2]
+
+    def test_close_fsyncs_the_unsynced_tail_and_its_new_entry(
+        self, tmp_path, monkeypatch
+    ):
+        log = SegmentLog(tmp_path, fsync="batch")
+        log.append(make_frame(1, 2), 2)
+        synced = []
+        real_fsync = os.fsync
+
+        def spy(fd):
+            synced.append(os.fstat(fd).st_ino)
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", spy)
+        log.close()
+        assert synced == [log.active_path.stat().st_ino, tmp_path.stat().st_ino]
 
     def test_unknown_fsync_policy_rejected(self, tmp_path):
         with pytest.raises(ValidationError, match="unknown fsync policy"):
