@@ -488,8 +488,6 @@ class OpenWorldSession:
                         version=self._state_version,
                         appended=tuple(appended),
                         reobserved=tuple(reobserved),
-                        source_sizes=self._seed_source_sizes
-                        + tuple(self._state.per_source.values()),
                     )
                 )
         return len(chunk)
@@ -664,20 +662,13 @@ class OpenWorldSession:
                 # fall through to a rebuild.
                 entry.handle = None
                 entry.estimate = None
-            for _ in range(100):
-                version = self._state_version
-                handle = estimator.begin(self.sample(), self._attribute)
-                if version == self._state_version:
-                    # No commit between the two version reads, so the
-                    # sample the handle adopted is exactly ``version``.
-                    estimate = estimator.update(handle)
-                    entry.handle = handle
-                    entry.version = version
-                    entry.estimate = estimate
-                    return estimate
-            # Ingests are landing faster than we can position a handle;
-            # serve a correct one-shot result without caching the handle.
-            return estimator.update(estimator.begin(self.sample(), self._attribute))
+            # No ingest runs concurrently (see the concurrency contract),
+            # so the sample the handle adopts is exactly this version.
+            version = self._state_version
+            handle = estimator.begin(self.sample(), self._attribute)
+            estimate = estimator.update(handle)
+            entry.handle, entry.version, entry.estimate = handle, version, estimate
+            return estimate
 
     def query(
         self,

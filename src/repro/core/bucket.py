@@ -519,18 +519,18 @@ class _SortedSearch:
 class _BucketHandle:
     """Incremental handle of :class:`BucketEstimator`.
 
-    Maintains the raw sample content (counts / fused values / source
-    sizes) under deltas; every update runs the batch decomposition on
-    the maintained sample, so delta mode and batch share one search.
+    Maintains the raw sample content (counts / fused values) under
+    deltas; every update runs the batch decomposition on the maintained
+    sample, so delta mode and batch share one search.  Its sample has
+    no source sizes: no update-capable base estimator reads them.
     """
 
-    __slots__ = ("attribute", "counts", "values", "source_sizes")
+    __slots__ = ("attribute", "counts", "values")
 
     def __init__(self, sample: ObservedSample, attribute: str) -> None:
         self.attribute = attribute
         self.counts: dict[str, int] = dict(sample.counts)
         self.values = sample.values_by_entity()
-        self.source_sizes = tuple(sample.source_sizes)
 
     def apply(self, delta: SampleDelta) -> None:
         for entity_id, value in delta.appended:
@@ -538,10 +538,9 @@ class _BucketHandle:
             self.values[entity_id] = {self.attribute: value}
         for entity_id in delta.reobserved:
             self.counts[entity_id] += 1
-        self.source_sizes = tuple(delta.source_sizes)
 
     def sample(self) -> ObservedSample:
-        return ObservedSample(self.counts, self.values, source_sizes=self.source_sizes)
+        return ObservedSample(self.counts, self.values)
 
 
 class BucketEstimator(SumEstimator):

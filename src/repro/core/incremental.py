@@ -9,8 +9,8 @@ small types:
 
 * :class:`SampleDelta` -- the immutable digest of one ingest commit:
   which entities were appended (first observation, with their fused
-  attribute value) and which were re-observed, plus the post-commit
-  source sizes.  One delta per ``state_version`` bump.
+  attribute value) and which were re-observed.  One delta per
+  ``state_version`` bump.
 * :class:`IncrementalSampleState` -- the handle state the naive and
   frequency estimators update in O(|delta|) instead of recomputing in
   O(n).  It mirrors :class:`~repro.data.sample.ObservedSample` *exactly*
@@ -72,15 +72,11 @@ class SampleDelta:
     reobserved:
         One entity id per repeat observation in this commit, in stream
         order (an entity re-observed twice appears twice).
-    source_sizes:
-        The session's full post-commit ``source_sizes`` tuple (seed
-        sources followed by per-source ingest tallies).
     """
 
     version: int
     appended: "tuple[tuple[str, float], ...]"
     reobserved: "tuple[str, ...]"
-    source_sizes: "tuple[int, ...]"
 
     @property
     def n_observations(self) -> int:
@@ -109,7 +105,6 @@ class IncrementalSampleState:
         "_sum_stale",
         "_singleton_sum",
         "_singleton_stale",
-        "source_sizes",
     )
 
     def __init__(self, sample: ObservedSample, attribute: str) -> None:
@@ -130,7 +125,6 @@ class IncrementalSampleState:
         self._sum_stale = False
         self._singleton_sum = sample.singleton_sum(attribute)
         self._singleton_stale = False
-        self.source_sizes: "tuple[int, ...]" = tuple(sample.source_sizes)
 
     # ------------------------------------------------------------------ #
     # Update
@@ -180,7 +174,6 @@ class IncrementalSampleState:
                     # summation order; re-sum sequentially on next read.
                     self._singleton_stale = True
             self._n += len(reobserved)
-        self.source_sizes = tuple(delta.source_sizes)
 
     # ------------------------------------------------------------------ #
     # Estimator-facing reads

@@ -686,6 +686,15 @@ class _Handler(ApiHandler):
     WAIT_VERSION_TIMEOUT = 30.0
 
     def _get_estimate(self, parts, query) -> None:
+        """The estimate of one spec, or the list of several (``?spec=`` repeated).
+
+        ``?wait_version=N`` first parks on the session's VersionGate
+        (never under its RWLock) until ``state_version`` reaches N: 304
+        with the current version on timeout, 404 if the session is
+        deleted meanwhile.  A one-spec long-poll's
+        ``X-Repro-State-Version`` is the version the read returned with
+        the payload (at least N), so the label names the answer's state.
+        """
         served = self.server.registry.get(parts[1])
         self._validated_query(
             query, {"spec", "attribute", "timeout_ms", "wait_version", "mode"}
@@ -696,9 +705,6 @@ class _Handler(ApiHandler):
         timeout = self._timeout_seconds(query)
         wait_version = self._int_param(query, "wait_version")
         if wait_version is not None:
-            # Long-poll leg of the unified freshness primitive: park on
-            # the session's VersionGate (never under its RWLock), answer
-            # once the version arrives, 304 + current version on timeout.
             reached = served.wait_for_version(
                 wait_version,
                 timeout if timeout is not None else self.WAIT_VERSION_TIMEOUT,
@@ -717,18 +723,14 @@ class _Handler(ApiHandler):
                     f"session {parts[1]!r} was removed while waiting for "
                     f"state_version {wait_version}"
                 )
-            if len(specs) == 1:
-                version, payload = served.estimate_payload_at(
-                    specs[0], attribute, timeout=timeout, mode=mode
-                )
-                self._send_json(
-                    200,
-                    payload,
-                    headers=[("X-Repro-State-Version", str(version))],
-                )
-                return
-        payloads = served.estimate_payloads(specs, attribute, timeout=timeout, mode=mode)
-        self._send_json(200, payloads[0] if len(payloads) == 1 else payloads)
+        pairs = served.estimate_payloads(specs, attribute, timeout=timeout, mode=mode)
+        if len(pairs) > 1:
+            self._send_json(200, [payload for _, payload in pairs])
+        elif wait_version is None:
+            self._send_json(200, pairs[0][1])
+        else:
+            version, payload = pairs[0]
+            self._send_json(200, payload, [("X-Repro-State-Version", str(version))])
 
     def _get_subscribe(self, parts, query) -> None:
         """Server-Sent Events: push a fresh envelope per version bump.
@@ -745,8 +747,10 @@ class _Handler(ApiHandler):
         exact bytes ``GET .../estimate`` would serve at that version --
         the byte-identity contract, extended to the push path (the push
         also warms the answer cache, so followers polling the same
-        version hit).  Versions may coalesce under write pressure: only
-        the latest state is pushed, ``id`` values are strictly
+        version hit).  Each event is one read of the served session,
+        whose ``(state_version, payload)`` pair gives ``id`` and
+        ``data`` alike.  Versions may coalesce under write pressure:
+        only the latest state is pushed, ``id`` values are strictly
         increasing, and a reconnecting client resumes with
         ``?from_version=<last id + 1>``.
         """
@@ -765,11 +769,11 @@ class _Handler(ApiHandler):
             )
             served.wait_for_version(from_version, first_wait)
 
-        # Compute the first (version, payload) pair *before* the stream
+        # Read the first (version, payload) pair *before* the stream
         # headers go out: a bad spec / attribute / mode fails the request
         # with a regular JSON error instead of dying mid-stream.
-        version, payload = served.estimate_payload_at(
-            spec, attribute, timeout=timeout, mode=mode
+        [(version, payload)] = served.estimate_payloads(
+            [spec], attribute, timeout=timeout, mode=mode
         )
 
         self._start_event_stream(version)
@@ -814,8 +818,8 @@ class _Handler(ApiHandler):
                     break
                 # No compute deadline mid-stream: a 504 cannot be sent
                 # once the event-stream headers are out.
-                version, payload = served.estimate_payload_at(
-                    spec, attribute, mode=mode
+                [(version, payload)] = served.estimate_payloads(
+                    [spec], attribute, mode=mode
                 )
         except (BrokenPipeError, ConnectionResetError):
             disconnected = True

@@ -19,13 +19,15 @@ constructed with a ``state_dir``, and then every session is one
 * the store's segment log is the session's write-ahead copy (names and
   frame flushed before the state mutates);
 * every store is seeded in ``store/.incoming-<name>/`` and renamed into
-  place, so a live name never holds a half-written store;
+  place, so a live name never holds a half-written store; a copy it
+  replaces waits in ``store/.old-<name>/`` until then;
 * a delete renames the store to ``store/.dead-<name>/`` and makes the
   rename durable before it returns;
 * :meth:`save_state` seals every store (its manifest is the
   checkpoint) and :meth:`load_state` discards every ``.incoming-*`` and
-  ``.dead-*`` and re-attaches every other store (O(1) on its mmapped
-  invariants; a small store is rebuilt from its log).
+  ``.dead-*``, puts a ``.old-<name>`` back when ``<name>`` is missing,
+  and re-attaches every store (O(1) on its mmapped invariants; a small
+  store is rebuilt from its log).
 
 A registry without a state dir keeps its sessions in
 :class:`~repro.storage.store.MemoryStore` instances -- the parity
@@ -49,6 +51,7 @@ for the same reason).
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 import os
 import re
@@ -57,7 +60,7 @@ import threading
 from pathlib import Path
 from typing import Any
 
-from repro.api.session import OpenWorldSession
+from repro.api.session import OpenWorldSession, SessionSnapshot
 from repro.data.records import Observation
 from repro.resilience.breaker import CircuitBreaker
 from repro.serving.batcher import CoalescingBatcher
@@ -109,6 +112,14 @@ def _served_payload(payload: dict[str, Any]) -> dict[str, Any]:
 
 class ServedSession:
     """One named session behind a reader/writer lock and the answer cache.
+
+    Every read -- :meth:`estimate_payloads`, :meth:`estimate_payload`,
+    :meth:`query_payload` -- takes one path, :meth:`_read`: a cache
+    lookup at the published version, and on a miss one coalesced
+    computation under the shared lock.  It returns ``(state_version,
+    payload)`` pairs whose version is the one the payload is keyed at,
+    so a long-poll or push labels its answer without reading the
+    version again.
 
     Parameters
     ----------
@@ -186,8 +197,14 @@ class ServedSession:
         Old cache entries need no explicit purge: they are keyed by the
         superseded version, unreachable from now on, and will age out of
         the LRU bound.
+
+        A session removed or replaced since the caller looked it up
+        refuses (404): its store was closed and renamed away, and an
+        append would reopen the files now at its path -- a successor's.
         """
         with self._lock.write_locked():
+            if self.retired:
+                raise UnknownSessionError(f"session {self.name!r} was removed")
             ingested = self._session.ingest(observations)
             with self._stats_lock:
                 self._ingest_requests += 1
@@ -271,7 +288,8 @@ class ServedSession:
         mode: "str | None" = None,
     ) -> dict[str, Any]:
         """The served ``estimate`` envelope (cache -> coalescer -> session)."""
-        return self.estimate_payloads([spec], attribute, timeout=timeout, mode=mode)[0]
+        [(_, payload)] = self.estimate_payloads([spec], attribute, timeout, mode=mode)
+        return payload
 
     def estimate_payloads(
         self,
@@ -280,15 +298,17 @@ class ServedSession:
         timeout: "float | None" = None,
         *,
         mode: "str | None" = None,
-    ) -> list[dict[str, Any]]:
-        """Several estimator specs against one state, fanned out as a batch.
+    ) -> "list[tuple[int, dict[str, Any]]]":
+        """``(state_version, payload)`` of several specs, fanned out as a batch.
 
-        Distinct specs run through the batcher's execution backend;
-        duplicate specs (within the batch or already in flight from other
-        requests) compute once.  ``timeout`` (seconds) bounds the whole
-        batch; expiry raises :class:`~repro.resilience.admission.
-        DeadlineExceededError` while any led computation finishes in the
-        background and still reaches the cache.
+        Each pair is exact: the payload is the answer at that version
+        (see :meth:`_read`).  Distinct specs run through the batcher's
+        execution backend; duplicate specs (within the batch or already
+        in flight from other requests) compute once.  ``timeout``
+        (seconds) bounds the whole batch; expiry raises
+        :class:`~repro.resilience.admission.DeadlineExceededError` while
+        any led computation finishes in the background and still reaches
+        the cache.
 
         ``mode`` selects the estimation path (see
         :meth:`repro.api.session.OpenWorldSession.estimate`): delta-vs-
@@ -301,100 +321,27 @@ class ServedSession:
         if mode == "delta":
             for spec in specs:
                 self._session.validate_delta(spec, attribute)
-        pairs = []
-        results: list[Any] = [None] * len(specs)
-        for index, spec in enumerate(specs):
-            spec_key = self._canonical_spec(spec)
-            key = request_key(
-                self._cache_name, self._session.state_version, "estimate", spec_key, detail
-            )
-            cached = self._cache.get(key)
-            with self._stats_lock:
-                self._read_requests += 1
-            if cached is not None:
-                results[index] = cached
-            else:
-                pairs.append(
-                    (
-                        index,
-                        key,
-                        self._estimate_computation(
-                            spec, spec_key, attribute, detail, mode
-                        ),
-                    )
-                )
-        if pairs:
-            computed = self._batcher.execute_many(
-                [(key, fn) for _, key, fn in pairs], timeout=timeout
-            )
-            for (index, _, _), payload in zip(pairs, computed):
-                results[index] = payload
-        return results
-
-    def estimate_payload_at(
-        self,
-        spec: "str | None" = None,
-        attribute: "str | None" = None,
-        timeout: "float | None" = None,
-        *,
-        mode: "str | None" = None,
-    ) -> "tuple[int, dict[str, Any]]":
-        """A consistent ``(state_version, payload)`` pair.
-
-        The subscription push path needs to label each pushed envelope
-        with the exact version it reflects.  The cached read path does
-        not expose the version it hit, so this re-reads the published
-        version around the lookup and only accepts the pair when both
-        reads agree -- versions are monotonic, so agreement means the
-        cache lookup and any computation in between were keyed at that
-        version.  Bounded retries; the race window is one ingest wide.
-        """
-        for _ in range(100):
-            before = self._gate.version
-            payload = self.estimate_payloads(
-                [spec], attribute, timeout=timeout, mode=mode
-            )[0]
-            if self._gate.version == before:
-                return before, payload
-        # Pathological write pressure: serve the freshest pair under the
-        # read lock directly (uncoalesced, but exact).
-        with self._lock.read_locked():
-            version = self._session.state_version
-            estimate = self._guarded(
-                lambda: self._session.estimate(attribute, spec, mode=mode)
-            )
-        return version, _served_payload(estimate.to_dict())
-
-    def _estimate_computation(self, spec, spec_key, attribute, detail, mode=None):
         # backend/workers overrides only apply to spec-configured
         # estimators; a session built around an estimator *instance*
         # (in-process embedding only) rejects them.
-        spec_configured = spec is not None or self._session.default_spec is not None
-
-        def compute() -> dict[str, Any]:
-            with self._lock.read_locked():
-                # Version and estimate are read under one shared-lock
-                # acquisition: ingests hold the write side, so this
-                # (version, payload) pair is consistent by construction --
-                # the invariant that makes version-keyed caching exact.
-                version = self._session.state_version
-                estimate = self._guarded(
-                    lambda: self._session.estimate(
-                        attribute,
-                        spec,
-                        backend=self._backend if spec_configured else None,
-                        workers=self._workers if spec_configured else None,
-                        mode=mode,
-                    )
-                )
-            payload = _served_payload(estimate.to_dict())
-            self._cache.put(
-                request_key(self._cache_name, version, "estimate", spec_key, detail),
-                payload,
+        configured = self._session.default_spec is not None
+        requests = [
+            (
+                "estimate",
+                self._canonical_spec(spec),
+                detail,
+                functools.partial(
+                    self._session.estimate,
+                    attribute,
+                    spec,
+                    backend=self._backend if spec is not None or configured else None,
+                    workers=self._workers if spec is not None or configured else None,
+                    mode=mode,
+                ),
             )
-            return payload
-
-        return compute
+            for spec in specs
+        ]
+        return self._read(requests, timeout)
 
     def query_payload(
         self,
@@ -406,33 +353,59 @@ class ServedSession:
         """The served ``query`` envelope, cached and coalesced like estimates."""
         if not isinstance(sql, str) or not sql.strip():
             raise ValidationError("query requires a non-empty 'sql' string")
-        spec_key = self._canonical_spec(spec)
-        detail = f"{'closed' if closed_world else 'open'}:{sql}"
-        key = request_key(
-            self._cache_name, self._session.state_version, "query", spec_key, detail
+        compute = functools.partial(
+            self._session.query, sql, spec=spec, closed_world=closed_world
         )
-        with self._stats_lock:
-            self._read_requests += 1
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
+        detail = f"{'closed' if closed_world else 'open'}:{sql}"
+        request = ("query", self._canonical_spec(spec), detail, compute)
+        return self._read([request], timeout)[0][1]
 
-        def compute() -> dict[str, Any]:
-            with self._lock.read_locked():
-                version = self._session.state_version
-                answer = self._guarded(
-                    lambda: self._session.query(
-                        sql, spec=spec, closed_world=closed_world
-                    )
-                )
-            payload = _served_payload(answer.to_dict())
-            self._cache.put(
-                request_key(self._cache_name, version, "query", spec_key, detail),
-                payload,
+    def _read(self, requests: list, timeout: "float | None") -> list:
+        """THE read path: one ``(state_version, payload)`` pair per request.
+
+        ``requests`` are ``(kind, spec key, detail, compute)`` tuples,
+        where ``compute()`` returns a result with ``to_dict()``.  Each is
+        looked up in the cache at the published version; a hit returns
+        the version its key names.  Misses go through the coalescer,
+        whose leader runs :meth:`_compute`; followers get its pair.
+        """
+        version = self._session.state_version
+        results: list[Any] = [None] * len(requests)
+        misses = []
+        for index, (kind, spec_key, detail, compute) in enumerate(requests):
+            key = request_key(self._cache_name, version, kind, spec_key, detail)
+            cached = self._cache.get(key)
+            with self._stats_lock:
+                self._read_requests += 1
+            if cached is not None:
+                results[index] = (version, cached)
+            else:
+                run = functools.partial(self._compute, kind, spec_key, detail, compute)
+                misses.append((index, key, run))
+        if misses:
+            computed = self._batcher.execute_many(
+                [(key, run) for _, key, run in misses], timeout=timeout
             )
-            return payload
+            for (index, _, _), pair in zip(misses, computed):
+                results[index] = pair
+        return results
 
-        return self._batcher.execute(key, compute, timeout=timeout)
+    def _compute(self, kind, spec_key, detail, compute) -> "tuple[int, dict[str, Any]]":
+        """A miss: version and answer read under one shared-lock acquisition.
+
+        Ingests hold the write side, so the pair is consistent by
+        construction -- the invariant that makes version-keyed caching
+        exact.  The payload is cached under the version read here, which
+        is later than the lookup's when an ingest landed in between.
+        """
+        with self._lock.read_locked():
+            version = self._session.state_version
+            answer = self._guarded(compute)
+        payload = _served_payload(answer.to_dict())
+        self._cache.put(
+            request_key(self._cache_name, version, kind, spec_key, detail), payload
+        )
+        return version, payload
 
     def _guarded(self, fn):
         """Run one estimator computation through the circuit breaker.
@@ -714,6 +687,9 @@ class SessionRegistry:
             if self._state_dir is None:
                 return self._register(name, OpenWorldSession(attribute, **config))
             incoming = self._staging_path("incoming", name)
+            # Made here, so the store does not fsync store/ for it: boot
+            # discards every .incoming-*, only the promoting rename counts.
+            incoming.mkdir()
             store = self._disk_store(incoming)
             try:
                 OpenWorldSession(attribute, store=store, **config)
@@ -758,7 +734,9 @@ class SessionRegistry:
           it (a replica catching up, or a re-push onto a stale
           leftover);
         * current session at the **same or newer** version -> no-op
-          that keeps the current instance (the idempotent-retry case).
+          that keeps the current instance (the idempotent-retry case),
+          decided from the envelope's ``state_version`` before anything
+          is seeded.
 
         Either way the returned session's ``info()['state_version']`` is
         what the caller fences on: it equals the envelope's version
@@ -771,16 +749,22 @@ class SessionRegistry:
         never acknowledged, so the sender retries them.
         """
         self._validated_name(name)
+        snapshot = SessionSnapshot.from_dict(payload)
         with self._owning(name):
+            if self._keeps_current(name, snapshot.state_version):
+                return self.get(name)
             if self._state_dir is None:
-                session = OpenWorldSession.restore(payload)
+                session = OpenWorldSession.restore(snapshot)
                 if self._keeps_current(name, session.state_version):
-                    return self.get(name)
+                    return self.get(name)  # moved on while we restored
+                if name in self.names():
+                    self._unregister(name, "old")
                 return self._register(name, session)
             incoming = self._staging_path("incoming", name)
+            incoming.mkdir()  # unsynced, as in create()
             store = self._disk_store(incoming)
             try:
-                session = OpenWorldSession.restore(payload, store=store)
+                session = OpenWorldSession.restore(snapshot, store=store)
                 store.sync()
             except BaseException:
                 store.release()
@@ -817,17 +801,13 @@ class SessionRegistry:
             return self._promote_incoming(name, incoming, session.state_version)
 
     def _keeps_current(self, name: str, version: int) -> bool:
-        """Replace-if-newer: True to keep the current ``name``, else drop it."""
+        """Replace-if-newer: True when ``name`` is at ``version`` or newer."""
         with self._lock:
             existing = self._sessions.get(name)
         if existing is None:
             return False
         with existing._lock.read_locked():
-            current_version = existing._session.state_version
-        if current_version >= version:
-            return True
-        self._discard(name)
-        return False
+            return existing._session.state_version >= version
 
     def _promote_incoming(
         self, name: str, incoming: Path, version: int
@@ -835,19 +815,25 @@ class SessionRegistry:
         """Make a fully-seeded incoming store the live one for ``name``.
 
         Every persisted create, replica push and migration ends here.
-        Replace-if-newer against any current session, then a single
-        ``os.rename`` flips the directory into place, an fsync of
-        ``store/`` makes the rename durable before the call is
-        acknowledged, and the session is re-attached from disk --
-        reopening after the rename is cheaper to reason about than
-        proving every held fd survives it.
+        Replace-if-newer against any current session (checked again
+        here: the session may have moved on while the copy was seeded).
+        A current copy that loses is moved aside to ``store/.old-<name>``
+        and kept until its successor is in place: a single ``os.rename``
+        flips the incoming directory into place, one fsync of ``store/``
+        makes both renames durable before the call is acknowledged, and
+        only then is the old copy deleted.  The session is re-attached
+        from disk -- reopening after the rename is cheaper to reason
+        about than proving every held fd survives it.
         """
         if self._keeps_current(name, version):
             shutil.rmtree(incoming, ignore_errors=True)
             return self.get(name)
+        old = self._unregister(name, "old") if name in self.names() else None
         final = self.store_path(name)
         os.rename(incoming, final)
         self._sync_store_root()
+        if old is not None:
+            shutil.rmtree(old, ignore_errors=True)
         return self._register(name, OpenWorldSession.attach(self._disk_store(final)))
 
     def _register(self, name: str, session: OpenWorldSession) -> ServedSession:
@@ -907,10 +893,18 @@ class SessionRegistry:
         hit them.
         """
         with self._owning(name):
-            self._discard(name)
+            dead = self._unregister(name, "dead")
+            if dead is not None:
+                self._sync_store_root()
+                shutil.rmtree(dead, ignore_errors=True)
 
-    def _discard(self, name: str) -> None:
-        """:meth:`remove` for a caller that already holds ``name``."""
+    def _unregister(self, name: str, kind: str) -> "Path | None":
+        """Drop ``name`` (404 when absent) for a caller that holds it.
+
+        A persisted store is closed without syncing (its files are on
+        their way out) and renamed to ``store/.<kind>-<name>``, which is
+        returned; a memory-only registry returns None.
+        """
         with self._lock:
             served = self._sessions.pop(name, None)
         if served is None:
@@ -921,16 +915,16 @@ class SessionRegistry:
         served.close_gate()
         if self._state_dir is None:
             served._session.close()
-            return
-        dead = self._staging_path("dead", name)
-        # Under the session's write lock: an in-flight ingest that
-        # grabbed the served object before the pop must not append
-        # behind the deletion.
+            return None
+        aside = self._staging_path(kind, name)
+        # Under the session's write lock: an ingest already holding it
+        # finishes first, and one that takes it later finds the session
+        # retired (see ServedSession.ingest) instead of appending behind
+        # the rename.
         with served._lock.write_locked():
             served._session.store.release()
-            os.rename(self.store_path(name), dead)
-            self._sync_store_root()
-        shutil.rmtree(dead, ignore_errors=True)
+            os.rename(self.store_path(name), aside)
+        return aside
 
     def names(self) -> list[str]:
         """Registered session names, sorted."""
@@ -982,7 +976,9 @@ class SessionRegistry:
 
         One rule: every ``store/.incoming-*`` (a create or transfer that
         was never acknowledged) and ``store/.dead-*`` (an acknowledged
-        delete) is discarded, and every other ``store/<name>/`` is
+        delete) is discarded, a ``store/.old-<name>`` (a copy being
+        replaced) goes back in place when ``<name>`` is missing and is
+        discarded otherwise, and every other ``store/<name>/`` is
         attached -- O(1) on its mmapped invariants, a small store
         rebuilt from its log, a torn tail truncated at its last clean
         frame.  A missing state dir is not an error (first boot of a
@@ -1012,11 +1008,15 @@ class SessionRegistry:
                 "wrote it and POST .../restore here"
             )
         root = directory / STORE_DIRNAME
+        for path in sorted(root.iterdir()) if root.is_dir() else ():
+            live = root / path.name.removeprefix(".old-")
+            if path != live and not live.exists():
+                os.rename(path, live)  # its successor never got in place
+            elif path.name.startswith((".incoming-", ".dead-", ".old-")):
+                shutil.rmtree(path, ignore_errors=True)
         restored = []
         for path in sorted(root.iterdir()) if root.is_dir() else ():
-            if path.name.startswith((".incoming-", ".dead-")):
-                shutil.rmtree(path, ignore_errors=True)
-            elif path.is_dir() and not path.name.startswith("."):
+            if path.is_dir() and not path.name.startswith("."):
                 session = OpenWorldSession.attach(self._disk_store(path))
                 self._register(path.name, session)
                 restored.append(path.name)

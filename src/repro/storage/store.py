@@ -499,8 +499,6 @@ class DiskStore:
         state = self._state_obj
         touched_old: dict[str, int] = {}
         sources_old: dict[str, int] = {}
-        new_entities: list[str] = []
-        new_sources: list[str] = []
         entity_names = self._entity_names
         source_names = self._source_names
         for row in range(frame.n_rows):
@@ -521,12 +519,8 @@ class DiskStore:
             obs = Observation(name, attrs, source, int(frame.sequences[row]))
             if name not in touched_old:
                 touched_old[name] = state.counts.get(name, 0)
-                if name not in state.counts:
-                    new_entities.append(name)
             if source not in sources_old:
                 sources_old[source] = state.per_source.get(source, 0)
-                if source not in state.per_source:
-                    new_sources.append(source)
             state.integrate(obs, attribute)
         self._apply_arrays(
             touched_old,

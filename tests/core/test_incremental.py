@@ -41,7 +41,6 @@ class Ledger:
         self.counts: dict[str, int] = {}
         self.values: dict[str, float] = {}
         self.version = 0
-        self.sources = [0]
 
     def commit(self, rows):
         """rows: (entity_id, value) pairs; returns the SampleDelta."""
@@ -56,13 +55,11 @@ class Ledger:
                 self.counts[entity_id] = 1
                 self.values[entity_id] = float(value)
                 appended.append((entity_id, float(value)))
-            self.sources[0] += 1
         self.version += 1
         return SampleDelta(
             version=self.version,
             appended=tuple(appended),
             reobserved=tuple(reobserved),
-            source_sizes=tuple(self.sources),
         )
 
     def batch_sample(self, attribute="v"):
@@ -81,7 +78,6 @@ class TestIncrementalSampleState:
         assert state.observed_sum() == sample.sum("v")
         assert state.singleton_sum() == sample.singleton_sum("v")
         assert state.statistics() == FrequencyStatistics.from_sample(sample)
-        assert state.source_sizes == tuple(sample.source_sizes)
 
     def test_apply_appended_and_reobserved_matches_batch(self):
         ledger = Ledger()
@@ -95,7 +91,6 @@ class TestIncrementalSampleState:
         assert state.observed_sum() == batch.sum("v")
         assert state.singleton_sum() == batch.singleton_sum("v")
         assert state.statistics() == FrequencyStatistics.from_sample(batch)
-        assert state.source_sizes == tuple(batch.source_sizes)
 
     def test_promoted_singleton_marks_stale_then_resums_exactly(self):
         ledger = Ledger()
@@ -128,7 +123,6 @@ class TestIncrementalSampleState:
             version=3,
             appended=(("x", 1.0),),
             reobserved=("a", "a", "b"),
-            source_sizes=(4,),
         )
         assert delta.n_observations == 4
 

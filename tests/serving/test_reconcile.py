@@ -2,8 +2,10 @@
 
 A state dir holds one directory per session, ``store/<name>/``, plus
 ``store/.incoming-<name>/`` (a create or transfer that was never
-acknowledged) and ``store/.dead-<name>/`` (an acknowledged delete) that
-a crash left behind.  Load discards the latter two and attaches every
+acknowledged), ``store/.dead-<name>/`` (an acknowledged delete) and
+``store/.old-<name>/`` (a copy being replaced) that a crash left
+behind.  Load discards the first two, puts an ``.old-<name>`` back when
+``<name>`` is missing and discards it otherwise, and attaches every
 store.  Earlier versions kept journals (``wal/<name>.wal``), checkpoint
 files and tombstones (``sessions/``) next to the stores; each case of
 that layout is written as the raw bytes those versions left, and load
@@ -36,7 +38,7 @@ import pytest
 from serving_helpers import SIX_ROWS, make_observations
 from repro.api.session import OpenWorldSession
 from repro.serving.http import dumps_result
-from repro.serving.registry import SessionRegistry
+from repro.serving.registry import SessionRegistry, UnknownSessionError
 from repro.storage.transfer import iter_archive
 from repro.utils.exceptions import ValidationError
 
@@ -224,6 +226,22 @@ def test_boot_discards_incoming_and_dead_stores_and_keeps_the_live_ones(tmp_path
     assert [reloaded.get(name).snapshot_payload() for name in ("a", "b")] == live
 
 
+def test_boot_puts_an_old_copy_back_only_when_its_name_is_missing(tmp_path):
+    registry = SessionRegistry(state_dir=tmp_path)
+    kept = _ingest(registry, 3, "a").snapshot_payload()
+    old = _ingest(registry, 1, "b").snapshot_payload()
+    store = tmp_path / "store"
+    # "a" was replaced and its successor renamed in; "b" was moved aside
+    # but its successor never got in place.
+    shutil.copytree(store / "b", store / ".old-a")
+    os.rename(store / "b", store / ".old-b")
+
+    reloaded = SessionRegistry(state_dir=tmp_path)
+    assert reloaded.load_state() == ["a", "b"]
+    assert sorted(path.name for path in store.iterdir()) == ["a", "b"]
+    assert [reloaded.get(name).snapshot_payload() for name in ("a", "b")] == [kept, old]
+
+
 def _archive(state_dir, count):
     """The store archive a migration source streams for ``count`` chunks."""
     served = _ingest(SessionRegistry(state_dir=state_dir), count)
@@ -315,6 +333,26 @@ def test_delete_leaves_no_trace(tmp_path, origin):
     assert dumps_result(rebooted.get("s").snapshot_payload()) == _expected_snapshot(0)
 
 
+@pytest.mark.parametrize("origin", ["replaced", "deleted"])
+def test_an_ingest_through_a_retired_session_is_refused(tmp_path, origin):
+    registry = SessionRegistry(state_dir=tmp_path)
+    stale = _ingest(registry, 1)
+    if origin == "replaced":
+        registry.restore_session("s", _snapshot(3))
+    else:
+        registry.remove("s")
+    with pytest.raises(UnknownSessionError):
+        stale.ingest(make_observations(CHUNKS[1]))
+
+    rebooted = SessionRegistry(state_dir=tmp_path)
+    if origin == "replaced":
+        assert rebooted.load_state() == ["s"]
+        snapshot = dumps_result(rebooted.get("s").snapshot_payload())
+        assert snapshot == _expected_snapshot(3)
+    else:
+        assert rebooted.load_state() == []
+
+
 class Crash(BaseException):
     """Stands in for a SIGKILL at the broken step (no handler catches it)."""
 
@@ -377,6 +415,11 @@ def replace_call(registry, tmp_path):
     return push_call(registry, tmp_path)
 
 
+def replace_by_migration_call(registry, tmp_path):
+    _ingest(registry, 1)
+    return migrate_call(registry, tmp_path)
+
+
 def delete_call(registry, tmp_path):
     _ingest(registry, 3)
     return lambda: registry.remove("s")
@@ -390,7 +433,25 @@ WINDOWS = {
     "push-after-rename": (push_call, crash_at_rename("s", done=True), 3),
     "migrate-before-rename": (migrate_call, crash_at_rename("s", done=False), None),
     "migrate-after-rename": (migrate_call, crash_at_rename("s", done=True), 3),
+    # A replaced copy waits in store/.old-s until its successor is in place.
+    "replace-before-set-aside": (
+        replace_call,
+        crash_at_rename(".old-s", done=False),
+        1,
+    ),
+    "replace-before-rename": (replace_call, crash_at_rename("s", done=False), 1),
     "replace-after-rename": (replace_call, crash_at_rename("s", done=True), 3),
+    "replace-before-rmtree": (replace_call, crash_at_rmtree(".old-s"), 3),
+    "migrate-replace-before-rename": (
+        replace_by_migration_call,
+        crash_at_rename("s", done=False),
+        1,
+    ),
+    "migrate-replace-after-rename": (
+        replace_by_migration_call,
+        crash_at_rename("s", done=True),
+        3,
+    ),
     "delete-before-rename": (delete_call, crash_at_rename(".dead-s", done=False), 3),
     "delete-before-rmtree": (delete_call, crash_at_rmtree(".dead-s"), None),
     "delete-mid-rmtree": (

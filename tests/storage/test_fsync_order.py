@@ -121,10 +121,11 @@ class TestStateDirEntries:
         registry.create("s", ATTRIBUTE, estimator=ESTIMATOR)
         store = state / "store"
         manifest = store / "s" / "manifest.json"
+        # store/.incoming-s/ is made without a sync of store/: boot
+        # discards it unless the rename to store/s/ became durable.
         assert synced == [
             inode(tmp_path),  # state/
             inode(state),  # store/
-            inode(store),  # store/.incoming-s/
             inode(manifest),
             inode(store / "s"),  # the manifest
             inode(store),  # the rename to store/s/
@@ -145,12 +146,12 @@ class TestStateDirEntries:
         registry.create("s", ATTRIBUTE, estimator=ESTIMATOR)
         store = tmp_path / "store"
         # The manifest's atomic write syncs under every policy; store/
-        # is synced for the new directory and its rename unless "never".
+        # is synced once, for the rename, unless "never".
         manifest = [inode(store / "s" / "manifest.json"), inode(store / "s")]
         if policy == "never":
             assert synced == manifest
         else:
-            assert synced == [inode(store), *manifest, inode(store)]
+            assert synced == [*manifest, inode(store)]
 
     def test_never_fsyncs_no_new_directory(self, tmp_path, synced):
         state = tmp_path / "state"
@@ -159,6 +160,31 @@ class TestStateDirEntries:
         registry.save_state()
         for directory in (tmp_path, state, state / "store"):
             assert inode(directory) not in synced
+
+    @pytest.mark.parametrize("policy", ["always", "batch", "never"])
+    def test_same_version_push_fsyncs_and_makes_nothing(
+        self, tmp_path, synced, monkeypatch, policy
+    ):
+        source = OpenWorldSession(ATTRIBUTE, estimator=ESTIMATOR)
+        for chunk in CHUNKS:
+            source.ingest(observations(chunk))
+        registry = SessionRegistry(state_dir=tmp_path, wal_fsync=policy)
+        registry.restore_session("s", source.snapshot().to_dict())
+        made: list[str] = []
+
+        def mkdir(path, *args, real=os.mkdir, **kwargs):
+            made.append(os.fspath(path))
+            return real(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "mkdir", mkdir)
+        synced.clear()
+        # Replace-if-newer keeps the copy at the envelope's version, and
+        # decides so before seeding anything.
+        kept = registry.restore_session("s", source.snapshot().to_dict())
+        assert kept.state_version == len(CHUNKS)
+        assert synced == []
+        assert made == []
+        assert [path.name for path in (tmp_path / "store").iterdir()] == ["s"]
 
     @pytest.mark.parametrize("policy", ["always", "batch", "never"])
     def test_promoted_store_is_fsynced_into_store_after_the_rename(
