@@ -50,7 +50,6 @@ QUICK_MC = {"n_runs": 2, "n_count_steps": 5}
 #: (backend, workers) matrix; serial first so it is the reference.
 FULL_MATRIX = [
     ("serial", 1),
-    ("thread", 2),
     ("process", 1),
     ("process", 2),
     ("process", 4),

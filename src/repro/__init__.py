@@ -43,9 +43,9 @@ Package layout
   the SUM upper bound and the COUNT/AVG/MIN/MAX extensions.
 * :mod:`repro.data` -- the data-integration substrate (sources, cleaning,
   lineage, the observed sample).
-* :mod:`repro.parallel` -- pluggable execution backends (serial, thread,
-  process pool with shared-memory broadcast) sharding the Monte-Carlo grid
-  and the progressive replays, with bit-identical results everywhere.
+* :mod:`repro.parallel` -- execution backends (serial, process pool)
+  sharding the Monte-Carlo grid and the progressive replays, with
+  bit-identical results everywhere.
 * :mod:`repro.query` -- a small aggregate-query engine with closed-world and
   open-world (estimator-corrected) execution.
 * :mod:`repro.serving` -- the concurrent query-serving layer

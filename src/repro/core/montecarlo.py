@@ -18,7 +18,7 @@ reports (good under streakers, overly timid when publicity is uniform).
 
 The grid search itself is *sharded*: every θ_N grid row is an independent
 task fanned out over a :mod:`repro.parallel` execution backend
-(``serial``/``thread``/``process``), each row drawing its noise from its own
+(``serial`` or ``process``), each row drawing its noise from its own
 :class:`numpy.random.SeedSequence` child keyed by the row index, so the
 estimate is bit-identical whatever backend or worker count executes it.
 """
@@ -80,14 +80,14 @@ class MonteCarloConfig:
         agree up to Monte-Carlo noise within the grid resolution.
     backend:
         Execution backend the θ_N grid rows are sharded over: one of
-        :data:`repro.parallel.BACKENDS` (``"serial"``, ``"thread"``,
-        ``"process"``), an :class:`~repro.parallel.ExecutionBackend`
-        instance, or ``None`` to follow the process-wide default
+        :data:`repro.parallel.BACKENDS` (``"serial"``, ``"process"``), an
+        :class:`~repro.parallel.ExecutionBackend` instance, or ``None`` to
+        follow the process-wide default
         (:func:`repro.parallel.set_default_backend` / ``REPRO_BACKEND``).
         The estimate is bit-identical across backends and worker counts.
     n_workers:
-        Worker count of the backend (``None``: all CPUs for thread/process
-        pools, or the configured default).
+        Worker count of the backend (``None``: all CPUs for the process
+        pool, or the configured default).
     """
 
     n_runs: int = 5
@@ -210,8 +210,8 @@ class MonteCarloEstimator(SumEstimator):
             _grid_row_divergences,
             list(zip(count_grid, row_seeds)),
             shared={
-                # Observed-side invariants of the whole grid, broadcast once
-                # (zero-copy shared-memory views on the process backend).
+                # Observed-side invariants of the whole grid (pickled with
+                # each chunk on the process backend, read-only there).
                 "observed_items": _descending_item_counts(stats),
                 "source_sizes": np.asarray(source_sizes, dtype=np.int64),
                 "lambda_grid": np.asarray(lambda_grid, dtype=float),

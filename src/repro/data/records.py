@@ -100,7 +100,8 @@ class Observation:
     sequence:
         Optional arrival index of this observation in the answer stream.
         Used by the progressive evaluation harness to replay "estimates over
-        time" experiments; ``-1`` means "unknown / not ordered".
+        time" experiments; ``-1`` means "unknown / not ordered".  It must
+        fit in a signed 64-bit integer, the width the segment log stores.
     """
 
     entity_id: str
@@ -109,10 +110,17 @@ class Observation:
     sequence: int = -1
 
     def __post_init__(self) -> None:
-        if not self.entity_id:
+        # Ids are dictionary keys of the session state and names in the
+        # segment log: a non-string id would be stored as one key and
+        # restored (from JSON or the log) as another.
+        if not isinstance(self.entity_id, str) or not self.entity_id:
             raise ValidationError("entity_id must be a non-empty string")
-        if not self.source_id:
+        if not isinstance(self.source_id, str) or not self.source_id:
             raise ValidationError("source_id must be a non-empty string")
+        if not -(2**63) <= self.sequence < 2**63:
+            raise ValidationError(
+                f"sequence must fit in a signed 64-bit integer, got {self.sequence}"
+            )
         object.__setattr__(self, "attributes", dict(self.attributes))
 
     def value(self, attribute: str) -> Any:

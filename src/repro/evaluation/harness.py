@@ -151,7 +151,7 @@ class ExperimentPlan:
         cell order.  Runs in the calling process (closures are fine).
     shared:
         Optional read-only mapping broadcast to every cell invocation
-        (numpy arrays ride shared memory on the process backend).
+        (pickled with each chunk on the process backend).
     """
 
     cells: list[Any]

@@ -17,7 +17,6 @@ from repro.parallel.backends import (
     ParallelExecutionError,
     ProcessBackend,
     SerialBackend,
-    ThreadBackend,
     default_backend,
     get_backend,
     resolve_backend,
@@ -31,7 +30,6 @@ __all__ = [
     "ExecutionBackend",
     "ParallelExecutionError",
     "SerialBackend",
-    "ThreadBackend",
     "ProcessBackend",
     "get_backend",
     "resolve_backend",

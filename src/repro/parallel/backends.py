@@ -8,27 +8,23 @@ benchmark harness's scenario sweeps -- runs through one abstraction::
     results = backend.map(fn, tasks, shared={"obs": numpy_array})
 
 ``map`` applies ``fn(task, shared)`` to every task and returns the results
-**in task order**, whatever the execution schedule was.  Three
+**in task order**, whatever the execution schedule was.  Two
 implementations cover the deployment spectrum:
 
 ``serial``
     Plain loop in the calling thread.  Zero overhead, the reference
-    semantics every other backend must reproduce bit for bit.
-``thread``
-    A persistent :class:`~concurrent.futures.ThreadPoolExecutor`.  Tasks
-    dominated by numpy kernels release the GIL for large stretches, so
-    threads overlap usefully without any serialization cost.
+    semantics the process backend must reproduce bit for bit.
 ``process``
     A persistent worker pool (:class:`~concurrent.futures.
     ProcessPoolExecutor`).  Tasks are submitted in *chunks* onto the pool's
     shared call queue, so idle workers steal the next chunk the moment they
-    finish -- dynamic load balancing without a scheduler thread.  Read-only
-    numpy invariants are broadcast through POSIX shared memory
-    (:mod:`repro.parallel.sharedmem`) instead of being pickled per chunk.
-    A crashed worker breaks the pool; the affected chunks are retried on
-    a rebuilt pool (``REPRO_PARALLEL_RETRIES`` rounds, default 1) and
-    only a repeat failure surfaces as :class:`ParallelExecutionError`
-    (never a hang).  ``KeyboardInterrupt`` tears the pool down cleanly.
+    finish -- dynamic load balancing without a scheduler thread.  The
+    ``shared`` mapping is pickled with each chunk, and its numpy arrays
+    arrive read-only.  A crashed worker breaks the pool; the affected
+    chunks are retried on a rebuilt pool (``REPRO_PARALLEL_RETRIES``
+    rounds, default 1) and only a repeat failure surfaces as
+    :class:`ParallelExecutionError` (never a hang).  ``KeyboardInterrupt``
+    tears the pool down cleanly.
 
 Determinism is the backends' contract, not an accident: tasks carry their
 own :class:`numpy.random.SeedSequence` children (see
@@ -40,7 +36,8 @@ The process-wide *default* backend (used when a
 is ``serial`` unless overridden by :func:`set_default_backend` or the
 ``REPRO_BACKEND`` / ``REPRO_WORKERS`` environment variables -- the hook the
 CI smoke job uses to re-run the whole estimator suite on the process
-backend.
+backend.  Inside a pool worker every resolution is serial (see
+:func:`resolve_backend`).
 """
 
 from __future__ import annotations
@@ -48,10 +45,9 @@ from __future__ import annotations
 import atexit
 import os
 import sys
-import threading
 from abc import ABC, abstractmethod
-from collections.abc import Callable, Iterable, Mapping, Sequence
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
+from collections.abc import Callable, Mapping, Sequence
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any
 
@@ -59,13 +55,6 @@ import multiprocessing
 
 import numpy as np
 
-from repro.parallel.sharedmem import (
-    SharedArraySpec,
-    attach_arrays,
-    close_attachments,
-    destroy_segments,
-    publish_arrays,
-)
 from repro.resilience.faults import fault_point
 from repro.utils.exceptions import ReproError, ValidationError
 
@@ -74,7 +63,6 @@ __all__ = [
     "ParallelExecutionError",
     "ExecutionBackend",
     "SerialBackend",
-    "ThreadBackend",
     "ProcessBackend",
     "get_backend",
     "resolve_backend",
@@ -84,7 +72,7 @@ __all__ = [
 ]
 
 #: Names accepted wherever a backend can be configured (specs, CLI, config).
-BACKENDS = ("serial", "thread", "process")
+BACKENDS = ("serial", "process")
 
 #: Environment variables consulted for the process-wide default backend.
 BACKEND_ENV = "REPRO_BACKEND"
@@ -101,23 +89,9 @@ RETRIES_ENV = "REPRO_PARALLEL_RETRIES"
 
 _DEFAULT_CHUNK_RETRIES = 1
 
-#: True in a process-pool worker (set by the pool initializer).  A nested
-#: fan-out layer inside a worker must not follow the inherited process-wide
-#: default onto another pool: under fork the worker even inherits the
-#: parent's cached executors, whose manager threads do not exist in the
-#: child, so a nested submit would hang forever.
+#: True in a process-pool worker (set by the pool initializer), where
+#: :func:`resolve_backend` answers serial whatever it is asked for.
 _IN_WORKER_PROCESS = False
-
-#: Same guard for thread-pool workers (per-thread: the parent thread keeps
-#: fanning out normally while worker threads run their cells serially).
-#: Submitting nested work to the *same* thread pool from inside a worker
-#: deadlocks once every worker blocks on futures only workers can run.
-_THREAD_WORKER_STATE = threading.local()
-
-
-def _in_worker() -> bool:
-    """True when the calling thread/process is a backend pool worker."""
-    return _IN_WORKER_PROCESS or getattr(_THREAD_WORKER_STATE, "active", False)
 
 
 def _process_worker_initializer() -> None:
@@ -144,7 +118,7 @@ class ParallelExecutionError(ReproError):
 class ExecutionBackend(ABC):
     """Ordered ``map`` over independent tasks, with optional shared state."""
 
-    #: Registry name of the backend ("serial", "thread", "process").
+    #: Registry name of the backend ("serial", "process").
     name: str = "abstract"
 
     def __init__(self, n_workers: int) -> None:
@@ -162,8 +136,8 @@ class ExecutionBackend(ABC):
         """Apply ``fn(task, shared)`` to every task; results in task order.
 
         ``shared`` is a read-only mapping broadcast to every invocation;
-        numpy arrays in it may be transported zero-copy (process backend),
-        so tasks must not mutate them.
+        tasks must not mutate it (the process backend hands them
+        read-only copies of its numpy arrays).
         """
 
     def close(self) -> None:
@@ -192,50 +166,8 @@ class SerialBackend(ExecutionBackend):
         return [fn(task, context) for task in tasks]
 
 
-class ThreadBackend(ExecutionBackend):
-    """Persistent thread pool; tasks share the parent's memory directly."""
-
-    name = "thread"
-
-    def __init__(self, n_workers: int) -> None:
-        super().__init__(n_workers)
-        self._executor: ThreadPoolExecutor | None = None
-
-    def _ensure_executor(self) -> ThreadPoolExecutor:
-        if self._executor is None:
-            self._executor = ThreadPoolExecutor(
-                max_workers=self.n_workers, thread_name_prefix="repro-parallel"
-            )
-        return self._executor
-
-    def map(self, fn, tasks, shared=None):
-        tasks = list(tasks)
-        if not tasks:
-            return []
-        context = dict(shared or {})
-        executor = self._ensure_executor()
-        futures = [
-            executor.submit(_run_thread_task, fn, task, context) for task in tasks
-        ]
-        return _gather(futures, on_interrupt=lambda: None)
-
-    def close(self) -> None:
-        if self._executor is not None:
-            self._executor.shutdown(wait=True, cancel_futures=True)
-            self._executor = None
-
-
-def _run_thread_task(fn, task, context):
-    """Thread-pool task wrapper: flags the worker thread for nested calls."""
-    _THREAD_WORKER_STATE.active = True
-    try:
-        return fn(task, context)
-    finally:
-        _THREAD_WORKER_STATE.active = False
-
-
 class ProcessBackend(ExecutionBackend):
-    """Persistent process pool with shared-memory broadcast and chunking.
+    """Persistent process pool with chunked dynamic dispatch.
 
     Parameters
     ----------
@@ -301,30 +233,21 @@ class ProcessBackend(ExecutionBackend):
         tasks = list(tasks)
         if not tasks:
             return []
-        plain, arrays = _split_shared(shared)
-        specs: dict[str, SharedArraySpec] = {}
-        segments: list[Any] = []
-        try:
-            if arrays:
-                specs, segments = publish_arrays(arrays)
-            chunk_size = max(
-                1, -(-len(tasks) // (self.n_workers * _CHUNKS_PER_WORKER))
-            )
-            chunks = [
-                tasks[i : i + chunk_size]
-                for i in range(0, len(tasks), chunk_size)
-            ]
-            results = self._map_chunks(fn, chunks, plain, specs)
-        finally:
-            destroy_segments(segments)
+        chunk_size = max(
+            1, -(-len(tasks) // (self.n_workers * _CHUNKS_PER_WORKER))
+        )
+        chunks = [
+            tasks[i : i + chunk_size]
+            for i in range(0, len(tasks), chunk_size)
+        ]
+        results = self._map_chunks(fn, chunks, dict(shared or {}))
         return [result for chunk in results for result in chunk]
 
     def _map_chunks(
         self,
         fn: Callable[[Any, Mapping[str, Any]], Any],
         chunks: "list[Sequence[Any]]",
-        plain: dict[str, Any],
-        specs: "Mapping[str, SharedArraySpec]",
+        shared: dict[str, Any],
     ) -> "list[list[Any]]":
         """Run every chunk, re-submitting crashed ones on a rebuilt pool.
 
@@ -351,7 +274,7 @@ class ProcessBackend(ExecutionBackend):
             try:
                 executor = self._ensure_executor()
                 futures = [
-                    (index, executor.submit(_run_chunk, fn, chunks[index], plain, specs))
+                    (index, executor.submit(_run_chunk, fn, chunks[index], shared))
                     for index in pending
                 ]
             except BrokenProcessPool as exc:
@@ -399,51 +322,17 @@ class ProcessBackend(ExecutionBackend):
             self._executor = None
 
 
-def _gather(futures: list[Future], on_interrupt: Callable[[], None]) -> list[Any]:
-    """Collect future results in submission order; cancel the rest on error.
-
-    ``KeyboardInterrupt`` (and any task failure) cancels every not-yet-run
-    future before propagating, so a Ctrl-C never leaves queued work running
-    behind the user's back.
-    """
-    try:
-        return [future.result() for future in futures]
-    except BaseException:
-        for future in futures:
-            future.cancel()
-        if isinstance(sys.exc_info()[1], KeyboardInterrupt):
-            on_interrupt()
-        raise
-
-
-def _split_shared(
-    shared: "Mapping[str, Any] | None",
-) -> tuple[dict[str, Any], dict[str, np.ndarray]]:
-    """Partition shared state into picklable plain values and numpy arrays."""
-    plain: dict[str, Any] = {}
-    arrays: dict[str, np.ndarray] = {}
-    for key, value in (shared or {}).items():
-        if isinstance(value, np.ndarray):
-            arrays[key] = value
-        else:
-            plain[key] = value
-    return plain, arrays
-
-
 def _run_chunk(
     fn: Callable[[Any, Mapping[str, Any]], Any],
     chunk: Sequence[Any],
-    plain: dict[str, Any],
-    specs: "Mapping[str, SharedArraySpec]",
+    shared: dict[str, Any],
 ) -> list[Any]:
-    """Worker-side chunk executor: attach shared views, run, detach."""
+    """Worker-side chunk executor: freeze the unpickled arrays, run the chunk."""
     fault_point("parallel.worker_entry")
-    views, handles = attach_arrays(specs)
-    try:
-        context = {**plain, **views}
-        return [fn(task, context) for task in chunk]
-    finally:
-        close_attachments(handles)
+    for value in shared.values():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+    return [fn(task, shared) for task in chunk]
 
 
 # ---------------------------------------------------------------------- #
@@ -452,7 +341,6 @@ def _run_chunk(
 
 _BACKEND_CLASSES: dict[str, type[ExecutionBackend]] = {
     "serial": SerialBackend,
-    "thread": ThreadBackend,
     "process": ProcessBackend,
 }
 
@@ -547,14 +435,16 @@ def resolve_backend(
     environment), keeping single-machine scripts, the CLI flags, and the
     CI process-backend smoke run all on one switch.
 
-    Inside a pool worker, ``None`` always resolves to serial -- the outer
-    layer already owns the parallelism, and following the inherited default
-    onto another pool would oversubscribe (threads) or deadlock on
-    fork-inherited dead executors (processes).
+    Inside a process-pool worker every backend -- the default and an
+    explicitly named one alike -- resolves to serial: the outer layer
+    already owns the parallelism, and a nested pool would oversubscribe
+    the CPUs, outlive :func:`shutdown_backends` in the parent (which
+    then hangs), or hang on the fork-inherited executors, whose manager
+    threads only live in the parent.
     """
+    if _IN_WORKER_PROCESS:
+        return get_backend("serial")
     if backend is None:
-        if _in_worker():
-            return get_backend("serial")
         default_name, default_workers = default_backend()
         return get_backend(default_name, n_workers if n_workers is not None else default_workers)
     return get_backend(backend, n_workers)

@@ -19,7 +19,7 @@ Monte-Carlo search):
 * task ``i`` builds ``default_rng(children[i])`` locally, wherever it runs.
 
 Results gathered back in task order are therefore **bit-identical** across
-the serial, thread, and process backends and across any number of workers.
+the serial and process backends and across any number of workers.
 See DESIGN.md ("Parallel execution and seed splitting") for the argument.
 """
 

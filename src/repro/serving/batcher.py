@@ -13,31 +13,30 @@ miss would run its own estimator ("cache stampede").  The
 * the **first** arrival for a key becomes its *leader* and runs the
   computation; later arrivals for the same key become *followers* and
   block on the leader's result (or exception) instead of recomputing;
-* **independent** keys submitted together (a multi-spec estimate
-  request) fan out through a :mod:`repro.parallel` execution backend.
+* the **distinct** keys a batch leads (a multi-spec estimate request)
+  run one after another on the leading thread.
 
 Coalescing is sound for exactly the reason version-keyed caching is:
 the key pins the state version, so two requests with equal keys are
 asking for a computation whose inputs are provably identical, and the
 library's estimators are deterministic functions of those inputs.
 
-The fan-out backend defaults to ``serial``; the HTTP server configures
-``thread``.  The ``process`` backend is rejected here: computations
-close over live session objects (locks, caches) that must not be
-pickled into workers -- the heavy inner Monte-Carlo grid shards over
-processes through the estimator spec instead.
+The batcher never fans its computations out.  They close over live
+session objects (locks, caches) that cannot be pickled into worker
+processes, and a thread pool was slower than the inline loop on
+multi-spec reads.  The heavy inner Monte-Carlo grid shards over
+processes through the estimator spec instead (``serve --backend
+process``).
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from collections.abc import Callable, Hashable, Mapping, Sequence
+from collections.abc import Callable, Hashable, Sequence
 from typing import Any
 
-from repro.parallel.backends import ExecutionBackend, resolve_backend
 from repro.resilience.admission import DeadlineExceededError
-from repro.utils.exceptions import ValidationError
 
 __all__ = ["CoalescingBatcher"]
 
@@ -52,9 +51,16 @@ class _Computation:
         self.result: Any = None
         self.error: "BaseException | None" = None
 
-    def finish(self, result: Any = None, error: "BaseException | None" = None) -> None:
-        self.result = result
-        self.error = error
+    def run(self, fn: Callable[[], Any]) -> None:
+        """Run ``fn`` and release the latch with its result or exception.
+
+        Every outcome lands in the latch, so a failing computation never
+        stops its siblings or strands its followers.
+        """
+        try:
+            self.result = fn()
+        except BaseException as exc:  # noqa: BLE001 - latch must always release
+            self.error = exc
         self.done.set()
 
     def wait(self, timeout: "float | None" = None) -> Any:
@@ -68,48 +74,10 @@ class _Computation:
         return self.result
 
 
-def _run_captured(task: "tuple[Callable[[], Any], _Computation]", shared: Mapping[str, Any]) -> None:
-    """Backend task wrapper: route any outcome into the computation latch.
-
-    Exceptions must never propagate through ``backend.map`` -- that would
-    cancel sibling tasks and leave their followers blocked forever.  Every
-    latch is always released exactly once.
-    """
-    fn, computation = task
-    try:
-        computation.finish(result=fn())
-    except BaseException as exc:  # noqa: BLE001 - latch must always release
-        computation.finish(error=exc)
-
-
 class CoalescingBatcher:
-    """Folds duplicate in-flight requests; fans independent ones out.
+    """Folds duplicate in-flight requests; runs the distinct ones inline."""
 
-    Parameters
-    ----------
-    backend:
-        :mod:`repro.parallel` backend name (or instance) used to fan out
-        the independent computations of one :meth:`execute_many` batch.
-        ``serial`` and ``thread`` only (see module docstring).
-    workers:
-        Worker count for the backend (default: the backend's own default).
-    """
-
-    def __init__(
-        self,
-        backend: "str | ExecutionBackend | None" = "serial",
-        workers: "int | None" = None,
-    ) -> None:
-        name = backend.name if isinstance(backend, ExecutionBackend) else backend
-        if name == "process":
-            raise ValidationError(
-                "the coalescing batcher cannot fan out over the 'process' "
-                "backend: computations hold live session state that must "
-                "not be pickled; use 'thread' (and shard the Monte-Carlo "
-                "grid over processes via the estimator spec instead)"
-            )
-        self._backend = backend
-        self._workers = workers
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._in_flight: dict[Hashable, _Computation] = {}
         self._computed = 0
@@ -135,9 +103,9 @@ class CoalescingBatcher:
 
         Within the batch (and against already in-flight requests from
         other threads) duplicate keys compute once; the distinct
-        computations this thread leads are fanned out through the
-        configured execution backend.  Any computation's exception is
-        re-raised to every requester that folded into it.
+        computations this thread leads run one after another, in
+        request order.  Any computation's exception is re-raised to
+        every requester that folded into it, and never stops a sibling.
 
         With a ``timeout`` (seconds, covering the whole batch) the led
         computations run on a detached daemon thread and the caller
@@ -150,7 +118,7 @@ class CoalescingBatcher:
         """
         if not pairs:
             return []
-        led: list[tuple[Callable[[], Any], _Computation]] = []
+        led: list[tuple[Hashable, Callable[[], Any], _Computation]] = []
         computations: list[_Computation] = []
         with self._lock:
             for key, fn in pairs:
@@ -158,7 +126,7 @@ class CoalescingBatcher:
                 if computation is None:
                     computation = _Computation()
                     self._in_flight[key] = computation
-                    led.append((fn, computation))
+                    led.append((key, fn, computation))
                     self._computed += 1
                 else:
                     self._coalesced += 1
@@ -185,29 +153,18 @@ class CoalescingBatcher:
             raise
         return results
 
-    def _run_led(self, led: "list[tuple[Callable[[], Any], _Computation]]") -> None:
-        """Run the computations this batch leads; always release the latches."""
-        try:
-            if len(led) == 1:
-                # The common single-request path avoids a backend
-                # round-trip on every cache miss.
-                _run_captured(led[0], {})
-            else:
-                backend = resolve_backend(self._backend, self._workers)
-                backend.map(_run_captured, led)
-        finally:
-            # Leaders leave the in-flight table only after their latch is
-            # released (or the fan-out itself died -- release the latches
-            # so no follower blocks forever).
+    def _run_led(
+        self, led: "list[tuple[Hashable, Callable[[], Any], _Computation]]"
+    ) -> None:
+        """Run the computations this batch leads, one after another.
+
+        A leader leaves the in-flight table only after its latch is
+        released, so every follower that found it gets its outcome.
+        """
+        for key, fn, computation in led:
+            computation.run(fn)
             with self._lock:
-                for fn, computation in led:
-                    if not computation.done.is_set():  # fan-out crashed
-                        computation.finish(
-                            error=RuntimeError("coalesced computation never ran")
-                        )
-                for key, computation in list(self._in_flight.items()):
-                    if computation.done.is_set():
-                        del self._in_flight[key]
+                del self._in_flight[key]
 
     # ------------------------------------------------------------------ #
     # Introspection

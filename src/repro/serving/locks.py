@@ -8,7 +8,7 @@ Hence *writer preference*: once a writer is waiting, newly arriving
 readers queue behind it.
 
 The implementation is the textbook condition-variable construction --
-one mutex, one condition, three counters -- rather than anything clever:
+one mutex, one condition, four counters -- rather than anything clever:
 the lock is held across estimator computations lasting milliseconds to
 seconds, so fairness and obvious correctness beat micro-optimised
 acquisition paths.
@@ -44,8 +44,18 @@ class RWLock:
     def __init__(self) -> None:
         self._cond = threading.Condition(threading.Lock())
         self._active_readers = 0
+        self._waiting_readers = 0
         self._waiting_writers = 0
         self._writer_active = False
+
+    @property
+    def waiting(self) -> int:
+        """Number of readers and writers parked until the lock frees up.
+
+        Tests wait on this count instead of sleeping.
+        """
+        with self._cond:
+            return self._waiting_readers + self._waiting_writers
 
     @contextmanager
     def read_locked(self) -> Iterator[None]:
@@ -68,8 +78,12 @@ class RWLock:
     def acquire_read(self) -> None:
         """Block until no writer is active or waiting, then enter shared."""
         with self._cond:
-            while self._writer_active or self._waiting_writers:
-                self._cond.wait()
+            self._waiting_readers += 1
+            try:
+                while self._writer_active or self._waiting_writers:
+                    self._cond.wait()
+            finally:
+                self._waiting_readers -= 1
             self._active_readers += 1
 
     def release_read(self) -> None:

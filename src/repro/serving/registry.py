@@ -299,12 +299,12 @@ class ServedSession:
         *,
         mode: "str | None" = None,
     ) -> "list[tuple[int, dict[str, Any]]]":
-        """``(state_version, payload)`` of several specs, fanned out as a batch.
+        """``(state_version, payload)`` of several specs, computed as a batch.
 
         Each pair is exact: the payload is the answer at that version
-        (see :meth:`_read`).  Distinct specs run through the batcher's
-        execution backend; duplicate specs (within the batch or already
-        in flight from other requests) compute once.  ``timeout``
+        (see :meth:`_read`).  Distinct specs compute one after another;
+        duplicate specs (within the batch or already in flight from
+        other requests) compute once.  ``timeout``
         (seconds) bounds the whole batch; expiry raises
         :class:`~repro.resilience.admission.DeadlineExceededError` while
         any led computation finishes in the background and still reaches
@@ -532,8 +532,8 @@ class SessionRegistry:
     ----------
     backend / workers:
         :mod:`repro.parallel` overrides handed to every served estimate
-        (``process`` here shards the Monte-Carlo grid; the batcher's
-        request fan-out stays on threads).
+        (``process`` here shards the Monte-Carlo grid; the batcher runs
+        each request's computations inline).
     cache_entries:
         LRU bound of the shared answer cache.
     state_dir:
@@ -567,9 +567,7 @@ class SessionRegistry:
         self._backend = backend
         self._workers = workers
         self.cache = EstimateCache(cache_entries)
-        self.batcher = CoalescingBatcher(
-            "thread" if backend == "process" else (backend or "serial"), workers
-        )
+        self.batcher = CoalescingBatcher()
         self._lock = threading.Lock()
         self._sessions: dict[str, ServedSession] = {}
         # Names whose files a create, restore or delete is working on.

@@ -153,7 +153,7 @@ class TestRuntimeMetadata:
         # (pytest --backend process), and the metadata must reflect it.
         estimate = gdp_session.estimate(spec="monte-carlo?seed=1&n_runs=2")
         payload = estimate.to_dict()
-        assert payload["runtime"]["backend"] in ("serial", "thread", "process")
+        assert payload["runtime"]["backend"] in ("serial", "process")
         assert payload["runtime"]["n_workers"] >= 1
         assert payload["runtime"]["wall_time_s"] > 0
         rebuilt = Estimate.from_dict(json.loads(json.dumps(payload, allow_nan=False)))

@@ -312,10 +312,10 @@ class TestParallelPassThrough:
     def test_passthrough_overrides_spec_parameter(self, gdp_session):
         estimate = gdp_session.estimate(
             spec="monte-carlo?seed=1&n_runs=2&backend=serial",
-            backend="thread",
+            backend="process",
             workers=2,
         )
-        assert estimate.runtime["backend"] == "thread"
+        assert estimate.runtime["backend"] == "process"
 
     def test_passthrough_ignored_by_estimators_without_backend(self, gdp_session):
         estimate = gdp_session.estimate(spec="naive", backend="process", workers=2)

@@ -299,8 +299,9 @@ class TestBackendParams:
         assert estimator.config.n_workers == config.n_workers is None
 
     def test_unknown_backend_lists_choices(self):
-        with pytest.raises(ValidationError, match="'serial', 'thread', 'process'"):
-            EstimatorSpec.parse("monte-carlo?backend=warp-drive")
+        for name in ("warp-drive", "thread"):
+            with pytest.raises(ValidationError, match="'serial', 'process'"):
+                EstimatorSpec.parse(f"monte-carlo?backend={name}")
         with pytest.raises(ValidationError, match="serial"):
             MonteCarloConfig(backend="warp-drive")
 
@@ -315,10 +316,10 @@ class TestBackendParams:
             p["name"]: p
             for p in describe_estimators("monte-carlo")["monte-carlo"]["params"]
         }
-        assert params["backend"]["choices"] == ["serial", "thread", "process"]
+        assert params["backend"]["choices"] == ["serial", "process"]
         assert params["workers"]["type"] == "int"
 
     def test_monte_carlo_bucket_accepts_backend(self):
-        estimator = build_estimator("monte-carlo-bucket?backend=thread&workers=2")
-        assert estimator.base.config.backend == "thread"
+        estimator = build_estimator("monte-carlo-bucket?backend=process&workers=2")
+        assert estimator.base.config.backend == "process"
         assert estimator.base.config.n_workers == 2

@@ -23,7 +23,7 @@ def pytest_addoption(parser: pytest.Parser) -> None:
         "--backend",
         action="store",
         default=None,
-        choices=["serial", "thread", "process"],
+        choices=["serial", "process"],
         help="run every backend-less Monte-Carlo estimate on this backend",
     )
     parser.addoption(

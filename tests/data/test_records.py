@@ -75,6 +75,22 @@ class TestObservation:
         with pytest.raises(ValidationError):
             Observation("acme", source_id="")
 
+    @pytest.mark.parametrize(
+        "fields",
+        [{"entity_id": 5}, {"entity_id": ["x"]}, {"source_id": 5}],
+        ids=["int-entity-id", "list-entity-id", "int-source-id"],
+    )
+    def test_non_string_ids_rejected(self, fields):
+        with pytest.raises(ValidationError, match="must be a non-empty string"):
+            Observation(**{"entity_id": "acme", **fields})
+
+    def test_sequence_must_fit_int64(self):
+        assert Observation("acme", sequence=2**63 - 1).sequence == 2**63 - 1
+        assert Observation("acme", sequence=-(2**63)).sequence == -(2**63)
+        for sequence in (2**63, -(2**63) - 1, 2**70):
+            with pytest.raises(ValidationError, match="64-bit"):
+                Observation("acme", sequence=sequence)
+
     def test_has_attribute(self):
         obs = Observation("acme", {"employees": 120})
         assert obs.has_attribute("employees")

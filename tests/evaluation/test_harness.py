@@ -142,8 +142,8 @@ class TestRegistry:
 class TestDeterminismMatrix:
     """Rows are bit-identical across backends and worker counts."""
 
-    #: serial vs thread vs process, each multi-worker flavour at 1 and 2.
-    MATRIX = [("serial", 1), ("thread", 1), ("thread", 2), ("process", 1), ("process", 2)]
+    #: serial vs process at 1 and 2 workers.
+    MATRIX = [("serial", 1), ("process", 1), ("process", 2)]
 
     @pytest.fixture(scope="class")
     def figure6_reference(self):

@@ -16,7 +16,6 @@ from repro.parallel import (
     ParallelExecutionError,
     ProcessBackend,
     SerialBackend,
-    ThreadBackend,
     default_backend,
     get_backend,
     resolve_backend,
@@ -65,7 +64,6 @@ def _clean_backend_state():
 def _all_backends():
     return [
         SerialBackend(),
-        ThreadBackend(2),
         ProcessBackend(1),
         ProcessBackend(2),
     ]
@@ -127,7 +125,7 @@ class TestWorkerCrash:
 
 class TestRegistry:
     def test_backend_names(self):
-        assert BACKENDS == ("serial", "thread", "process")
+        assert BACKENDS == ("serial", "process")
 
     def test_get_backend_caches_instances(self):
         assert get_backend("process", 2) is get_backend("process", 2)
@@ -138,8 +136,9 @@ class TestRegistry:
         assert get_backend(backend) is backend
 
     def test_unknown_backend_lists_choices(self):
-        with pytest.raises(ValidationError, match="serial, thread, process"):
-            get_backend("warp-drive")
+        for name in ("warp-drive", "thread"):
+            with pytest.raises(ValidationError, match="serial, process$"):
+                get_backend(name)
 
     def test_invalid_worker_count(self):
         with pytest.raises(ValidationError):
@@ -156,27 +155,31 @@ class TestRegistry:
         assert resolve_backend(None).name == "serial"
 
     def test_set_default_backend_round_trip(self):
-        previous = set_default_backend("thread", 2)
+        previous = set_default_backend("process", 2)
         try:
-            assert default_backend() == ("thread", 2)
+            assert default_backend() == ("process", 2)
             backend = resolve_backend(None)
-            assert backend.name == "thread" and backend.n_workers == 2
+            assert backend.name == "process" and backend.n_workers == 2
         finally:
             set_default_backend(*previous) if previous else set_default_backend(None)
 
     def test_env_default_backend(self, monkeypatch):
         set_default_backend(None)  # the explicit override outranks the env
-        monkeypatch.setenv("REPRO_BACKEND", "thread")
+        monkeypatch.setenv("REPRO_BACKEND", "process")
         monkeypatch.setenv("REPRO_WORKERS", "3")
-        assert default_backend() == ("thread", 3)
+        assert default_backend() == ("process", 3)
         monkeypatch.setenv("REPRO_WORKERS", "nope")
         with pytest.raises(ValidationError, match="REPRO_WORKERS"):
             default_backend()
+        monkeypatch.delenv("REPRO_WORKERS")
+        monkeypatch.setenv("REPRO_BACKEND", "thread")
+        with pytest.raises(ValidationError, match="serial, process$"):
+            default_backend()
 
     def test_shutdown_backends_clears_cache(self):
-        first = get_backend("thread", 2)
+        first = get_backend("process", 2)
         shutdown_backends()
-        assert get_backend("thread", 2) is not first
+        assert get_backend("process", 2) is not first
 
 
 def _resolve_default_name(task, shared):
@@ -185,13 +188,22 @@ def _resolve_default_name(task, shared):
     return resolve_backend(None).name
 
 
+def _resolve_named_process(task, shared):
+    from repro.parallel.backends import resolve_backend
+
+    return resolve_backend("process", 2).name
+
+
 class TestNestedResolution:
-    """Regression: a pool worker must never follow the default onto a pool.
+    """Regression: a pool worker must never open a pool of its own.
 
     Without the worker guard, a process-wide default of "process" (e.g. the
     CI smoke run or REPRO_BACKEND=process) deadlocks any nested fan-out:
     workers re-resolve the inherited default onto a fork-inherited executor
-    whose manager thread only exists in the parent.
+    whose manager thread only exists in the parent.  A backend named
+    explicitly (a spec's ``backend=process``) gets the same answer: each
+    worker would otherwise start a pool that ``shutdown_backends()`` in the
+    parent never reaches.
     """
 
     def test_process_worker_resolves_default_to_serial(self):
@@ -199,14 +211,13 @@ class TestNestedResolution:
         with ProcessBackend(2) as backend:
             assert backend.map(_resolve_default_name, [0]) == ["serial"]
 
-    def test_thread_worker_resolves_default_to_serial(self):
-        set_default_backend("thread", 2)
-        with ThreadBackend(2) as backend:
-            assert backend.map(_resolve_default_name, [0]) == ["serial"]
+    def test_process_worker_resolves_named_backend_to_serial(self):
+        with ProcessBackend(2) as backend:
+            assert backend.map(_resolve_named_process, [0, 1]) == ["serial"] * 2
 
     def test_parent_still_follows_default(self):
-        set_default_backend("thread", 2)
-        assert resolve_backend(None).name == "thread"
+        set_default_backend("process", 2)
+        assert resolve_backend(None).name == "process"
 
     def test_replay_with_process_default_completes(self):
         # The exact shape that used to hang: runner cells on the process

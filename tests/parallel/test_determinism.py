@@ -2,8 +2,8 @@
 
 The satellite contract of the parallel subsystem: the (θ_N, θ_λ) divergence
 surface, the fitted ``N̂_MC``, and the progressive replay series are
-**bit-identical** across the serial, thread, and process backends and across
-worker counts, on both the toy example and the proton-beam stand-in.
+**bit-identical** across the serial and process backends and across worker
+counts, on both the toy example and the proton-beam stand-in.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from repro.parallel import shutdown_backends
 #: The backend × worker matrix every surface must reproduce exactly.
 BACKEND_MATRIX = [
     ("serial", 1),
-    ("thread", 2),
     ("process", 1),
     ("process", 2),
     ("process", 4),
@@ -113,7 +112,7 @@ class TestReplayBitIdentity:
         assert result.runtime["wall_time_s"] > 0
 
     def test_run_all_matches_individual_runs(self):
-        runner = ProgressiveRunner(["naive"], backend="thread", n_workers=2)
+        runner = ProgressiveRunner(["naive"], backend="process", n_workers=2)
         combined = runner.run_all(
             {
                 "a": generate_proton_beam(seed=23),

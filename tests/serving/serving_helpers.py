@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -19,6 +20,14 @@ def make_observations(rows, attribute="value"):
         Observation(entity, {attribute: float(value)}, source)
         for entity, source, value in rows
     ]
+
+
+def wait_until(predicate, timeout=5.0):
+    """Poll ``predicate``, a check of some state, until it holds."""
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "the state was never reached"
+        time.sleep(0.001)
 
 
 SIX_ROWS = [
@@ -93,15 +102,17 @@ class Hop:
 
 
 @contextlib.contextmanager
-def http_hops(state_dir):
+def http_hops(state_dir, *, persisted=False):
     """The API's two HTTP hops: a lone server and a one-worker thread-mode router.
 
     Yields the ``[direct, routed]`` :class:`Hop` pair; a routed session
-    lives in the worker's registry.
+    lives in the worker's registry, which always persists.  The lone
+    server keeps its sessions in memory unless ``persisted``, when it
+    persists them under ``<state_dir>/direct``.
     """
-    server = make_server()
+    server = make_server(state_dir=str(state_dir / "direct") if persisted else None)
     router_server, router, fleet = make_cluster(
-        workers=1, state_dir=str(state_dir), mode="thread"
+        workers=1, state_dir=str(state_dir / "cluster"), mode="thread"
     )
     servers = (server, router_server)
     # A short poll interval keeps each shutdown() from waiting ~0.5 s.

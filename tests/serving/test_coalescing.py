@@ -4,10 +4,8 @@ from __future__ import annotations
 
 import threading
 
-import pytest
-
+from serving_helpers import wait_until
 from repro.serving.batcher import CoalescingBatcher
-from repro.utils.exceptions import ValidationError
 
 
 def test_single_execution_returns_result():
@@ -44,8 +42,7 @@ def test_simultaneous_identical_requests_compute_once():
     for t in followers:
         t.start()
     # Followers must be parked on the leader's latch, not computing.
-    deadline = threading.Event()
-    deadline.wait(0.05)
+    wait_until(lambda: batcher.stats()["coalesced"] == 4)
     assert len(calls) == 1
     release.set()
     leader.join(timeout=5)
@@ -66,18 +63,44 @@ def test_distinct_keys_compute_independently():
     assert stats["computed"] == 2 and stats["coalesced"] == 1
 
 
-def test_thread_backend_fans_out_a_batch():
-    batcher = CoalescingBatcher("thread", workers=2)
-    barrier = threading.Barrier(2, timeout=5)
+def test_failing_computation_leaves_its_sibling_computed():
+    """A batch runs inline: one failure neither stops nor strands a sibling."""
+    batcher = CoalescingBatcher()
+    sibling_started = threading.Event()
+    release = threading.Event()
+    leader_errors: list[BaseException] = []
+    follower_results: list[int] = []
 
-    def task(value: int):
-        def run() -> int:
-            barrier.wait()  # both must run simultaneously to pass
-            return value * 10
+    def failing() -> int:
+        raise RuntimeError("estimator blew up")
 
-        return run
+    def sibling() -> int:
+        sibling_started.set()
+        assert release.wait(timeout=5)
+        return 7
 
-    assert batcher.execute_many([("x", task(1)), ("y", task(2))]) == [10, 20]
+    def lead() -> None:
+        try:
+            batcher.execute_many([("bad", failing), ("good", sibling)])
+        except RuntimeError as exc:
+            leader_errors.append(exc)
+
+    def follow() -> None:
+        follower_results.append(batcher.execute("good", lambda: -1))
+
+    leader = threading.Thread(target=lead)
+    leader.start()
+    assert sibling_started.wait(timeout=5)  # ran after its sibling failed
+    follower = threading.Thread(target=follow)
+    follower.start()
+    wait_until(lambda: batcher.stats()["coalesced"] == 1)
+    release.set()
+    leader.join(timeout=5)
+    follower.join(timeout=5)
+    assert follower_results == [7]
+    assert [str(exc) for exc in leader_errors] == ["estimator blew up"]
+    stats = batcher.stats()
+    assert stats["computed"] == 2 and stats["in_flight"] == 0
 
 
 def test_exceptions_propagate_to_leader_and_followers():
@@ -122,8 +145,3 @@ def test_completed_keys_recompute_on_next_request():
 
 def test_empty_batch():
     assert CoalescingBatcher().execute_many([]) == []
-
-
-def test_process_backend_is_rejected():
-    with pytest.raises(ValidationError, match="process"):
-        CoalescingBatcher("process")

@@ -98,7 +98,7 @@ def adopted_session(registry, estimator, name="s"):
 
 class TestDeadlines:
     def test_timeout_ms_expiry_is_504(self, serve):
-        registry = SessionRegistry(backend="thread")
+        registry = SessionRegistry()
         estimator = BlockingEstimator()
         adopted_session(registry, estimator)
         server = serve(registry=registry)
@@ -110,7 +110,7 @@ class TestDeadlines:
             estimator.release.set()
 
     def test_abandoned_computation_still_reaches_the_cache(self, serve):
-        registry = SessionRegistry(backend="thread")
+        registry = SessionRegistry()
         estimator = BlockingEstimator()
         served = adopted_session(registry, estimator)
         server = serve(registry=registry)
@@ -143,7 +143,7 @@ class TestDeadlines:
 
 class TestAdmission:
     def test_overload_sheds_with_retry_after(self, serve):
-        registry = SessionRegistry(backend="thread")
+        registry = SessionRegistry()
         estimator = BlockingEstimator()
         adopted_session(registry, estimator)
         server = serve(registry=registry, max_inflight=1)

@@ -267,6 +267,35 @@ class TestIngestValidation:
         assert obs == Observation("a", {"value": 1.0}, "s", 7)
 
 
+#: Ingest fields that are valid JSON but no valid observation: an id that
+#: is not a string, and a sequence the segment log's int64 cannot hold.
+MALFORMED_FIELDS = {
+    "int-entity-id": {"entity_id": 5},
+    "list-entity-id": {"entity_id": ["x"]},
+    "int-source-id": {"source_id": 5},
+    "sequence-past-int64": {"sequence": 2**70},
+}
+
+
+class TestMalformedIds:
+    """Malformed ids are a 400 on both hops, whichever store holds the session."""
+
+    @pytest.mark.parametrize("store", ["memory", "disk"])
+    @pytest.mark.parametrize("field", sorted(MALFORMED_FIELDS))
+    def test_refused_before_the_state_changes(self, tmp_path, store, field):
+        item = {"entity_id": "x", "source_id": "s9", "attributes": {"value": 1.0}}
+        item.update(MALFORMED_FIELDS[field])
+        with http_hops(tmp_path, persisted=store == "disk") as hops:
+            create_and_fill(hops)
+            before = call(hops, "GET", "/sessions/s/snapshot")[1]
+            status, raw = call(
+                hops, "POST", "/sessions/s/ingest", {"observations": [item]}
+            )
+            assert status == 400, raw
+            assert json.loads(raw)["error"].startswith("observation #0 is malformed")
+            assert call(hops, "GET", "/sessions/s/snapshot")[1] == before
+
+
 class TestKeepAliveSafety:
     """Responses must not leave request-body bytes on the connection."""
 

@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import threading
-import time
 
+from serving_helpers import wait_until
 from repro.serving.locks import RWLock
 
 
@@ -47,7 +47,7 @@ def test_writer_excludes_readers_and_writers():
     w.start()
     r.start()
     writer_in.wait(timeout=5)
-    time.sleep(0.05)  # give the reader a chance to (wrongly) slip in
+    wait_until(lambda: lock.waiting == 1)  # the reader is parked
     assert log == ["w-in"]
     release_writer.set()
     w.join(timeout=5)
@@ -81,15 +81,28 @@ def test_waiting_writer_blocks_new_readers():
     first_reader_in.wait(timeout=5)
     w = threading.Thread(target=writer)
     w.start()
-    time.sleep(0.05)  # let the writer reach its wait
+    wait_until(lambda: lock.waiting == 1)  # the writer is parked
     t2 = threading.Thread(target=late_reader)
     t2.start()
-    time.sleep(0.05)
-    assert order == []  # late reader must be parked behind the writer
+    wait_until(lambda: lock.waiting == 2)  # so is the late reader
+    assert order == []
     release_first_reader.set()
     for t in (t1, w, t2):
         t.join(timeout=5)
     assert order == ["writer", "late-reader"]
+
+
+def test_waiting_counts_parked_threads_only():
+    lock = RWLock()
+    lock.acquire_read()
+    assert lock.waiting == 0  # an admitted reader is not waiting
+    writer = threading.Thread(target=lock.acquire_write)
+    writer.start()
+    wait_until(lambda: lock.waiting == 1)
+    lock.release_read()
+    writer.join(timeout=5)
+    assert lock.waiting == 0  # the writer holds the lock now
+    lock.release_write()
 
 
 def test_lock_is_reusable_after_contention():

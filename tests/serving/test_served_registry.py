@@ -9,6 +9,7 @@ import pytest
 
 from serving_helpers import SIX_ROWS, CountingEstimator, make_observations
 from repro.api.session import OpenWorldSession
+from repro.parallel import shutdown_backends
 from repro.serving.registry import (
     DuplicateSessionError,
     SessionRegistry,
@@ -225,6 +226,30 @@ class TestCoalescing:
         assert len(payloads) == 4
         assert all(p == payloads[0] for p in payloads)
         assert registry.batcher.stats()["coalesced"] >= 1
+
+    def test_process_backend_serves_two_monte_carlo_specs_then_ingests(self):
+        # Both specs shard their grid rows over the one 2-worker pool, one
+        # after the other on the reading thread; the read lock is free
+        # again afterwards, so the ingest goes through.
+        specs = [
+            "monte-carlo?n_runs=2&n_count_steps=3",
+            "monte-carlo?seed=1&n_runs=2&n_count_steps=4",
+        ]
+        _, reference = registry_with_session()
+        registry, served = registry_with_session(backend="process", workers=2)
+        try:
+            pairs = served.estimate_payloads(specs, timeout=60)
+            assert [version for version, _ in pairs] == [1, 1]
+            expected = reference.estimate_payloads(specs)
+            assert [p["corrected"] for _, p in pairs] == [
+                p["corrected"] for _, p in expected
+            ]
+            assert [p["details"]["backend"] for _, p in pairs] == ["process"] * 2
+            assert registry.batcher.stats()["computed"] == 2
+            served.ingest(make_observations([("e", "s4", 50.0)]))
+            assert served.stats()["state_version"] == 2
+        finally:
+            shutdown_backends()
 
 
 class TestStats:

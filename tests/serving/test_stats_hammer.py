@@ -46,7 +46,7 @@ def test_cache_hit_miss_counts_are_exact():
 
 
 def test_session_and_registry_counters_are_exact():
-    registry = SessionRegistry(backend="thread")
+    registry = SessionRegistry()
     served = registry.create("s", "value", estimator="bucket/frequency")
     served.ingest(make_observations(SIX_ROWS))
 
@@ -76,7 +76,7 @@ def test_session_and_registry_counters_are_exact():
 
 
 def test_segment_log_append_counters_are_exact(tmp_path):
-    registry = SessionRegistry(backend="thread", state_dir=tmp_path)
+    registry = SessionRegistry(state_dir=tmp_path)
     served = registry.create("s", "value", estimator="bucket/frequency")
 
     def worker(index):

@@ -67,6 +67,12 @@ class TestParser:
                 ["estimate", "file.csv", "--attribute", "gdp", "--estimator", "bucket?x=1"]
             )
 
+    @pytest.mark.parametrize("command", ["serve", "cluster", "experiment table2"])
+    def test_thread_backend_refused_with_the_remaining_choices(self, command, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([*command.split(), "--backend", "thread"])
+        assert "(choose from 'serial', 'process')" in capsys.readouterr().err
+
     def test_experiment_choices_cover_all_figures(self):
         expected = {
             "figure2", "figure4", "figure5a", "figure5b", "figure5c", "figure6",
