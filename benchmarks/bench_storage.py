@@ -7,16 +7,21 @@ default on the same deterministic stream, directly at the
 
 * ``ingest-*``: rows/second through ``session.ingest`` per store --
   memory, disk with the ``batch`` fsync policy (the serving default),
-  disk with ``never`` (page-cache only).
-* ``seal``: the disk-mode checkpoint (seal the active segment + write
-  the manifest) after the full stream -- O(active tail), not O(n).
+  disk with ``never`` (page-cache only).  A disk ingest writes names
+  and one frame; the disk cells include the seals the store makes
+  itself each time its active segment reaches 65,536 rows.
+* ``seal``: the disk-mode checkpoint after the full stream -- seal the
+  active segment, write the checkpoint file, replace the manifest.
+  O(active tail + c), not O(n).
 * ``attach``: the headline cell -- re-open the sealed store by reading
-  the manifest and mmapping the invariant arrays.  O(1) in session
-  size; the dict materialization the estimators need is deferred.
+  the manifest, whose checkpoint entry carries the counters, and
+  scanning the empty active segment.  O(1) in session size; the dict
+  materialization the estimators need is deferred.
 * ``checkpoint-restore``: the O(n) path attach replaces -- serialize
   the session snapshot to JSON, parse it back, rebuild a session.
-* ``first-read-materialize``: the deferred O(c) dict build the first
-  estimator-facing read pays after an attach.
+* ``first-read-materialize``: the deferred work the first
+  estimator-facing read pays after an attach -- read and CRC-check the
+  checkpoint and build the O(c) dicts (no frames follow a seal).
 * ``stream-replay``: a full pass over the segment observation reader
   (the progressive-replay surface), rows/second off disk.
 
@@ -25,7 +30,7 @@ Run standalone to emit ``BENCH_storage.json``::
     PYTHONPATH=src python benchmarks/bench_storage.py [--quick]
 
 ``--restart-check`` runs the acceptance gate instead: build a sealed
-10^6-row store and fail unless the mmap attach lands under 100 ms.
+10^6-row store and fail unless the attach lands under 100 ms.
 
 Wall times are filesystem- and machine-dependent; the committed JSON
 records ``cpu_count`` so the CI regression gate only enforces cells on
@@ -108,7 +113,7 @@ def build_sealed_store(directory: Path, rows: int, pool: int) -> None:
 
 
 def attach_seconds(directory: Path) -> "tuple[float, OpenWorldSession]":
-    """Wall time of the O(1) attach path: manifest + mmap + counters."""
+    """Wall time of the O(1) attach path: manifest + active scan + counters."""
     begin = time.perf_counter()
     store = DiskStore(directory, fsync="batch")
     session = OpenWorldSession.attach(store)
@@ -228,7 +233,7 @@ def run_restart_check(rows: int) -> int:
         if best >= RESTART_BUDGET_SECONDS:
             print("FAIL: restart latency exceeds the budget")
             return 1
-        print("OK: mmap attach is O(1) in session size")
+        print("OK: attach is O(1) in session size")
         return 0
 
 

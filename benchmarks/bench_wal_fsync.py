@@ -21,9 +21,8 @@ policy ``--wal-fsync`` sets:
 Each cell ingests the same deterministic single-observation stream
 (every observation brings a new source name) into a fresh session and
 reports ingests/second plus the relative overhead vs ``wal-off``; a
-persisted cell also records its segment log's counters.  The first 1024
-rows precede the store's invariant files, so the stream covers the acks
-of a small session and those that also update the mmapped arrays.
+persisted cell also records its segment log's counters.  An ack writes
+only the name logs and the segment, whatever the session's size.
 
 Run standalone to emit ``BENCH_wal_fsync.json``::
 

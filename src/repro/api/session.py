@@ -141,7 +141,7 @@ class SessionSnapshot:
     seed_source_sizes: tuple[int, ...]
     source_sizes: dict[str, int]
     n_ingested: int
-    state_version: int = 0
+    state_version: int
 
     def to_dict(self) -> dict[str, Any]:
         """Strict-JSON representation under the shared result envelope."""
@@ -165,16 +165,86 @@ class SessionSnapshot:
     def from_dict(cls, payload: "dict[str, Any]") -> "SessionSnapshot":
         """Rebuild a snapshot serialized with :meth:`to_dict`.
 
-        Payloads written before the ``state_version`` field existed still
-        round-trip: the version defaults to 0 (a fresh counter, exactly what
-        those sessions reported at the time).
+        Raises :class:`ValidationError` for any body :meth:`to_dict`
+        cannot write: another field set, a field of the wrong type, a
+        count below 1, ``values`` not keyed by exactly the counted
+        entities (in their order) or without a float for the session
+        attribute, or source sizes that are negative or do not sum to
+        the counts.
         """
         body = unwrap(payload, "session-snapshot")
-        body["seed_source_sizes"] = tuple(body["seed_source_sizes"])
-        body["counts"] = {k: int(v) for k, v in body["counts"].items()}
-        body.setdefault("state_version", 0)
-        body["state_version"] = int(body["state_version"])
-        return cls(**body)
+        expected = set(cls.__dataclass_fields__)
+        if set(body) != expected:
+            raise ValidationError(
+                "a session snapshot carries exactly the fields "
+                f"{', '.join(sorted(expected))}; got {', '.join(sorted(body))}"
+            )
+        for name in ("attribute", "table_name", "estimator", "count_method"):
+            if not isinstance(body[name], str):
+                raise ValidationError(f"snapshot field {name!r} must be a string")
+        counts = _checked_mapping(body, "counts", minimum=1)
+        sizes = _checked_mapping(body, "source_sizes", minimum=0)
+        seed_sizes = body["seed_source_sizes"]
+        if not isinstance(seed_sizes, list) or not all(
+            type(size) is int and size >= 0 for size in seed_sizes
+        ):
+            raise ValidationError(
+                "snapshot field 'seed_source_sizes' must be a list of "
+                "non-negative integers"
+            )
+        if sum(seed_sizes) + sum(sizes.values()) != sum(counts.values()):
+            raise ValidationError(
+                "snapshot source sizes must sum to the sum of counts "
+                f"({sum(seed_sizes) + sum(sizes.values())} != "
+                f"{sum(counts.values())})"
+            )
+        for name in ("n_ingested", "state_version"):
+            if type(body[name]) is not int or body[name] < 0:
+                raise ValidationError(
+                    f"snapshot field {name!r} must be a non-negative integer"
+                )
+        attribute = body["attribute"]
+        values = body["values"]
+        if not isinstance(values, dict) or list(values) != list(counts):
+            raise ValidationError(
+                "snapshot values must be keyed by exactly the counted "
+                "entities, in their order"
+            )
+        for entity, entry in values.items():
+            if (
+                not isinstance(entry, dict)
+                or attribute not in entry
+                or not all(isinstance(value, float) for value in entry.values())
+            ):
+                raise ValidationError(
+                    f"snapshot values of entity {entity!r} must map attribute "
+                    f"names to floats, {attribute!r} included"
+                )
+        return cls(
+            attribute=attribute,
+            table_name=body["table_name"],
+            estimator=body["estimator"],
+            count_method=body["count_method"],
+            counts=counts,
+            values=values,
+            seed_source_sizes=tuple(seed_sizes),
+            source_sizes=sizes,
+            n_ingested=body["n_ingested"],
+            state_version=body["state_version"],
+        )
+
+
+def _checked_mapping(body: "dict[str, Any]", name: str, *, minimum: int) -> "dict[str, int]":
+    """``body[name]`` as a mapping of names to integers of at least ``minimum``."""
+    mapping = body[name]
+    if not isinstance(mapping, dict) or not all(
+        type(value) is int and value >= minimum for value in mapping.values()
+    ):
+        raise ValidationError(
+            f"snapshot field {name!r} must map names to integers of at "
+            f"least {minimum}"
+        )
+    return mapping
 
 
 class OpenWorldSession:
@@ -198,8 +268,8 @@ class OpenWorldSession:
         Session state store.  Defaults to an in-memory
         :class:`~repro.storage.store.MemoryStore`; pass a
         :class:`~repro.storage.store.DiskStore` to persist every ingest
-        chunk in the append-only segment log and keep the aggregate
-        invariants in memory-mapped files, so a restart re-attaches in
+        chunk in the append-only segment log, whose seals write the
+        aggregate state as a checkpoint, so a restart re-attaches in
         O(1) instead of replaying or parsing the whole sample.  Every
         read surface is byte-identical across stores.
 
@@ -466,8 +536,8 @@ class OpenWorldSession:
         if chunk:
             # Commit pass: cannot fail on session state.  A disk store
             # makes the chunk durable (names + segment frame) before
-            # integrating and before the invariant arrays absorb it --
-            # its internal ordering, see repro.storage.store.
+            # integrating it -- its internal ordering, see
+            # repro.storage.store.
             self._store.apply_chunk(
                 chunk,
                 attribute,
@@ -809,7 +879,7 @@ class OpenWorldSession:
         return session
 
     def close(self) -> None:
-        """Release store resources (file handles, mmaps); memory is a no-op."""
+        """Release store resources (file handles); memory is a no-op."""
         self._store.close()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -207,9 +207,10 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "directory for session persistence: every session keeps its "
-            "observations in a columnar segment log with mmap'd invariants "
-            "there, re-attached on startup and sealed on graceful shutdown "
-            "(default: sessions live in memory only)"
+            "observations in a columnar segment log there, whose seals "
+            "write a checkpoint of the aggregate state; re-attached on "
+            "startup and sealed on graceful shutdown (default: sessions "
+            "live in memory only)"
         ),
     )
     serve.add_argument(

@@ -143,13 +143,19 @@ def observations_from_json(items: Any) -> list[Observation]:
             raise ValidationError(
                 f"observation #{index} has unknown fields: {', '.join(sorted(unknown))}"
             )
+        sequence = item.get("sequence", -1)
+        if type(sequence) is not int:  # bool is an int subclass: refused too
+            raise ValidationError(
+                f"observation #{index} is malformed: sequence must be an "
+                f"integer, got {sequence!r}"
+            )
         try:
             observations.append(
                 Observation(
                     entity_id=item.get("entity_id", ""),
                     attributes=item.get("attributes", {}),
                     source_id=item.get("source_id", "unknown"),
-                    sequence=int(item.get("sequence", -1)),
+                    sequence=sequence,
                 )
             )
         except (TypeError, ValueError) as exc:

@@ -23,11 +23,12 @@ constructed with a ``state_dir``, and then every session is one
   replaces waits in ``store/.old-<name>/`` until then;
 * a delete renames the store to ``store/.dead-<name>/`` and makes the
   rename durable before it returns;
-* :meth:`save_state` seals every store (its manifest is the
-  checkpoint) and :meth:`load_state` discards every ``.incoming-*`` and
-  ``.dead-*``, puts a ``.old-<name>`` back when ``<name>`` is missing,
-  and re-attaches every store (O(1) on its mmapped invariants; a small
-  store is rebuilt from its log).
+* :meth:`save_state` seals every store (its checkpoint file and the
+  manifest that names it) and :meth:`load_state` discards every
+  ``.incoming-*`` and ``.dead-*``, puts a ``.old-<name>`` back when
+  ``<name>`` is missing, and re-attaches every store (O(1): the
+  manifest names the checkpoint the last seal wrote, and the frames
+  past it fold at the first read).
 
 A registry without a state dir keeps its sessions in
 :class:`~repro.storage.store.MemoryStore` instances -- the parity
@@ -439,9 +440,9 @@ class ServedSession:
     # ------------------------------------------------------------------ #
 
     def seal_store(self) -> None:
-        """Seal the disk store's active segment (the checkpoint).
+        """Seal the disk store's active segment and write its checkpoint.
 
-        Under the write lock, so the manifest records an exact version;
+        Under the write lock, so the checkpoint records an exact version;
         a store with nothing to seal writes nothing.
         """
         with self._lock.write_locked():
@@ -959,10 +960,10 @@ class SessionRegistry:
     def save_state(self) -> Path:
         """Checkpoint every session by sealing its store.
 
-        The seal's manifest write (scratch, fsync, ``os.replace``,
-        directory fsync) is the checkpoint; a store with nothing new
-        since its last seal writes nothing.  Returns the ``store/``
-        directory.
+        The seal's checkpoint file and the manifest write that names it
+        (scratch, fsync, ``os.replace``, directory fsync) are the
+        checkpoint; a store with nothing new since its last seal writes
+        nothing.  Returns the ``store/`` directory.
         """
         root = self._persisted_dir() / STORE_DIRNAME
         for served in self.sessions():
@@ -977,9 +978,9 @@ class SessionRegistry:
         delete) is discarded, a ``store/.old-<name>`` (a copy being
         replaced) goes back in place when ``<name>`` is missing and is
         discarded otherwise, and every other ``store/<name>/`` is
-        attached -- O(1) on its mmapped invariants, a small store
-        rebuilt from its log, a torn tail truncated at its last clean
-        frame.  A missing state dir is not an error (first boot of a
+        attached -- O(1) on the checkpoint its manifest names, the
+        frames past it folded at the first read, a torn tail truncated
+        at its last clean frame.  A missing state dir is not an error (first boot of a
         fresh ``--state-dir``); one that still holds an earlier
         version's ``wal/`` or ``sessions/`` is refused before anything
         in it is touched.

@@ -1,14 +1,13 @@
-"""Per-session disk storage: segment log, name dictionaries, invariants.
+"""Per-session disk storage: segment log, name dictionaries, checkpoint.
 
 The package behind ``OpenWorldSession(store=...)`` and every session of
 ``repro.cli serve --state-dir``: an append-only columnar segment log for
-observations, memory-mapped persistent invariants for O(1) restart, and
-streaming readers for progressive replay.  See DESIGN.md ("Storage
-layer") for the format specification and the crash-consistency
-argument.
+observations (the only thing an ingest writes), a checkpoint of the
+aggregate state that each seal writes for O(1) restart, and streaming
+readers for progressive replay.  See DESIGN.md ("Storage layer") for
+the format specification and the crash-consistency argument.
 """
 
-from repro.storage.invariants import InvariantStore
 from repro.storage.layout import (
     MANIFEST_NAME,
     MANIFEST_SCHEMA,
@@ -45,7 +44,6 @@ __all__ = [
     "FRAME_OBSERVATIONS",
     "FRAME_SEED",
     "Frame",
-    "InvariantStore",
     "MANIFEST_NAME",
     "MANIFEST_SCHEMA",
     "MemoryStore",

@@ -9,21 +9,23 @@ A disk-backed session lives in one flat directory::
         ...
         entities.dat           # first-seen-order name dictionaries
         sources.dat            #   (repro.storage.names)
-        meta.bin               # mmapped aggregate state and arrays
-        counts.u64  values.f64  sources.u64  freq.u64
-                               #   (only once the log holds 1024 rows)
+        checkpoint.bin         # aggregate state at the last seal
+                               #   (repro.storage.checkpoint)
 
 No subdirectories: a new session creates its store on the serving
-path, and a directory costs as much to create as a file.
+path, and a directory costs as much to create as a file.  An ingest
+writes only the two name logs and ``active.seg``.
 
-``manifest.json`` is the only file replaced in place (scratch + fsync +
-``os.replace`` + directory fsync) and is the session's checkpoint.  It
-records the session config (attribute, table name, default estimator
-spec, count method), the seeded source sizes, the sealed-segment list
-with per-file (frames, rows, bytes, crc32), and the counters at the
-last seal.  Everything the manifest does not cover is recovered from
-the active segment's clean tail -- so a crash at *any* instruction
-between two manifest writes loses nothing durable.
+``manifest.json`` is the only file replaced atomically (scratch + fsync
++ ``os.replace`` + directory fsync) and is the session's checkpoint
+record.  It records the session config (attribute, table name, default
+estimator spec, count method), the seeded source sizes, the
+sealed-segment list with per-file (frames, rows, bytes, crc32), the
+counters at its write, and the checkpoint file the last seal wrote
+(its bytes, crc32, state version, entity and source counts).
+Everything past the checkpoint is recovered from the segments it does
+not cover -- so a crash at *any* instruction between two manifest
+writes loses nothing durable.
 
 Sealed segments that a crash orphaned (renamed before the manifest
 write -- the ``storage.after_seal`` window) are adopted by scanning the
@@ -59,9 +61,10 @@ FSYNC_POLICIES = ("always", "batch", "never")
 DEFAULT_BATCH_EVERY = 32
 
 MANIFEST_NAME = "manifest.json"
-#: v1 kept segments, names and invariants in subdirectories; its stores
-#: are refused rather than read.
-MANIFEST_SCHEMA = "repro.storage/v2"
+#: v1 kept segments, names and per-ack arrays in subdirectories, v2 kept
+#: the per-ack arrays beside the log; their stores are refused rather
+#: than read.
+MANIFEST_SCHEMA = "repro.storage/v3"
 
 
 class StorageError(ReproError):
@@ -125,6 +128,10 @@ class StoreLayout:
     def sources_path(self) -> Path:
         return self.directory / "sources.dat"
 
+    @property
+    def checkpoint_path(self) -> Path:
+        return self.directory / "checkpoint.bin"
+
     def exists(self) -> bool:
         """True when the directory holds an initialized store (a manifest)."""
         return self.manifest_path.is_file()
@@ -161,6 +168,7 @@ class StoreLayout:
         state_version: int,
         n: int,
         n_ingested: int,
+        checkpoint: "dict[str, Any] | None",
     ) -> "dict[str, Any]":
         payload = {
             "schema": MANIFEST_SCHEMA,
@@ -170,6 +178,7 @@ class StoreLayout:
             "state_version": int(state_version),
             "n": int(n),
             "n_ingested": int(n_ingested),
+            "checkpoint": checkpoint,
         }
         write_json_atomic(self.manifest_path, payload)
         return payload

@@ -33,7 +33,7 @@ renames it to ``seg-<index>.seg`` (immutable from then on), fsyncs the
 directory, and hands the sealed entry to the manifest.
 The ``storage.before_seal`` / ``storage.after_seal`` fault points
 bracket the rename; ``storage.after_frame`` fires after a frame is
-flushed but before the invariant arrays absorb it.
+flushed but before the store's in-memory state absorbs it.
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ from typing import Any
 
 import numpy as np
 
+from repro.data.records import Observation
 from repro.resilience.faults import fault_point
 from repro.storage.layout import DEFAULT_BATCH_EVERY, FSYNC_POLICIES, fsync_directory
 from repro.utils.exceptions import ReproError, ValidationError
@@ -60,6 +61,7 @@ __all__ = [
     "SegmentLog",
     "encode_frame",
     "encode_seed_frame",
+    "frame_observation",
     "scan_frames",
     "read_frames",
     "segment_name",
@@ -127,6 +129,26 @@ class Frame:
     @property
     def n_rows(self) -> int:
         return int(self.entity_idx.shape[0])
+
+
+def frame_observation(
+    frame: Frame,
+    row: int,
+    entity_names: "list[str]",
+    source_names: "list[str]",
+    attribute: str,
+) -> Observation:
+    """Row ``row`` of an observation frame, its indices resolved to names."""
+    if frame.flags[row] & FLAG_HAS_VALUE:
+        attributes = {attribute: float(frame.values[row])}
+    else:
+        attributes = {}
+    return Observation(
+        entity_names[int(frame.entity_idx[row])],
+        attributes,
+        source_names[int(frame.source_idx[row])],
+        int(frame.sequences[row]),
+    )
 
 
 def encode_frame(
@@ -322,7 +344,7 @@ class SegmentLog:
         nothing; the fsync policy decides power-loss durability
         (``sync=None`` asks :meth:`sync_due`).
         ``storage.after_frame`` fires once the frame is out of user
-        space but before the invariant arrays absorb it.
+        space but before the store's in-memory state absorbs it.
         """
         if sync is None:
             sync = self.sync_due()
@@ -433,6 +455,11 @@ class SegmentLog:
     def active_rows(self) -> int:
         """Rows currently in the active (unsealed) segment."""
         return self._active_rows
+
+    @property
+    def active_frames(self) -> int:
+        """Frames currently in the active segment (a seed frame has no rows)."""
+        return self._active_frames
 
     def stats(self) -> "dict[str, Any]":
         """Counters for ``/stats``: appends, fsyncs, active-segment shape."""

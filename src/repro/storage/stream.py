@@ -2,12 +2,15 @@
 
 :class:`SegmentObservationReader` is a lazy ``Sequence[Observation]``
 over every row persisted at construction time, in ingest order.  It is
-what lets :class:`~repro.data.progressive.ProgressiveIntegrator` (and
-the :class:`~repro.evaluation.runner.ProgressiveRunner` built on it)
-replay *prefixes* of a stored session straight from disk: the
-integrator only ever asks for ``len(reader)`` and ``reader[index]``, so
-a progressive sweep touches one decoded segment at a time instead of
-materializing the full observation list.
+what lets :class:`~repro.data.progressive.ProgressiveIntegrator` replay
+*prefixes* of a stored session straight from disk: the integrator only
+ever asks for ``len(reader)`` and ``reader[index]``, so a progressive
+sweep touches one decoded segment at a time instead of materializing
+the full observation list.  (:class:`~repro.evaluation.runner.
+ProgressiveRunner` is not built on the integrator: it ingests each
+prefix's new slice through an :class:`~repro.api.session.
+OpenWorldSession`.)  Rows decode through the helper the disk store's
+fold uses, :func:`~repro.storage.segments.frame_observation`.
 
 The reader snapshots the store's shape (sealed segment list plus the
 active segment's current byte length) when built; segments are
@@ -24,10 +27,10 @@ from collections.abc import Sequence
 from pathlib import Path
 from typing import Any
 
-from repro.data.records import Observation
 from repro.storage.segments import (
     FRAME_OBSERVATIONS,
     Frame,
+    frame_observation,
     read_frames,
     scan_frames,
 )
@@ -74,8 +77,13 @@ class SegmentObservationReader(Sequence):
         frames, offsets = self._frames_for(segment)
         local = index - self._row_starts[segment]
         frame_i = bisect_right(offsets, local) - 1
-        frame = frames[frame_i]
-        return self._observation(frame, local - offsets[frame_i])
+        return frame_observation(
+            frames[frame_i],
+            local - offsets[frame_i],
+            self._entity_names,
+            self._source_names,
+            self._attribute,
+        )
 
     def _frames_for(self, segment: int) -> "tuple[list[Frame], list[int]]":
         if segment == self._cached_index:
@@ -92,18 +100,6 @@ class SegmentObservationReader(Sequence):
         self._cached_frames = frames
         self._cached_offsets = offsets
         return frames, offsets
-
-    def _observation(self, frame: Frame, row: int) -> Observation:
-        if frame.flags[row] & 1:
-            attributes = {self._attribute: float(frame.values[row])}
-        else:
-            attributes = {}
-        return Observation(
-            self._entity_names[int(frame.entity_idx[row])],
-            attributes,
-            self._source_names[int(frame.source_idx[row])],
-            int(frame.sequences[row]),
-        )
 
 
 def _decode_segment(path: Path, byte_limit: "int | None") -> "list[Frame]":

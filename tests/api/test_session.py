@@ -211,6 +211,33 @@ class TestSnapshotRestore:
         rebuilt = SessionSnapshot.from_dict(payload)
         assert rebuilt == session.snapshot()
 
+    @pytest.mark.parametrize("kind", ["ingested", "empty", "from-sample"])
+    def test_every_written_envelope_round_trips(self, kind):
+        if kind == "from-sample":
+            dataset = load_dataset("us-gdp")
+            session = OpenWorldSession.from_sample(dataset.sample(), dataset.attribute)
+        else:
+            session = OpenWorldSession("x")
+        if kind == "ingested":
+            session.ingest(
+                [
+                    Observation("a", {"x": 1.5}, "s1"),
+                    Observation("a", {}, "s2"),
+                    Observation("b", {"x": float("inf")}, "s2"),
+                ]
+            )
+        payload = json.loads(json.dumps(session.snapshot().to_dict(), allow_nan=False))
+        assert SessionSnapshot.from_dict(payload) == session.snapshot()
+        assert OpenWorldSession.restore(payload).snapshot() == session.snapshot()
+
+    def test_values_without_the_session_attribute_are_refused(self):
+        session = OpenWorldSession("x")
+        session.ingest(Observation("a", {"x": 1.5}, "s1"))
+        payload = session.snapshot().to_dict()
+        payload["values"]["a"] = {"y": 1.5}
+        with pytest.raises(ValidationError, match="'x' included"):
+            SessionSnapshot.from_dict(payload)
+
     def test_snapshot_of_instance_configured_session_rejected(self):
         from repro.core.naive import NaiveEstimator
 
@@ -376,16 +403,13 @@ class TestStateVersion:
         restored.ingest(Observation("d", {"value": 4.0}, "s2"))
         assert restored.state_version == 3
 
-    def test_old_snapshot_payloads_without_version_round_trip(self):
+    def test_snapshot_payloads_without_version_are_refused(self):
         session = OpenWorldSession("value")
         session.ingest(self.observations())
         payload = session.snapshot().to_dict()
-        del payload["state_version"]  # a pre-serving payload
-        snapshot = SessionSnapshot.from_dict(payload)
-        assert snapshot.state_version == 0
-        restored = OpenWorldSession.restore(snapshot)
-        assert restored.n == session.n
-        assert restored.state_version == 0
+        del payload["state_version"]  # what no snapshot() writes
+        with pytest.raises(ValidationError, match="exactly the fields"):
+            SessionSnapshot.from_dict(payload)
 
 
 class TestEstimatorCacheBound:

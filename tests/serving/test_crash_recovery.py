@@ -287,8 +287,8 @@ def test_deleted_session_leaves_only_the_store_dir(tmp_path):
 def test_torn_wal_tail_is_survived(tmp_path):
     """Tear the segment log mid-frame, as a power loss would; the tail
     chunk is lost cleanly, resent by the client, and the result is still
-    bit-exact.  (A session this small keeps no invariant files, so the
-    log alone is recovered.)"""
+    bit-exact.  (The session never sealed, so it has no checkpoint and
+    the log alone is recovered.)"""
     state = tmp_path / "state"
     server = ServerProcess(state)
     try:
@@ -298,7 +298,7 @@ def test_torn_wal_tail_is_survived(tmp_path):
     finally:
         server.kill()
     store = state / "store" / "s"
-    assert not (store / "meta.bin").exists()
+    assert not (store / "checkpoint.bin").exists()
     active = store / "active.seg"
     active.write_bytes(active.read_bytes()[:-7])  # tear the last frame
     facade = never_crashed_facade()

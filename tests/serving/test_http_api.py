@@ -274,11 +274,16 @@ MALFORMED_FIELDS = {
     "list-entity-id": {"entity_id": ["x"]},
     "int-source-id": {"source_id": 5},
     "sequence-past-int64": {"sequence": 2**70},
+    "float-sequence": {"sequence": 3.7},
+    "integral-float-sequence": {"sequence": 2.0},
+    "string-sequence": {"sequence": "7"},
+    "bool-sequence": {"sequence": True},
 }
 
 
 class TestMalformedIds:
-    """Malformed ids are a 400 on both hops, whichever store holds the session."""
+    """Malformed ids and sequences are a 400 on both hops, whichever store
+    holds the session."""
 
     @pytest.mark.parametrize("store", ["memory", "disk"])
     @pytest.mark.parametrize("field", sorted(MALFORMED_FIELDS))
@@ -294,6 +299,45 @@ class TestMalformedIds:
             assert status == 400, raw
             assert json.loads(raw)["error"].startswith("observation #0 is malformed")
             assert call(hops, "GET", "/sessions/s/snapshot")[1] == before
+
+
+def _first_entity(body):
+    return next(iter(body["counts"]))
+
+
+#: Snapshot envelopes no session writes, each made from a real one.
+MALFORMED_SNAPSHOTS = {
+    "missing-counts": lambda body: body.pop("counts"),
+    "unknown-field": lambda body: body.update(extra=1),
+    "string-count": lambda body: body["counts"].update({_first_entity(body): "x"}),
+    "negative-count": lambda body: body["counts"].update({_first_entity(body): -1}),
+    "values-lack-a-counted-entity": lambda body: body["values"].pop(
+        _first_entity(body)
+    ),
+    "value-not-a-number": lambda body: body["values"].update(
+        {_first_entity(body): {"value": "x"}}
+    ),
+    "sizes-do-not-sum-to-counts": lambda body: body["source_sizes"].update(
+        extra_source=1
+    ),
+    "negative-seed-size": lambda body: body.update(seed_source_sizes=[-1, 1]),
+    "missing-state-version": lambda body: body.pop("state_version"),
+}
+
+
+class TestMalformedSnapshots:
+    """A restore body no snapshot writes is a 400 that registers nothing."""
+
+    @pytest.mark.parametrize("store", ["memory", "disk"])
+    @pytest.mark.parametrize("case", sorted(MALFORMED_SNAPSHOTS))
+    def test_refused_and_not_registered(self, tmp_path, store, case):
+        with http_hops(tmp_path, persisted=store == "disk") as hops:
+            create_and_fill(hops)
+            body = json.loads(call(hops, "GET", "/sessions/s/snapshot")[1])
+            MALFORMED_SNAPSHOTS[case](body)
+            status, raw = call(hops, "POST", "/sessions/r/restore", body)
+            assert status == 400, raw
+            assert call(hops, "GET", "/sessions/r")[0] == 404
 
 
 class TestKeepAliveSafety:

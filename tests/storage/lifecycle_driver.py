@@ -2,11 +2,13 @@
 
 Run as a script (the test arms ``REPRO_FAULTS`` in the environment)::
 
-    python lifecycle_driver.py <state_dir>
+    python lifecycle_driver.py <state_dir> [<seal_rows>]
 
 Boots a :class:`~repro.serving.registry.SessionRegistry` on
 ``state_dir``, creates one session, ingests ``N_CHUNKS`` deterministic
 chunks (~10^5 observations total), and checkpoints via ``save_state``.
+``seal_rows`` replaces the store's ``SEAL_ROWS``, so a low value makes
+the store seal itself every few chunks.
 An armed fault SIGKILLs the process somewhere along the way; the test
 re-opens the registry, reconciles like a retrying client, and compares
 every surface byte-for-byte against a never-crashed in-memory facade.
@@ -53,6 +55,10 @@ def observations(index):
 def main() -> int:
     state_dir = sys.argv[1]
     from repro.serving.registry import SessionRegistry
+    from repro.storage import store
+
+    if len(sys.argv) > 2:
+        store.SEAL_ROWS = int(sys.argv[2])
 
     registry = SessionRegistry(state_dir=state_dir, wal_fsync="batch")
     registry.load_state()

@@ -26,9 +26,14 @@ CHUNKS = [
 
 
 @pytest.fixture
-def eager_invariants(monkeypatch):
-    """Invariant files from the first row: the array path on tiny streams."""
-    monkeypatch.setattr(store_module, "_INVARIANT_ROWS", 0)
+def early_seals(monkeypatch):
+    """Stores seal themselves mid-stream: a checkpoint plus a tail on tiny streams.
+
+    Every chunk of :data:`CHUNKS` after the first finds at least two rows
+    in the active segment, so ingesting them all leaves the checkpoint
+    at version 3 and the last chunk in ``active.seg``.
+    """
+    monkeypatch.setattr(store_module, "SEAL_ROWS", 2)
 
 
 def observations(rows):
@@ -65,6 +70,7 @@ def surface_bytes(session):
         "estimate_naive": dumps_result(session.estimate(spec="naive").to_dict()),
         "query": dumps_result(session.query(SQL).to_dict()),
         "snapshot": dumps_result(session.snapshot().to_dict()),
+        "statistics": dumps_result(sorted(session.statistics().frequencies.items())),
     }
 
 

@@ -9,18 +9,22 @@ past the recovered ``state_version``), and then serve **byte-identical**
 estimate and snapshot payloads to an in-memory facade registry that
 ingested the same stream without ever crashing.
 
-Windows under test:
+Windows under test, each with the store's own ``SEAL_ROWS`` (the
+first seal comes from the ingest that finds 65,536 rows in the active
+segment) and with a threshold low enough to seal every ten chunks:
 
 ``storage.after_frame``
-    Dies mid-ingest: the frame is durable, the invariant arrays never
-    absorbed it.  Attach replays the segment tail, so the chunk counts
-    as acknowledged-and-kept and must **not** be resent.
+    Dies mid-ingest: the frame is durable, the in-memory state never
+    absorbed it.  Attach folds the segment tail onto the checkpoint (if
+    a seal wrote one), so the chunk counts as acknowledged-and-kept and
+    must **not** be resent.
 ``storage.before_seal``
-    Dies inside the checkpoint before the active segment is renamed:
-    every frame still sits in ``active.seg``.
+    Dies inside the first seal before the active segment is renamed:
+    every frame since the last seal still sits in ``active.seg``.
 ``storage.after_seal``
-    Dies after the rename but before the manifest write: the sealed
-    segment is an *orphan* the next attach adopts by directory scan.
+    Dies after the rename but before the checkpoint and manifest
+    writes: the sealed segment is an *orphan* the next attach adopts by
+    directory scan.
 """
 
 from __future__ import annotations
@@ -36,20 +40,24 @@ import pytest
 import lifecycle_driver as driver
 from repro.serving.http import dumps_result
 from repro.serving.registry import SessionRegistry
-from storage_helpers import eager_invariants  # noqa: F401 - a fixture
+from storage_helpers import early_seals  # noqa: F401 - a fixture
 
 DRIVER = Path(driver.__file__).resolve()
 
 
-def run_driver_until_killed(state_dir, faults):
+def run_driver_until_killed(state_dir, faults, seal_rows=None):
+    """Run the driver to its armed SIGKILL; returns the chunks it acknowledged."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (os.path.abspath("src"), env.get("PYTHONPATH")) if p
     )
     env.pop("REPRO_FAULTS_STAMP_DIR", None)
     env["REPRO_FAULTS"] = faults
+    argv = [sys.executable, str(DRIVER), str(state_dir)]
+    if seal_rows is not None:
+        argv.append(str(seal_rows))
     proc = subprocess.run(
-        [sys.executable, str(DRIVER), str(state_dir)],
+        argv,
         stdout=subprocess.PIPE,
         stderr=subprocess.DEVNULL,
         text=True,
@@ -58,7 +66,7 @@ def run_driver_until_killed(state_dir, faults):
     )
     assert proc.returncode == -signal.SIGKILL, proc.returncode
     assert "DONE" not in proc.stdout, "armed fault never fired"
-    return proc.stdout
+    return proc.stdout.count("INGESTED")
 
 
 def never_crashed_facade():
@@ -90,25 +98,38 @@ def assert_bit_identical(served, facade):
     )
 
 
+#: Driver chunks of 1,000 rows: seals at the start of chunks 11, 21, ...
+SEAL_EVERY_TEN_CHUNKS = 10 * driver.ROWS_PER_CHUNK
+
+
 @pytest.mark.parametrize(
-    ("faults", "min_recovered"),
+    "seal_rows",
+    [None, SEAL_EVERY_TEN_CHUNKS],
+    ids=["own-threshold", "seal-mid-stream"],
+)
+@pytest.mark.parametrize(
+    "faults",
     [
-        # Mid-stream: the 57th frame reaches the log, the arrays never
-        # absorb it -- attach must replay it from the segment tail.
-        pytest.param("storage.after_frame:crash@57", 57, id="disk-after-frame"),
-        # Checkpoint windows: every chunk was ingested and acknowledged
-        # before the crash, so recovery must find all of them.
-        pytest.param(
-            "storage.before_seal:crash@1", driver.N_CHUNKS, id="disk-before-seal"
-        ),
-        pytest.param(
-            "storage.after_seal:crash@1", driver.N_CHUNKS, id="disk-after-seal"
-        ),
+        # Mid-stream: the 57th frame reaches the log, the state never
+        # absorbs it -- attach must fold it from the segment tail.
+        pytest.param("storage.after_frame:crash@57", id="disk-after-frame"),
+        # Seal windows: every chunk acknowledged before the seal began
+        # must be recovered.
+        pytest.param("storage.before_seal:crash@1", id="disk-before-seal"),
+        pytest.param("storage.after_seal:crash@1", id="disk-after-seal"),
     ],
 )
-def test_sigkill_recovers_bit_identical(tmp_path, faults, min_recovered):
+def test_sigkill_recovers_bit_identical(tmp_path, faults, seal_rows):
     state = tmp_path / "state"
-    run_driver_until_killed(state, faults)
+    acked = run_driver_until_killed(state, faults, seal_rows)
+    if faults.startswith("storage.after_frame"):
+        # The crash fires once the 57th frame is flushed: it is durable,
+        # past the checkpoint of chunk 50 when the store seals every ten.
+        min_recovered = 57
+        checkpoint = state / "store" / driver.SESSION / "checkpoint.bin"
+        assert checkpoint.is_file() == (seal_rows is not None)
+    else:
+        min_recovered = acked
 
     registry = SessionRegistry(state_dir=state, wal_fsync="batch")
     assert registry.load_state() == [driver.SESSION]
@@ -154,17 +175,17 @@ def ingest_small_disk_registry(state):
     return registry
 
 
-@pytest.mark.usefixtures("eager_invariants")
+@pytest.mark.usefixtures("early_seals")
 def test_torn_tail_after_power_loss_recovers_the_durable_prefix(tmp_path):
-    """Tear the segment tail AND drop the invariant meta (the power-loss
-    ordering where nothing past the last barrier survived): the final
-    chunk is lost cleanly, resent by the client, and the result is still
+    """Tear the segment tail past a checkpoint (the power-loss ordering
+    where nothing past the last barrier survived): the final chunk is
+    lost cleanly, resent by the client, and the result is still
     bit-exact."""
     state = tmp_path / "state"
     ingest_small_disk_registry(state)
+    assert (state / "store" / driver.SESSION / "checkpoint.bin").is_file()
     active = state / "store" / driver.SESSION / "active.seg"
     active.write_bytes(active.read_bytes()[:-5])
-    os.unlink(state / "store" / driver.SESSION / "meta.bin")
 
     registry = SessionRegistry(state_dir=state, wal_fsync="batch")
     assert registry.load_state() == [driver.SESSION]

@@ -16,7 +16,7 @@ import os
 import pytest
 
 from storage_helpers import ATTRIBUTE, CHUNKS, ESTIMATOR, observations
-from storage_helpers import eager_invariants  # noqa: F401 - a fixture
+from storage_helpers import early_seals  # noqa: F401 - a fixture
 from repro.api.session import OpenWorldSession
 from repro.serving.registry import SessionRegistry
 from repro.storage.layout import StoreLayout
@@ -69,6 +69,41 @@ class TestDirectoryEntries:
             inode(tmp_path),
             inode(active),
             inode(tmp_path),
+        ]
+        session.close()
+
+
+class TestSealOrder:
+    @pytest.mark.parametrize("policy", ["always", "batch"])
+    def test_checkpoint_is_durable_after_the_segment_and_before_the_manifest(
+        self, tmp_path, synced, policy
+    ):
+        store = DiskStore(tmp_path, fsync=policy)
+        session = OpenWorldSession(ATTRIBUTE, estimator=ESTIMATOR, store=store)
+        for chunk in CHUNKS:
+            session.ingest(observations(chunk))
+        synced.clear()
+        assert store.seal()
+        layout = StoreLayout(tmp_path)
+        # Under batch no fsync has run yet: the name logs and their new
+        # directory entries come first.
+        names = (
+            [
+                inode(layout.entities_path),
+                inode(tmp_path),
+                inode(layout.sources_path),
+                inode(tmp_path),
+            ]
+            if policy == "batch"
+            else []
+        )
+        assert synced == [
+            *names,
+            inode(tmp_path / "seg-00000001.seg"),
+            inode(tmp_path),  # the rename
+            inode(layout.checkpoint_path),
+            inode(layout.manifest_path),
+            inode(tmp_path),  # the manifest's replace
         ]
         session.close()
 
@@ -210,7 +245,7 @@ class TestStateDirEntries:
         store_synced = ("fsync", inode(tmp_path / "store")) in after[:1]
         assert store_synced == (policy != "never")
 
-    @pytest.mark.usefixtures("eager_invariants")
+    @pytest.mark.usefixtures("early_seals")
     @pytest.mark.parametrize("policy", ["always", "batch", "never"])
     def test_delete_fsyncs_only_store_before_it_returns(
         self, tmp_path, synced, policy
@@ -225,7 +260,7 @@ class TestStateDirEntries:
         assert synced == expected
         assert list((tmp_path / "store").iterdir()) == []
 
-    @pytest.mark.usefixtures("eager_invariants")
+    @pytest.mark.usefixtures("early_seals")
     @pytest.mark.parametrize("policy", ["always", "batch"])
     def test_replace_fsyncs_no_file_of_the_discarded_copy(
         self, tmp_path, synced, policy
@@ -245,7 +280,7 @@ class TestStateDirEntries:
         assert synced, "the incoming copy is made durable"
         assert not discarded & set(synced)
 
-    @pytest.mark.usefixtures("eager_invariants")
+    @pytest.mark.usefixtures("early_seals")
     @pytest.mark.parametrize("policy", ["always", "batch"])
     def test_migration_fsyncs_no_file_of_the_discarded_copy(
         self, tmp_path, synced, policy

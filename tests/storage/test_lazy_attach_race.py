@@ -20,15 +20,7 @@ import threading
 import pytest
 
 from repro.storage.store import DiskStore
-from storage_helpers import (  # noqa: F401 - eager_invariants is a fixture
-    CHUNKS,
-    disk_session,
-    eager_invariants,
-    memory_session,
-)
-
-# The race is in the lazy decode of a store re-attached on its arrays.
-pytestmark = pytest.mark.usefixtures("eager_invariants")
+from storage_helpers import CHUNKS, disk_session, memory_session
 
 
 class _ObservedLock:

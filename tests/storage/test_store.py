@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import json
 import os
+import zlib
+from unittest import mock
 
 import pytest
 
@@ -19,7 +21,7 @@ from repro.api.session import OpenWorldSession
 from repro.resilience.faults import InjectedFaultError, arm, disarm
 from repro.storage import store as store_module
 from repro.storage.store import DiskStore
-from repro.storage.layout import StorageError
+from repro.storage.layout import StorageError, StoreLayout
 from repro.utils.exceptions import ValidationError
 from storage_helpers import (
     ATTRIBUTE,
@@ -27,7 +29,7 @@ from storage_helpers import (
     ESTIMATOR,
     assert_same_surfaces,
     disk_session,
-    eager_invariants,  # noqa: F401 - a fixture
+    early_seals,  # noqa: F401 - a fixture
     memory_session,
     observations,
 )
@@ -64,10 +66,11 @@ class TestParity:
         assert list(state.per_source) == list(oracle.store.state.per_source)
         assert state.frequencies == oracle.store.state.frequencies
 
-    @pytest.mark.usefixtures("eager_invariants")
-    def test_counters_match_without_materializing(self, tmp_path):
+    @pytest.mark.parametrize("sealed", [True, False], ids=["checkpoint", "log"])
+    def test_counters_match_without_materializing(self, tmp_path, sealed):
         session = disk_session(tmp_path / "store", CHUNKS)
-        session.store.seal()
+        if sealed:
+            session.store.seal()
         session.close()
         store = DiskStore(tmp_path / "store")
         oracle = memory_session(CHUNKS)
@@ -75,7 +78,11 @@ class TestParity:
         assert store.n == oracle.n
         assert store.c == oracle.c
         assert store.n_sources == oracle.n_sources
-        assert not store.materialized  # counters came from the mmap meta
+        assert store.recovered_counters() == {
+            "state_version": len(CHUNKS),
+            "n_ingested": oracle.n,
+        }
+        assert not store.materialized  # counters came from the manifest and frames
         store.close()
 
 
@@ -134,77 +141,56 @@ class TestAttach:
             DiskStore(directory)
         assert sorted(p.name for p in directory.rglob("*")) == before
 
+    def test_per_ack_array_store_is_refused_untouched(self, tmp_path):
+        # repro.storage/v2 kept meta.bin and four arrays beside the log.
+        session = disk_session(tmp_path / "store", CHUNKS)
+        session.store.seal()
+        session.close()
+        directory = tmp_path / "store"
+        manifest = json.loads((directory / "manifest.json").read_bytes())
+        manifest["schema"] = "repro.storage/v2"
+        del manifest["checkpoint"]
+        (directory / "manifest.json").write_text(json.dumps(manifest))
+        (directory / "checkpoint.bin").unlink()
+        for name in ("meta.bin", "counts.u64", "values.f64", "sources.u64", "freq.u64"):
+            (directory / name).write_bytes(b"\0" * 64)
 
-@pytest.mark.usefixtures("eager_invariants")
+        def files():
+            return {
+                path.name: (path.read_bytes(), path.stat().st_mtime_ns)
+                for path in directory.iterdir()
+            }
+
+        before = files()
+        with pytest.raises(StorageError, match="repro.storage/v2"):
+            DiskStore(directory)
+        assert files() == before
+
+
+def flip_byte(path, offset=32):
+    """Flip a byte of ``path``; at 32, the first count of a checkpoint."""
+    raw = bytearray(path.read_bytes())
+    raw[offset] ^= 0xFF
+    path.write_bytes(bytes(raw))
+
+
+@pytest.mark.usefixtures("early_seals")
 class TestRecovery:
     def test_torn_active_tail_loses_exactly_the_torn_chunk(self, tmp_path):
         session = disk_session(tmp_path / "store", CHUNKS)
         session.close()
         active = tmp_path / "store" / "active.seg"
         active.write_bytes(active.read_bytes()[:-5])
-        # Simulate power loss: the invariant meta that absorbed the torn
-        # chunk did not survive either, so the segments are authoritative.
-        os.unlink(tmp_path / "store" / "meta.bin")
         attached = OpenWorldSession.attach(DiskStore(tmp_path / "store"))
-        assert attached.state_version == len(CHUNKS) - 1
-        assert_same_surfaces(attached, memory_session(CHUNKS[:-1]))
-
-    def test_meta_ahead_of_a_torn_tail_is_rebuilt_from_the_log(self, tmp_path):
-        # A power loss can keep the meta page of a chunk whose frame it
-        # tore.  Trusting the arrays would serve the chunk, log the next
-        # one after a gap, and lose it at any later rebuild; the log is
-        # authoritative, so attach loses exactly the torn chunk.
-        session = disk_session(tmp_path / "store", CHUNKS)
-        session.close()
-        active = tmp_path / "store" / "active.seg"
-        active.write_bytes(active.read_bytes()[:-5])
-        store = DiskStore(tmp_path / "store")
-        assert store.materialized  # rebuilt at attach
-        attached = OpenWorldSession.attach(store)
         assert attached.state_version == len(CHUNKS) - 1
         assert_same_surfaces(attached, memory_session(CHUNKS[:-1]))
         attached.ingest(observations(CHUNKS[-1]))  # the client resends it
         attached.close()
-        # A forced rebuild from the log agrees with what was served.
-        meta = tmp_path / "store" / "meta.bin"
-        raw = bytearray(meta.read_bytes())
-        raw[3] ^= 0xFF
-        meta.write_bytes(bytes(raw))
+        # A fold of the whole log agrees with what was served.
+        flip_byte(tmp_path / "store" / "checkpoint.bin")
         rebuilt = OpenWorldSession.attach(DiskStore(tmp_path / "store"))
         assert rebuilt.state_version == len(CHUNKS)
-        assert rebuilt.n == memory_session(CHUNKS).n
         assert_same_surfaces(rebuilt, memory_session(CHUNKS))
-
-    def test_applying_flag_forces_rebuild_from_segments(self, tmp_path):
-        from repro.storage.invariants import InvariantStore
-
-        session = disk_session(tmp_path / "store", CHUNKS)
-        session.close()
-        # A crash between begin_apply and commit leaves the flag raised.
-        invariants = InvariantStore(tmp_path / "store")
-        invariants.begin_apply()
-        invariants.close()
-        store = DiskStore(tmp_path / "store")
-        attached = OpenWorldSession.attach(store)
-        assert attached.state_version == len(CHUNKS)
-        assert_same_surfaces(attached, memory_session(CHUNKS))
-        # The rebuild rewrote the arrays and cleared the flag: a second
-        # attach takes the fast path again.
-        attached.close()
-        fresh = DiskStore(tmp_path / "store")
-        assert not fresh.materialized
-        fresh.close()
-
-    def test_corrupt_meta_forces_rebuild_from_segments(self, tmp_path):
-        session = disk_session(tmp_path / "store", CHUNKS)
-        session.close()
-        meta = tmp_path / "store" / "meta.bin"
-        raw = bytearray(meta.read_bytes())
-        raw[3] ^= 0xFF  # fails the CRC check
-        meta.write_bytes(bytes(raw))
-        attached = OpenWorldSession.attach(DiskStore(tmp_path / "store"))
-        assert attached.state_version == len(CHUNKS)
-        assert_same_surfaces(attached, memory_session(CHUNKS))
 
     def test_orphan_sealed_segment_is_adopted(self, tmp_path):
         session = disk_session(tmp_path / "store", CHUNKS)
@@ -213,7 +199,7 @@ class TestRecovery:
             session.store.seal()  # renamed, but the manifest write was lost
         disarm()
         session.close()
-        sealed = tmp_path / "store" / "seg-00000001.seg"
+        sealed = tmp_path / "store" / "seg-00000004.seg"
         assert sealed.is_file()
 
         store = DiskStore(tmp_path / "store")
@@ -225,7 +211,8 @@ class TestRecovery:
         attached.close()
         final = DiskStore(tmp_path / "store")
         manifest = final._layout.read_manifest()
-        assert [e["segment"] for e in manifest["sealed"]] == [sealed.name]
+        assert [e["segment"] for e in manifest["sealed"]][-1] == sealed.name
+        assert manifest["checkpoint"]["state_version"] == len(CHUNKS)
         final.close()
 
     def test_crash_before_seal_keeps_the_active_segment(self, tmp_path):
@@ -240,44 +227,151 @@ class TestRecovery:
         assert attached.state_version == len(CHUNKS)
         assert_same_surfaces(attached, memory_session(CHUNKS))
 
-    def test_data_without_manifest_or_invariants_fails_loudly(self, tmp_path):
+    def test_data_without_manifest_fails_loudly(self, tmp_path):
         session = disk_session(tmp_path / "store", CHUNKS)
         session.close()
         os.unlink(tmp_path / "store" / "manifest.json")
-        os.unlink(tmp_path / "store" / "meta.bin")
         with pytest.raises(StorageError, match="no manifest"):
             DiskStore(tmp_path / "store")
 
 
-class TestInvariantFiles:
-    """A store writes invariant files only once its log is large."""
+def _kill_after_frame(session, directory):
+    arm("storage.after_frame:raise")
+    with pytest.raises(InjectedFaultError):
+        session.ingest(observations(CHUNKS[-1]))  # durable, never acked
+    disarm()
 
-    def test_small_store_keeps_none_and_rebuilds_at_attach(self, tmp_path):
-        session = disk_session(tmp_path / "store", CHUNKS)
+
+def _fail_between_checkpoint_and_manifest(session, directory):
+    lost = OSError("manifest replace lost")
+    with mock.patch.object(StoreLayout, "write_manifest", side_effect=lost):
+        with pytest.raises(OSError, match="manifest replace lost"):
+            session.store.seal()
+    # The checkpoint on disk is the new one; the manifest names the old.
+    manifest = json.loads((directory / "manifest.json").read_bytes())
+    checkpoint = (directory / "checkpoint.bin").read_bytes()
+    assert manifest["checkpoint"]["bytes"] != len(checkpoint) or (
+        manifest["checkpoint"]["crc"] != zlib.crc32(checkpoint)
+    )
+
+
+def _flip_checkpoint_bytes(session, directory):
+    session.close()
+    flip_byte(directory / "checkpoint.bin")
+
+
+def _name_checkpoint_at_an_older_version(session, directory):
+    path = directory / "manifest.json"
+    older = json.loads(path.read_bytes())["checkpoint"]
+    stale = (directory / "checkpoint.bin").read_bytes()
+    session.store.seal()
+    session.close()
+    # The new manifest lists the segment holding the last chunk, but
+    # names the checkpoint of the version before it.
+    manifest = json.loads(path.read_bytes())
+    assert older["state_version"] < manifest["state_version"]
+    manifest["checkpoint"] = older
+    path.write_text(json.dumps(manifest))
+    (directory / "checkpoint.bin").write_bytes(stale)
+
+
+def _seal_mid_stream(session, directory):
+    assert (directory / "seg-00000002.seg").is_file()
+    assert json.loads((directory / "manifest.json").read_bytes())["checkpoint"][
+        "state_version"
+    ] == len(CHUNKS) - 1
+
+
+#: Cuts past a checkpoint; TestRecovery covers the two seal fault points.
+CUTS = {
+    "kill-after-frame": _kill_after_frame,
+    "fail-between-checkpoint-and-manifest": _fail_between_checkpoint_and_manifest,
+    "flipped-checkpoint": _flip_checkpoint_bytes,
+    "checkpoint-at-an-older-version": _name_checkpoint_at_an_older_version,
+    "auto-seal-mid-stream": _seal_mid_stream,
+}
+
+
+@pytest.mark.usefixtures("early_seals")
+class TestCheckpoint:
+    """Only a seal writes the checkpoint; every cut attaches to the acked state."""
+
+    def test_an_ingest_writes_only_the_name_logs_and_the_active_segment(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(store_module, "SEAL_ROWS", 1_000)
+        directory = tmp_path / "store"
+        session = disk_session(directory, CHUNKS)
         session.store.seal()
+
+        def files():
+            return {
+                path.name: (path.stat().st_size, path.stat().st_mtime_ns)
+                for path in directory.iterdir()
+            }
+
+        before = files()
+        assert "checkpoint.bin" in before
+        for i in range(100):  # each brings a new entity and a new source
+            session.ingest(observations([(f"n{i}", f"t{i}", float(i))]))
+        after = files()
+        assert set(after) == set(before) | {"active.seg"}
+        changed = {name for name in after if after[name] != before.get(name)}
+        assert changed == {"entities.dat", "sources.dat", "active.seg"}
         session.close()
-        assert not (tmp_path / "store" / "meta.bin").exists()
+
+    @pytest.mark.parametrize("cut", sorted(CUTS))
+    def test_cut_attaches_to_the_acknowledged_state(self, tmp_path, cut):
+        directory = tmp_path / "store"
+        session = disk_session(
+            directory, CHUNKS if cut != "kill-after-frame" else CHUNKS[:-1]
+        )
+        CUTS[cut](session, directory)
+        session.close()
+        attached = OpenWorldSession.attach(DiskStore(directory))
+        assert attached.state_version == len(CHUNKS)
+        assert_same_surfaces(attached, memory_session(CHUNKS))
+        # The attached store keeps ingesting and checkpoints again.
+        extra = [("h", "s4", 80.0), ("a", "s4", None)]
+        attached.ingest(observations(extra))
+        attached.store.seal()
+        attached.close()
+        reattached = OpenWorldSession.attach(DiskStore(directory))
+        assert not reattached.store.materialized
+        assert_same_surfaces(reattached, memory_session([*CHUNKS, extra]))
+
+    def test_unsealed_store_folds_its_log_at_first_read(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(store_module, "SEAL_ROWS", 1_000)
+        session = disk_session(tmp_path / "store", CHUNKS)
+        session.close()
+        assert not (tmp_path / "store" / "checkpoint.bin").exists()
         store = DiskStore(tmp_path / "store")
-        assert store.materialized  # rebuilt from the log at attach
+        assert not store.materialized
         attached = OpenWorldSession.attach(store)
         assert attached.state_version == len(CHUNKS)
         assert_same_surfaces(attached, memory_session(CHUNKS))
         manifest = store._layout.read_manifest()
-        assert manifest["state_version"] == len(CHUNKS)
+        assert manifest["checkpoint"] is None
+        # The first seal writes the checkpoint even with nothing new to seal.
+        attached.store.seal()
+        manifest = store._layout.read_manifest()
+        assert manifest["checkpoint"]["state_version"] == len(CHUNKS)
         assert manifest["n"] == memory_session(CHUNKS).n
 
-    def test_files_appear_at_the_threshold_and_are_then_trusted(
-        self, tmp_path, monkeypatch
-    ):
-        monkeypatch.setattr(store_module, "_INVARIANT_ROWS", 6)
-        session = disk_session(tmp_path / "store", CHUNKS[:1])  # 3 rows
-        assert not (tmp_path / "store" / "meta.bin").exists()
-        for chunk in CHUNKS[1:]:
-            session.ingest(observations(chunk))
+    def test_store_seals_itself_at_the_threshold(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(store_module, "SEAL_ROWS", 6)
+        directory = tmp_path / "store"
+        session = disk_session(directory, CHUNKS[:2])  # 6 rows, still active
+        assert not (directory / "checkpoint.bin").exists()
+        session.ingest(observations(CHUNKS[2]))  # finds 6 rows: seals first
+        assert (directory / "seg-00000001.seg").is_file()
+        manifest = json.loads((directory / "manifest.json").read_bytes())
+        assert manifest["checkpoint"]["state_version"] == 2
+        assert manifest["sealed"][0]["rows"] == 6
+        session.ingest(observations(CHUNKS[3]))
         session.close()
-        store = DiskStore(tmp_path / "store")
-        assert store._invariants.meta["state_version"] == len(CHUNKS)
-        assert not store.materialized  # O(1) attach on the arrays
+        store = DiskStore(directory)
+        assert not store.materialized  # O(1) attach on the checkpoint
         attached = OpenWorldSession.attach(store)
         assert_same_surfaces(attached, memory_session(CHUNKS))
 
