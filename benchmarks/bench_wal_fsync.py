@@ -5,9 +5,9 @@ Measures the durability tax of a persisted session on the registry's
 ingest path, directly against a
 :class:`~repro.serving.registry.SessionRegistry` (no HTTP, so the
 numbers isolate the persistence cost itself).  A persisted ack writes
-to one log: the chunk's new names and its frame go to the session's
-segment log (the write-ahead copy, :mod:`repro.storage`), whose fsync
-policy ``--wal-fsync`` sets:
+one frame, which carries the chunk's new names, to one file: the
+session's segment log (the write-ahead copy, :mod:`repro.storage`),
+whose fsync policy ``--wal-fsync`` sets:
 
 * ``wal-off``: a memory-only registry (no ``state_dir``) -- the
   baseline every policy is compared against.
@@ -15,14 +15,14 @@ policy ``--wal-fsync`` sets:
   power-loss-safe).
 * ``batch``: additionally ``fsync(2)`` every 32nd frame (the serving
   default -- a bounded power-loss window).
-* ``always``: ``fsync(2)`` the name logs the chunk extended, then the
-  segment, on every ack (full power-loss durability).
+* ``always``: ``fsync(2)`` the segment on every ack (full power-loss
+  durability).
 
 Each cell ingests the same deterministic single-observation stream
 (every observation brings a new source name) into a fresh session and
 reports ingests/second plus the relative overhead vs ``wal-off``; a
 persisted cell also records its segment log's counters.  An ack writes
-only the name logs and the segment, whatever the session's size.
+only its frame to ``active.seg``, whatever the session's size.
 
 Run standalone to emit ``BENCH_wal_fsync.json``::
 

@@ -88,6 +88,10 @@ _rng = random.Random(0)
 
 MAX_ATTEMPTS = 8
 
+#: Every server process this driver started; :func:`main` kills the ones
+#: a failed flow left running.
+_STARTED: "list[subprocess.Popen]" = []
+
 
 def to_bodies(chunk):
     return [
@@ -198,6 +202,7 @@ class ServerProcess:
             text=True,
             env=env,
         )
+        _STARTED.append(self.process)
         deadline = time.time() + 120
         self.base = None
         while time.time() < deadline:
@@ -532,17 +537,25 @@ def main() -> int:
     )
     args = parser.parse_args()
     args.outdir.mkdir(parents=True, exist_ok=True)
-    if args.base_url:
-        failures = run_client_flow(args.outdir, args.base_url)
-    elif args.cluster:
-        failures = run_cluster_flow(
-            args.outdir, args.cluster, args.replicas, args.faults,
-            args.wal_fsync, args.store,
-        )
-    elif args.faults:
-        failures = run_chaos(args.outdir, args.faults, args.wal_fsync, args.store)
-    else:
-        failures = run_graceful(args.outdir, args.wal_fsync, args.store)
+    try:
+        if args.base_url:
+            failures = run_client_flow(args.outdir, args.base_url)
+        elif args.cluster:
+            failures = run_cluster_flow(
+                args.outdir, args.cluster, args.replicas, args.faults,
+                args.wal_fsync, args.store,
+            )
+        elif args.faults:
+            failures = run_chaos(args.outdir, args.faults, args.wal_fsync, args.store)
+        else:
+            failures = run_graceful(args.outdir, args.wal_fsync, args.store)
+    finally:
+        # A flow that raised left its server running; a cluster's workers
+        # die with their router (PR_SET_PDEATHSIG).
+        for process in _STARTED:
+            if process.poll() is None:
+                process.kill()
+                process.wait()
     return 1 if failures else 0
 
 

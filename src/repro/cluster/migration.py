@@ -13,8 +13,9 @@ every hard part is delegated to an invariant that already exists:
    never a stale answer.
 2. **Archive**: ``GET /sessions/<name>/store`` on the source seals the
    active segment and streams the store's files (manifest last) behind
-   a one-line header.  Under quiesce the header's ``state_version``
-   *is* the session's one true version.
+   a one-line header, and reports the archived ``state_version`` in its
+   ``X-Repro-State-Version`` response header.  Under quiesce that *is*
+   the session's one true version.
 3. **Transfer**: ``POST /sessions/<name>/restore-store`` on the
    destination, streamed without buffering.  Restore is
    replace-if-newer and version-reporting (see
@@ -55,36 +56,9 @@ from repro.utils.exceptions import ReproError
 
 __all__ = ["MigrationError", "fetch_snapshot", "migrate_session"]
 
-#: The archive's header line must fit in this (mirrors the storage
-#: layer's own bound); anything bigger is a corrupt or hostile stream.
-_MAX_HEADER_BYTES = 8 * 1024 * 1024
-
 
 class MigrationError(ReproError):
     """A migration step failed; the source copy remains authoritative."""
-
-
-class _PrefixedReader:
-    """File-like view over ``prefix + stream`` for streamed HTTP sends.
-
-    The transfer peeks at the archive's header line to learn the fenced
-    ``state_version``, then must still send those consumed bytes to the
-    destination; this splices them back in front of the live stream so
-    http.client can send ``Content-Length`` bytes without buffering.
-    """
-
-    def __init__(self, prefix: bytes, stream: Any) -> None:
-        self._prefix = prefix
-        self._stream = stream
-
-    def read(self, n: int = -1) -> bytes:
-        if self._prefix:
-            if n is None or n < 0:
-                block, self._prefix = self._prefix, b""
-                return block + self._stream.read()
-            block, self._prefix = self._prefix[:n], self._prefix[n:]
-            return block
-        return self._stream.read(n)
 
 
 def fetch_snapshot(base: str, name: str, *, timeout: float = 60.0) -> dict[str, Any]:
@@ -119,34 +93,22 @@ def _transfer_store(
                 f"store archive of {name!r} on {source_base} came without "
                 "a Content-Length"
             )
-        # Peek the archive's own header line for the fenced version (the
-        # X-Repro-State-Version response header carries the same value,
-        # but the in-band copy is what the destination unpacks).
-        prefix = b""
-        while b"\n" not in prefix:
-            block = response.read(4096)
-            if not block:
-                raise MigrationError(
-                    f"store archive of {name!r} ended before its header line"
-                )
-            prefix += block
-            if len(prefix) > _MAX_HEADER_BYTES:
-                raise MigrationError(
-                    f"store archive of {name!r} has an oversized header line"
-                )
+        # The archive's version, which the destination must report back;
+        # the archive itself streams through unread.
+        reported = response.headers.get("X-Repro-State-Version")
         try:
-            header = json.loads(prefix.split(b"\n", 1)[0])
-            version = int(header["state_version"])
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            version = int(reported)
+        except (TypeError, ValueError):
             raise MigrationError(
-                f"store archive of {name!r} has a malformed header: {exc}"
-            ) from exc
+                f"store archive of {name!r} on {source_base} came with "
+                f"X-Repro-State-Version {reported!r}, not an integer"
+            ) from None
         fault_point("cluster.before_transfer")
         status, payload, _ = worker_request(
             dest_base,
             "POST",
             f"/sessions/{name}/restore-store",
-            _PrefixedReader(prefix, response),
+            response,
             headers={
                 "Content-Type": "application/octet-stream",
                 "Content-Length": str(length),

@@ -8,9 +8,9 @@ instrumented call sites inside the durability-critical code paths::
 
     fault_point("parallel.worker_entry")    # top of a process-pool chunk
     fault_point("http.before_response")     # before any response bytes
-    fault_point("cluster.before_transfer")  # migration: snapshot taken, not sent
+    fault_point("cluster.before_transfer")  # migration: store archive opened, not sent
     fault_point("cluster.before_resume")    # migration: fenced, source not dropped
-    fault_point("storage.after_frame")      # segment frame flushed, not yet fsynced or applied
+    fault_point("storage.after_frame")      # segment frame written, not yet fsynced or applied
     fault_point("storage.before_seal")      # active segment fsynced, not yet renamed
     fault_point("storage.after_seal")       # segment sealed, manifest not yet written
 

@@ -1,11 +1,12 @@
-"""Per-session disk storage: segment log, name dictionaries, checkpoint.
+"""Per-session disk storage: segment log and checkpoint.
 
 The package behind ``OpenWorldSession(store=...)`` and every session of
 ``repro.cli serve --state-dir``: an append-only columnar segment log for
-observations (the only thing an ingest writes), a checkpoint of the
-aggregate state that each seal writes for O(1) restart, and streaming
-readers for progressive replay.  See DESIGN.md ("Storage layer") for
-the format specification and the crash-consistency argument.
+observations whose frames carry the names they introduce (the only file
+an ingest writes), a checkpoint of the aggregate state and its names
+that each seal writes for O(1) restart, and streaming readers for
+progressive replay.  See DESIGN.md ("Storage layer") for the format
+specification and the crash-consistency argument.
 """
 
 from repro.storage.layout import (
@@ -15,7 +16,6 @@ from repro.storage.layout import (
     StoreLayout,
     write_json_atomic,
 )
-from repro.storage.names import NameCorruptionError, NameLog
 from repro.storage.segments import (
     FRAME_OBSERVATIONS,
     FRAME_SEED,
@@ -47,8 +47,6 @@ __all__ = [
     "MANIFEST_NAME",
     "MANIFEST_SCHEMA",
     "MemoryStore",
-    "NameCorruptionError",
-    "NameLog",
     "SegmentCorruptionError",
     "SegmentLog",
     "SegmentObservationReader",

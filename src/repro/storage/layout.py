@@ -7,14 +7,12 @@ A disk-backed session lives in one flat directory::
         active.seg             # appendable segment (repro.storage.segments)
         seg-00000001.seg       # sealed, immutable
         ...
-        entities.dat           # first-seen-order name dictionaries
-        sources.dat            #   (repro.storage.names)
-        checkpoint.bin         # aggregate state at the last seal
-                               #   (repro.storage.checkpoint)
+        checkpoint.bin         # aggregate state and names at the last
+                               #   seal (repro.storage.checkpoint)
 
 No subdirectories: a new session creates its store on the serving
 path, and a directory costs as much to create as a file.  An ingest
-writes only the two name logs and ``active.seg``.
+writes only ``active.seg``: each frame carries the names it introduces.
 
 ``manifest.json`` is the only file replaced atomically (scratch + fsync
 + ``os.replace`` + directory fsync) and is the session's checkpoint
@@ -62,9 +60,9 @@ DEFAULT_BATCH_EVERY = 32
 
 MANIFEST_NAME = "manifest.json"
 #: v1 kept segments, names and per-ack arrays in subdirectories, v2 kept
-#: the per-ack arrays beside the log; their stores are refused rather
-#: than read.
-MANIFEST_SCHEMA = "repro.storage/v3"
+#: the per-ack arrays beside the log, v3 kept the names in two logs
+#: beside it; their stores are refused rather than read.
+MANIFEST_SCHEMA = "repro.storage/v4"
 
 
 class StorageError(ReproError):
@@ -119,14 +117,6 @@ class StoreLayout:
     @property
     def manifest_path(self) -> Path:
         return self.directory / MANIFEST_NAME
-
-    @property
-    def entities_path(self) -> Path:
-        return self.directory / "entities.dat"
-
-    @property
-    def sources_path(self) -> Path:
-        return self.directory / "sources.dat"
 
     @property
     def checkpoint_path(self) -> Path:

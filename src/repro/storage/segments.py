@@ -9,6 +9,8 @@ last clean frame boundary; the payload is columnar binary::
     | length: u32 big-endian   |  kind:          u8                 |
     | crc32:  u32 big-endian   |  state_version: u64 big-endian     |
     +--------------------------+  n_rows:        u32 big-endian     |
+                               |  new entities:  name block         |
+                               |  new sources:   name block         |
                                |  entity_idx:    u32[n] little      |
                                |  source_idx:    u32[n] little      |
                                |  value:         f64[n] little      |
@@ -18,33 +20,40 @@ last clean frame boundary; the payload is columnar binary::
                                |    session attribute)              |
                                +------------------------------------+
 
+A *name block* (:func:`encode_names`, which the checkpoint uses too) is
+a little-endian ``u32`` count, that many ``u32`` byte lengths, then the
+UTF-8 names back to back.  A frame's blocks hold the entity and source
+names its chunk introduces, in first-seen order; they take the next
+indices, so entity ``i`` of a session is the ``i``-th name its log (or
+its checkpoint and the frames past it) introduces, and a frame is a
+complete delta on its own.
+
 ``kind`` 0 is an observation chunk; ``kind`` 1 is a *seed* frame whose
 payload after the fixed header is compact JSON (an aggregate baseline
 adopted via ``from_sample``/``restore``, which has no per-observation
-stream to log).  Entity/source ids are indices into the append-only
-name dictionaries (:mod:`repro.storage.names`), which are flushed
-*before* the frame that references them.
+stream to log); its dicts carry the names in first-seen order.
 
-Durability: the active segment follows the ``always`` / ``batch`` /
-``never`` fsync policy (``--wal-fsync``); the first fsync of a newly
-created ``active.seg`` also fsyncs the directory, so the file survives
-with its contents.  Sealing (checkpoint) fsyncs the active file,
-renames it to ``seg-<index>.seg`` (immutable from then on), fsyncs the
-directory, and hands the sealed entry to the manifest.
+Durability: :meth:`SegmentLog.append` writes a frame whole or not at
+all, unbuffered, and the active segment follows the ``always`` /
+``batch`` / ``never`` fsync policy (``--wal-fsync``); the first fsync
+of a newly created ``active.seg`` also fsyncs the directory, so the
+file survives with its contents.  Sealing (checkpoint) fsyncs the
+active file, renames it to ``seg-<index>.seg`` (immutable from then
+on), fsyncs the directory, and hands the sealed entry to the manifest.
 The ``storage.before_seal`` / ``storage.after_seal`` fault points
 bracket the rename; ``storage.after_frame`` fires after a frame is
-flushed but before the store's in-memory state absorbs it.
+written but before it is fsynced or the store absorbs it.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import struct
 import zlib
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterable
 
 import numpy as np
 
@@ -59,7 +68,9 @@ __all__ = [
     "Frame",
     "SegmentCorruptionError",
     "SegmentLog",
+    "decode_names",
     "encode_frame",
+    "encode_names",
     "encode_seed_frame",
     "frame_observation",
     "scan_frames",
@@ -87,6 +98,9 @@ _DT_VALUE = np.dtype("<f8")
 _DT_SEQUENCE = np.dtype("<i8")
 _DT_FLAGS = np.dtype("u1")
 
+#: The count and the byte lengths of a name block.
+_DT_NAME_LENGTH = np.dtype("<u4")
+
 #: flags bit0: the observation carried the session attribute.
 FLAG_HAS_VALUE = 1
 
@@ -113,7 +127,7 @@ def _framed(payload: bytes) -> bytes:
     return _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class Frame:
     """One decoded frame of the segment log."""
 
@@ -125,6 +139,9 @@ class Frame:
     sequences: np.ndarray
     flags: np.ndarray
     seed: "dict[str, Any] | None" = None
+    #: Names the frame introduces: they take the next first-seen indices.
+    new_entities: "list[str]" = dataclasses.field(default_factory=list)
+    new_sources: "list[str]" = dataclasses.field(default_factory=list)
 
     @property
     def n_rows(self) -> int:
@@ -151,6 +168,37 @@ def frame_observation(
     )
 
 
+def encode_names(names: "Iterable[str]") -> bytes:
+    """One name block: a ``u32`` count, the ``u32`` byte lengths, the UTF-8 bytes."""
+    raw = [name.encode("utf-8") for name in names]
+    return b"".join(
+        (
+            np.array([len(raw), *map(len, raw)], dtype=_DT_NAME_LENGTH).tobytes(),
+            *raw,
+        )
+    )
+
+
+def decode_names(buffer: bytes, offset: int) -> "tuple[list[str], int]":
+    """The names of the block at ``offset``, and the offset just past it.
+
+    Raises ``ValueError`` for a block that overruns ``buffer`` or holds
+    a name that is not UTF-8.
+    """
+    (count,) = np.frombuffer(buffer, _DT_NAME_LENGTH, 1, offset).tolist()
+    offset += _DT_NAME_LENGTH.itemsize
+    lengths = np.frombuffer(buffer, _DT_NAME_LENGTH, count, offset).tolist()
+    offset += _DT_NAME_LENGTH.itemsize * count
+    names: list[str] = []
+    for length in lengths:
+        end = offset + length
+        if end > len(buffer):
+            raise ValueError("name block overruns its buffer")
+        names.append(buffer[offset:end].decode("utf-8"))
+        offset = end
+    return names, offset
+
+
 def encode_frame(
     state_version: int,
     entity_idx: np.ndarray,
@@ -158,12 +206,17 @@ def encode_frame(
     values: np.ndarray,
     sequences: np.ndarray,
     flags: np.ndarray,
+    *,
+    new_entities: "Iterable[str]" = (),
+    new_sources: "Iterable[str]" = (),
 ) -> bytes:
-    """Encode one observation chunk as a framed payload."""
+    """Encode one observation chunk, and the names it introduces, as a frame."""
     n = int(entity_idx.shape[0])
     payload = b"".join(
         (
             _FRAME_META.pack(FRAME_OBSERVATIONS, state_version, n),
+            encode_names(new_entities),
+            encode_names(new_sources),
             np.ascontiguousarray(entity_idx, dtype=_DT_ENTITY).tobytes(),
             np.ascontiguousarray(source_idx, dtype=_DT_SOURCE).tobytes(),
             np.ascontiguousarray(values, dtype=_DT_VALUE).tobytes(),
@@ -191,25 +244,30 @@ def _decode_payload(payload: bytes) -> "Frame | None":
     if len(payload) < _FRAME_META.size:
         return None
     kind, version, n_rows = _FRAME_META.unpack_from(payload, 0)
-    body = payload[_FRAME_META.size:]
+    offset = _FRAME_META.size
     if kind == FRAME_SEED:
         try:
-            seed = json.loads(body.decode("utf-8"))
+            seed = json.loads(payload[offset:].decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError):
             return None
         return Frame(
             FRAME_SEED, version, _EMPTY_U4, _EMPTY_U4,
             _EMPTY_F8, _EMPTY_I8, _EMPTY_U1, seed=seed,
         )
-    if kind != FRAME_OBSERVATIONS or len(body) != n_rows * _ROW_BYTES:
+    if kind != FRAME_OBSERVATIONS:
         return None
-    offset = 0
+    try:
+        new_entities, offset = decode_names(payload, offset)
+        new_sources, offset = decode_names(payload, offset)
+    except ValueError:
+        return None
+    if len(payload) - offset != n_rows * _ROW_BYTES:
+        return None
 
     def column(dtype: np.dtype) -> np.ndarray:
         nonlocal offset
-        width = dtype.itemsize * n_rows
-        array = np.frombuffer(body, dtype=dtype, count=n_rows, offset=offset)
-        offset += width
+        array = np.frombuffer(payload, dtype=dtype, count=n_rows, offset=offset)
+        offset += dtype.itemsize * n_rows
         return array
 
     return Frame(
@@ -220,6 +278,8 @@ def _decode_payload(payload: bytes) -> "Frame | None":
         column(_DT_VALUE),
         column(_DT_SEQUENCE),
         column(_DT_FLAGS),
+        new_entities=new_entities,
+        new_sources=new_sources,
     )
 
 
@@ -322,7 +382,8 @@ class SegmentLog:
     def _handle(self):
         if self._file is None:
             self._new_entry = not self.active_path.exists()
-            self._file = open(self.active_path, "ab")
+            # Unbuffered: no byte of a refused frame can reach the file later.
+            self._file = open(self.active_path, "ab", buffering=0)
         return self._file
 
     def _fsync_active(self, handle) -> None:
@@ -338,35 +399,44 @@ class SegmentLog:
         )
 
     def append(self, frame_bytes: bytes, n_rows: int, *, sync: "bool | None" = None) -> None:
-        """Append one encoded frame; flushed to the OS unconditionally.
+        """Append one encoded frame, all of it or nothing.
 
-        The flush is what makes a SIGKILL after ``append`` returns lose
-        nothing; the fsync policy decides power-loss durability
-        (``sync=None`` asks :meth:`sync_due`).
-        ``storage.after_frame`` fires once the frame is out of user
-        space but before the store's in-memory state absorbs it.
+        The frame goes to the OS unconditionally, which is what makes a
+        SIGKILL after ``append`` returns lose nothing; the fsync policy
+        decides power-loss durability (``sync=None`` asks
+        :meth:`sync_due`).  ``storage.after_frame`` fires once the frame
+        is in the file but before it is fsynced or the store absorbs it.
+        When anything after the write raises, the file is truncated back
+        to its length before the append and every counter is left as it
+        was, so a refused append leaves no frame behind.
         """
         if sync is None:
             sync = self.sync_due()
+        sync = sync and self.fsync_policy != "never"
         handle = self._handle()
-        handle.write(frame_bytes)
-        handle.flush()
+        try:
+            if handle.write(frame_bytes) != len(frame_bytes):
+                raise OSError(f"short write to {self.active_path}")
+            fault_point("storage.after_frame")
+            if sync:
+                self._fsync_active(handle)
+        except BaseException:
+            os.ftruncate(handle.fileno(), self._active_bytes)
+            raise
         self._appends += 1
-        self._unsynced += 1
+        if sync:
+            self._syncs += 1
+            self._unsynced = 0
+        else:
+            self._unsynced += 1
         self._active_rows += int(n_rows)
         self._active_frames += 1
         self._active_crc = zlib.crc32(frame_bytes, self._active_crc)
         self._active_bytes += len(frame_bytes)
-        fault_point("storage.after_frame")
-        if sync and self.fsync_policy != "never":
-            self._fsync_active(handle)
-            self._syncs += 1
-            self._unsynced = 0
 
     def sync(self) -> None:
-        """Flush and fsync whatever has been appended so far."""
+        """fsync whatever has been appended so far."""
         if self._file is not None and self.fsync_policy != "never":
-            self._file.flush()
             self._fsync_active(self._file)
             self._syncs += 1
             self._unsynced = 0
@@ -410,16 +480,11 @@ class SegmentLog:
         """
         if self._active_frames == 0:
             return None
-        handle = self._handle()
-        handle.flush()
-        os.fsync(handle.fileno())
+        os.fsync(self._handle().fileno())
         self.release()
         fault_point("storage.before_seal")
         sealed_path = self.directory / segment_name(index)
         os.rename(self.active_path, sealed_path)
-        fsync_directory(self.directory)
-        self._new_entry = False
-        fault_point("storage.after_seal")
         entry = {
             "segment": sealed_path.name,
             "frames": self._active_frames,
@@ -427,11 +492,16 @@ class SegmentLog:
             "bytes": self._active_bytes,
             "crc": self._active_crc,
         }
+        # From the rename on, the counters describe the next active.seg,
+        # even when the rest of the seal fails.
         self._active_rows = 0
         self._active_frames = 0
         self._active_crc = 0
         self._active_bytes = 0
         self._unsynced = 0
+        fsync_directory(self.directory)
+        self._new_entry = False
+        fault_point("storage.after_seal")
         return entry
 
     def sealed_segments(self) -> list[Path]:
@@ -439,10 +509,8 @@ class SegmentLog:
         return sorted(self.directory.glob("seg-*.seg"))
 
     def close(self) -> None:
-        """Flush, fsync (unless policy is "never") and close the handle."""
-        if self._file is not None and self.fsync_policy != "never":
-            self._file.flush()
-            self._fsync_active(self._file)
+        """fsync (unless policy is "never") and close the handle."""
+        self.sync()
         self.release()
 
     def release(self) -> None:

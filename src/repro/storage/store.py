@@ -13,31 +13,31 @@ durability:
 
 :class:`DiskStore`
     Persists every ingest chunk as one columnar frame in an append-only
-    segment log (:mod:`repro.storage.segments`) and assigns first-seen
-    indices through append-only name dictionaries (:mod:`repro.storage.
-    names`); an ingest writes nothing else.  A seal -- each checkpoint,
-    and an ingest that finds ``SEAL_ROWS`` rows in the active segment --
-    also writes the aggregate state as one checkpoint file
-    (:mod:`repro.storage.checkpoint`) that the new manifest names.
-    Attach is O(1) -- read the manifest, scan the active segment -- and
-    the dict materialization the estimators need (read the checkpoint,
-    fold the frames past it) is deferred until the first read, so a
-    process restart reaches readiness in milliseconds regardless of
-    session size.
+    segment log (:mod:`repro.storage.segments`); the frame carries the
+    entity and source names the chunk introduces, which take the next
+    first-seen indices.  An ingest writes nothing else.  A seal -- each
+    checkpoint, and an ingest that finds ``SEAL_ROWS`` rows in the
+    active segment -- also writes the aggregate state and its names as
+    one checkpoint file (:mod:`repro.storage.checkpoint`) that the new
+    manifest names.  Attach is O(1) -- read the manifest, scan the
+    active segment -- and the dict materialization the estimators need
+    (read the checkpoint, fold the frames past it) is deferred until the
+    first read, so a process restart reaches readiness in milliseconds
+    regardless of session size.
 
 Crash consistency (the order of operations per ingest chunk):
 
-1. new names are appended and flushed (write-ahead of the frame that
-   references them);
-2. the frame is appended and flushed -- **this is the durability
-   point**; ``storage.after_frame`` fires here;
-3. the chunk is folded into the in-memory state.
+1. the frame, names included, is appended whole or not at all -- **this
+   is the durability point**; ``storage.after_frame`` fires here, and
+   an append that raises truncates its frame away;
+2. the chunk's names join the store's name lists, and the chunk is
+   folded into the in-memory state.
 
-A SIGKILL before (2) loses the unacknowledged chunk only; after it,
-attach finds the frame in the log.  A seal fsyncs the names, fsyncs and
-renames the active segment, writes and fsyncs the checkpoint, and only
-then replaces the manifest, so a checkpoint never describes a version
-the durable log lacks.  A crash anywhere in between leaves the previous
+A SIGKILL before (1) completes loses the unacknowledged chunk only;
+after it, attach finds the frame in the log.  A seal fsyncs and renames
+the active segment, writes and fsyncs the checkpoint, and only then
+replaces the manifest, so a checkpoint never describes a version the
+durable log lacks.  A crash anywhere in between leaves the previous
 manifest, and attach folds the orphaned segment and ``active.seg`` onto
 its checkpoint; a checkpoint that is missing, fails its size or CRC, or
 is named at another version than the manifest's is ignored, and the
@@ -65,7 +65,6 @@ from repro.storage.layout import (
     StoreLayout,
     make_directories,
 )
-from repro.storage.names import NameLog, encode_entries
 from repro.storage.segments import (
     FRAME_SEED,
     Frame,
@@ -157,13 +156,13 @@ class MemoryStore:
 
 
 class DiskStore:
-    """Per-session disk store: segment log + name logs + seal-time checkpoint.
+    """Per-session disk store: segment log + seal-time checkpoint.
 
     Mutations are not thread-safe by themselves: they are serialized by
     the caller (the serving layer's per-session writer lock).  The lazy
-    decode/materialization a first read triggers is guarded here,
-    because concurrent readers (or a reader racing a replica push) can
-    trigger it together.
+    materialization a first read triggers is guarded here, because
+    concurrent readers (or a reader racing a replica push) can trigger
+    it together.
     """
 
     kind = "disk"
@@ -177,32 +176,31 @@ class DiskStore:
     ) -> None:
         self._layout = StoreLayout(directory)
         make_directories(self._layout.directory, sync=fsync != "never")
-        self.fsync_policy = fsync
         self._segments = SegmentLog(
             self._layout.directory, fsync=fsync, batch_every=batch_every
         )
-        self._entities_log = NameLog(self._layout.entities_path)
-        self._sources_log = NameLog(self._layout.sources_path)
 
         self._config: "dict[str, Any] | None" = None
         self._seed_sizes: "tuple[int, ...]" = ()
         self._sealed_entries: "list[dict[str, Any]]" = []
         # The manifest's checkpoint entry while it is trusted.  A seal is
         # due (_manifest_dirty) when the manifest lags the directory: an
-        # adopted orphan segment, or a log without a trusted checkpoint.
+        # adopted orphan segment, a seal that failed partway, or a log
+        # without a trusted checkpoint.
         self._checkpoint: "dict[str, Any] | None" = None
         self._manifest_dirty = False
 
         # Materialized lazily (the O(c) part restart must not pay), under
         # one double-checked lock; ``_materialized`` is published last, so
-        # a reader that sees it True sees the indexes and folded tail.
+        # a reader that sees it True sees the names and folded tail.
+        # Name i of a kind has index i; the lists only ever grow.
         self._lazy_lock = threading.RLock()
         self._materialized = False
         self._state_obj: "IntegrationState | None" = None
-        self._entity_index: "dict[str, int] | None" = None
-        self._source_index: "dict[str, int] | None" = None
-        self._entity_names: "list[str] | None" = None
-        self._source_names: "list[str] | None" = None
+        self._entity_names: "list[str]" = []
+        self._source_names: "list[str]" = []
+        self._entity_index: "dict[str, int]" = {}
+        self._source_index: "dict[str, int]" = {}
 
         # The frames past the checkpoint, folded at materialization, and
         # the counters attach reports before that.
@@ -240,25 +238,7 @@ class DiskStore:
                 self._n_ingested = int(manifest["n_ingested"])
                 self._c = int(checkpoint["entities"])
                 self._n_sources = int(checkpoint["sources"])
-        listed = {entry["segment"] for entry in self._sealed_entries}
-        for path in self._segments.sealed_segments():
-            if path.name in listed:
-                continue
-            # Sealed before the manifest write could record it (a crash
-            # in the storage.after_seal window): adopt it.
-            frames = read_frames(path, sealed=True)
-            raw = path.read_bytes()
-            self._sealed_entries.append(
-                {
-                    "segment": path.name,
-                    "frames": len(frames),
-                    "rows": sum(f.n_rows for f in frames),
-                    "bytes": len(raw),
-                    "crc": zlib.crc32(raw),
-                }
-            )
-            self._manifest_dirty = True
-        self._sealed_entries.sort(key=lambda entry: entry["segment"])
+        self._adopt_orphans()
         for entry in self._sealed_entries:
             segment_path = self._layout.directory / entry["segment"]
             if not segment_path.is_file():
@@ -276,6 +256,30 @@ class DiskStore:
                 )
             self._manifest_dirty = True  # the next seal writes a checkpoint
         self._count(self._tail_frames)
+
+    def _adopt_orphans(self) -> None:
+        """List the sealed segments the manifest lacks.
+
+        A seal that failed after its rename (a crash, or an error in the
+        ``storage.after_seal`` window) leaves one behind.
+        """
+        listed = {entry["segment"] for entry in self._sealed_entries}
+        for path in self._segments.sealed_segments():
+            if path.name in listed:
+                continue
+            frames = read_frames(path, sealed=True)
+            raw = path.read_bytes()
+            self._sealed_entries.append(
+                {
+                    "segment": path.name,
+                    "frames": len(frames),
+                    "rows": sum(f.n_rows for f in frames),
+                    "bytes": len(raw),
+                    "crc": zlib.crc32(raw),
+                }
+            )
+            self._manifest_dirty = True
+        self._sealed_entries.sort(key=lambda entry: entry["segment"])
 
     def _log_frames(self, sealed: "list[dict[str, Any]]") -> "list[Frame]":
         """The frames of the ``sealed`` segment entries, then of ``active.seg``."""
@@ -297,11 +301,11 @@ class DiskStore:
                 self._n_ingested = int(seed["n_ingested"])
                 self._c = len(seed["counts"])
                 self._n_sources = len(seed["per_source"])
-            elif frame.n_rows:
+            else:
                 self._n += frame.n_rows
                 self._n_ingested += frame.n_rows
-                self._c = max(self._c, int(frame.entity_idx.max()) + 1)
-                self._n_sources = max(self._n_sources, int(frame.source_idx.max()) + 1)
+                self._c += len(frame.new_entities)
+                self._n_sources += len(frame.new_sources)
             self._version = max(self._version, frame.state_version)
 
     def recovered_counters(self) -> "dict[str, int]":
@@ -382,15 +386,6 @@ class DiskStore:
             self._materialize()
         return self._state_obj
 
-    def _decode_names(self) -> None:
-        if self._entity_names is not None and self._source_names is not None:
-            return
-        with self._lazy_lock:
-            if self._entity_names is None or self._source_names is None:
-                entity_names, _ = self._entities_log.read_all()
-                source_names, _ = self._sources_log.read_all()
-                self._entity_names, self._source_names = entity_names, source_names
-
     def _materialize(self) -> None:
         if self._materialized:
             return
@@ -400,16 +395,11 @@ class DiskStore:
                 self._materialized = True
 
     def _materialize_locked(self) -> None:
-        self._decode_names()
         frames, self._tail_frames = self._tail_frames, []
         state = None
         if self._checkpoint is not None:
             state = read_checkpoint(
-                self._layout.checkpoint_path,
-                self._checkpoint,
-                self._entity_names,
-                self._source_names,
-                self.attribute,
+                self._layout.checkpoint_path, self._checkpoint, self.attribute
             )
             if state is None:
                 # The file fails its size or CRC: the log is authoritative.
@@ -419,25 +409,31 @@ class DiskStore:
         if state is None:
             state = IntegrationState()
         self._fold(state, frames)
-        self._state_obj = state
-        self._install_indexes()
 
     def _fold(self, state: IntegrationState, frames: "list[Frame]") -> None:
-        """Put ``frames`` onto ``state`` in log order: the one replay routine."""
+        """Put ``frames`` onto ``state`` in log order: the one replay routine.
+
+        The state's names (a checkpoint's, or none) come first, then
+        each frame's; the store then serves ``state`` and these names.
+        """
         attribute = self.attribute
-        entity_names = self._entity_names
-        source_names = self._source_names
+        entity_names = list(state.counts)
+        source_names = list(state.per_source)
         for frame in frames:
             if frame.kind == FRAME_SEED:
                 _adopt_seed(state, frame.seed, attribute)
+                entity_names = list(state.counts)
+                source_names = list(state.per_source)
                 continue
+            entity_names.extend(frame.new_entities)
+            source_names.extend(frame.new_sources)
             if frame.n_rows and (
                 int(frame.entity_idx.max()) >= len(entity_names)
                 or int(frame.source_idx.max()) >= len(source_names)
             ):
                 raise StorageError(
-                    "a durable frame references a name index the dictionaries "
-                    "do not hold; names are flushed before frames, so this is "
+                    "a durable frame references a name no earlier frame "
+                    "introduced; frames are appended whole, so this is "
                     "external damage"
                 )
             for row in range(frame.n_rows):
@@ -447,31 +443,11 @@ class DiskStore:
                     ),
                     attribute,
                 )
-
-    def _install_indexes(self) -> None:
-        """Reconcile the name logs with the folded state, build indexes.
-
-        Names are written ahead of their frames, so a crash can leave
-        entries whose frame never became durable; appending would then
-        mint duplicate indices.  Truncate back to the entries the state
-        references (an ingest re-appends any name it reintroduces --
-        same name, same index, by first-seen order).
-        """
-        state = self._state_obj
-        referenced_e = len(state.counts)
-        referenced_s = len(state.per_source)
-        if len(self._entity_names) > referenced_e:
-            self._entities_log.truncate_to_entries(self._entity_names, referenced_e)
-            self._entity_names = self._entity_names[:referenced_e]
-        if len(self._source_names) > referenced_s:
-            self._sources_log.truncate_to_entries(self._source_names, referenced_s)
-            self._source_names = self._source_names[:referenced_s]
-        self._entity_index = {
-            name: i for i, name in enumerate(self._entity_names)
-        }
-        self._source_index = {
-            name: i for i, name in enumerate(self._source_names)
-        }
+        self._state_obj = state
+        self._entity_names = entity_names
+        self._source_names = source_names
+        self._entity_index = {name: i for i, name in enumerate(entity_names)}
+        self._source_index = {name: i for i, name in enumerate(source_names)}
 
     # ------------------------------------------------------------------ #
     # Ingest
@@ -494,7 +470,6 @@ class DiskStore:
         if self._segments.active_rows >= SEAL_ROWS:
             self.seal()
         self._materialize()
-        state = self._state_obj
         entity_index = self._entity_index
         source_index = self._source_index
         count = len(chunk)
@@ -526,28 +501,19 @@ class DiskStore:
             except (KeyError, TypeError, ValueError):
                 vals[i] = math.nan
             seqs[i] = obs.sequence
-        # Encoding refuses a frame or a name its reader would drop as a
-        # corrupt tail: the ingest fails before anything is written.
-        frame = encode_frame(state_version, e_idx, s_idx, vals, seqs, flags)
-        entity_entries = encode_entries(list(new_entities))
-        source_entries = encode_entries(list(new_sources))
-        # 1. Names ahead of the frame that references them.
-        if new_entities:
-            entity_index.update(new_entities)
-            self._entities_log.append(entity_entries)
-            self._entity_names.extend(new_entities)
-        if new_sources:
-            source_index.update(new_sources)
-            self._sources_log.append(source_entries)
-            self._source_names.extend(new_sources)
-        # 2. The frame: the durability point.  An fsync of the frame is
-        #    preceded by one of the names it references.
-        sync = self._segments.sync_due()
-        if sync:
-            self._entities_log.sync()
-            self._sources_log.sync()
-        self._segments.append(frame, count, sync=sync)
-        # 3. In-memory state.
+        # Encoding refuses a frame its reader would drop as a corrupt
+        # tail, and the append writes all of the frame or none of it: a
+        # refused chunk leaves no row and no name behind.
+        frame = encode_frame(
+            state_version, e_idx, s_idx, vals, seqs, flags,
+            new_entities=new_entities, new_sources=new_sources,
+        )
+        self._segments.append(frame, count)
+        entity_index.update(new_entities)
+        self._entity_names.extend(new_entities)
+        source_index.update(new_sources)
+        self._source_names.extend(new_sources)
+        state = self._state_obj
         for obs in chunk:
             state.integrate(obs, attribute)
         self._version, self._n_ingested = state_version, n_ingested
@@ -585,8 +551,6 @@ class DiskStore:
                     "store for multi-attribute samples)"
                 )
             flat_values[name] = float(vals[attribute])
-        entity_names = list(counts)
-        source_names = list(per_source)
         seed = {
             "counts": counts,
             "values": flat_values,
@@ -596,18 +560,10 @@ class DiskStore:
             "n_ingested": int(n_ingested),
         }
         frame = encode_seed_frame(state_version, seed)
-        self._entities_log.append(encode_entries(entity_names))
-        self._sources_log.append(encode_entries(source_names))
-        self._entities_log.sync()
-        self._sources_log.sync()
-        self._segments.append(frame, 0, sync=self.fsync_policy != "never")
+        self._segments.append(frame, 0, sync=True)
         state = IntegrationState()
         _adopt_seed(state, seed, attribute)
-        self._state_obj = state
-        self._entity_names = entity_names
-        self._source_names = source_names
-        self._entity_index = {name: i for i, name in enumerate(entity_names)}
-        self._source_index = {name: i for i, name in enumerate(source_names)}
+        self._fold(state, [])  # names the seeded state
         self._materialized = True
         self._seed_sizes = tuple(int(s) for s in seed_source_sizes)
         self._version = int(state_version)
@@ -628,8 +584,8 @@ class DiskStore:
         if not self._segments.active_frames and not self._manifest_dirty:
             return False
         self._materialize()
-        self._entities_log.sync()
-        self._sources_log.sync()
+        self._manifest_dirty = True  # until this seal writes the manifest
+        self._adopt_orphans()  # so no segment index is used twice
         entry = self._segments.seal(self._next_segment_index())
         if entry is not None:
             self._sealed_entries.append(entry)
@@ -678,7 +634,7 @@ class DiskStore:
 
     def reader_inputs(self):
         """(segment entries, names, attribute) snapshot for a reader."""
-        self._decode_names()
+        self._materialize()
         entries: list[tuple[Any, int]] = []
         for entry in self._sealed_entries:
             entries.append(
@@ -694,13 +650,9 @@ class DiskStore:
     # ------------------------------------------------------------------ #
 
     def sync(self) -> None:
-        self._entities_log.sync()
-        self._sources_log.sync()
         self._segments.sync()
 
     def close(self) -> None:
-        self._entities_log.close()  # names before the frames that use them
-        self._sources_log.close()
         self._segments.close()
 
     def release(self) -> None:
@@ -709,8 +661,6 @@ class DiskStore:
         For a store that was just synced, or one being deleted or
         replaced, whose files it would be wasted work to make durable.
         """
-        self._entities_log.release()
-        self._sources_log.release()
         self._segments.release()
 
     def stats(self) -> "dict[str, Any]":

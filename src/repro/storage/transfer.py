@@ -59,7 +59,7 @@ def archive_header(
     ``(absolute_path, relative_path, size)`` in transfer order.  Sizes
     are captured here, so the caller must hold the session's write lock
     (or otherwise guarantee quiescence) from this call until the listed
-    *mutable* files (names, checkpoint, manifest) have been read; sealed
+    *mutable* files (checkpoint, manifest) have been read; sealed
     segments are immutable and may be streamed after the lock drops.
     """
     layout = StoreLayout(directory)

@@ -15,6 +15,7 @@ from cluster_helpers import (
     thread_cluster,
     wait_for,
 )
+from repro.cluster import migration
 from repro.cluster.fleet import Worker
 from repro.cluster.migration import MigrationError, fetch_snapshot, migrate_session
 from repro.resilience.faults import InjectedFaultError, arm, disarm
@@ -108,6 +109,29 @@ def test_crash_before_transfer_leaves_source_authoritative(pair):
     # The retry completes cleanly.
     migrate_session("mig", source.base, dest.base)
     assert estimate_bytes(dest.base) == (200, before)
+
+
+@pytest.mark.parametrize("reported", [None, "1.0"], ids=["missing", "not-an-integer"])
+def test_archive_without_an_integer_version_leaves_source_authoritative(
+    pair, monkeypatch, reported
+):
+    source, dest = pair
+    seed(source.base)
+    _, before = estimate_bytes(source.base)
+    real_stream = migration.worker_stream
+
+    def stream(*args, **kwargs):
+        status, response, connection = real_stream(*args, **kwargs)
+        del response.headers["X-Repro-State-Version"]
+        if reported is not None:
+            response.headers["X-Repro-State-Version"] = reported
+        return status, response, connection
+
+    monkeypatch.setattr(migration, "worker_stream", stream)
+    with pytest.raises(MigrationError, match="X-Repro-State-Version"):
+        migrate_session("mig", source.base, dest.base)
+    assert estimate_bytes(dest.base)[0] == 404
+    assert estimate_bytes(source.base) == (200, before)
 
 
 def test_crash_before_resume_leaves_two_equal_copies_and_retry_resolves(pair):

@@ -1,11 +1,11 @@
 """Writers refuse what their readers would drop as a corrupt tail.
 
-Each durable format bounds the length its reader accepts: the name-log
-entry and the segment frame.  A longer length prefix reads as a
-torn or corrupt tail and is truncated, together with everything after
-it.  These tests scale each bound down and check that an ingest
-crossing it fails with a client error before anything is written, so
-every acknowledged version survives a restart.
+The segment frame bounds the length its reader accepts, and a frame
+holds the names its chunk introduces.  A longer length prefix reads as
+a torn or corrupt tail and is truncated, together with everything after
+it.  These tests scale the bound down and check that an ingest crossing
+it, by its rows or by a long new name, fails with a client error before
+anything is written, so every acknowledged version survives a restart.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from serving_helpers import make_observations
 from repro.api.session import OpenWorldSession
 from repro.serving.http import make_server
 from repro.serving.registry import SessionRegistry
-from repro.storage import names, segments
+from repro.storage import segments
 from repro.utils.exceptions import ValidationError
 
 ESTIMATOR = "bucket/frequency"
@@ -59,16 +59,21 @@ def _refuse_between_acks(tmp_path, refused_rows):
     assert recovered.snapshot_payload() == reference.snapshot().to_dict()
 
 
-def test_name_over_the_bound_is_refused(tmp_path, monkeypatch):
-    monkeypatch.setattr(names, "_MAX_NAME_BYTES", 64)
+#: Below a frame holding a 300-byte name; above every acknowledged frame.
+SMALL_FRAME_BOUND = 256
+
+
+def test_long_entity_name_overflows_the_frame(tmp_path, monkeypatch):
+    monkeypatch.setattr(segments, "_MAX_FRAME_BYTES", SMALL_FRAME_BOUND)
     # A new short name rides along: the refusal must not leave it indexed.
-    rows = [("x", "s9", 9.0), ("e" * 65, "s1", 5.0)]
+    rows = [("x", "s9", 9.0), ("e" * 300, "s1", 5.0)]
     _refuse_between_acks(tmp_path, rows)
 
 
-def test_long_source_name_is_refused(tmp_path, monkeypatch):
-    monkeypatch.setattr(names, "_MAX_NAME_BYTES", 64)
-    _refuse_between_acks(tmp_path, [("x", "s" * 65, 9.0)])
+def test_long_source_name_overflows_the_frame(tmp_path, monkeypatch):
+    monkeypatch.setattr(segments, "_MAX_FRAME_BYTES", SMALL_FRAME_BOUND)
+    # The new short entity must not stay indexed either.
+    _refuse_between_acks(tmp_path, [("x", "s" * 300, 9.0)])
 
 
 def test_segment_frame_over_the_bound_is_refused(tmp_path, monkeypatch):
@@ -79,7 +84,7 @@ def test_segment_frame_over_the_bound_is_refused(tmp_path, monkeypatch):
 
 
 def test_refused_ingest_is_a_client_error_over_http(tmp_path, monkeypatch):
-    monkeypatch.setattr(names, "_MAX_NAME_BYTES", 64)
+    monkeypatch.setattr(segments, "_MAX_FRAME_BYTES", SMALL_FRAME_BOUND)
     server = make_server(state_dir=str(tmp_path))
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -103,11 +108,11 @@ def test_refused_ingest_is_a_client_error_over_http(tmp_path, monkeypatch):
         assert status == 201
         rows = [
             {"entity_id": "x", "source_id": "s1", "attributes": {"value": 1}},
-            {"entity_id": "e" * 65, "source_id": "s1", "attributes": {"value": 2}},
+            {"entity_id": "e" * 300, "source_id": "s1", "attributes": {"value": 2}},
         ]
         status, body = post("/sessions/s/ingest", {"observations": rows})
         assert status == 400
-        assert "bound of a name-log entry" in body["error"]
+        assert "frame bound" in body["error"]
         assert server.registry.get("s").state_version == 0
     finally:
         server.shutdown()

@@ -2,9 +2,9 @@
 
 An ``os.fsync`` spy records the inode of every synced file or directory.
 A created or renamed file or directory is only durable once its parent
-directory is fsynced, and a durable segment frame must never reference
-a name a power loss can still drop, so the name logs are fsynced before
-every segment fsync.  A store on its way out (deleted, or replaced by a
+directory is fsynced.  A segment frame carries the names it introduces,
+so an ingest fsyncs nothing but ``active.seg`` (and, once, its
+directory entry).  A store on its way out (deleted, or replaced by a
 newer copy) is closed without any fsync of its own files.
 """
 
@@ -21,7 +21,6 @@ from repro.api.session import OpenWorldSession
 from repro.serving.registry import SessionRegistry
 from repro.storage.layout import StoreLayout
 from repro.storage.transfer import iter_archive
-from repro.storage.names import NameLog
 from repro.storage.segments import SegmentLog, encode_seed_frame
 from repro.storage.store import DiskStore
 
@@ -54,22 +53,15 @@ class TestDirectoryEntries:
         log.append(encode_seed_frame(2, {}), 0)
         assert synced == [inode(log.active_path), inode(tmp_path)]
 
-    def test_name_logs_created_under_always(self, tmp_path, synced):
+    def test_first_ack_under_always_syncs_only_the_new_active_segment(
+        self, tmp_path, synced
+    ):
         store = DiskStore(tmp_path, fsync="always")
         session = OpenWorldSession(ATTRIBUTE, estimator=ESTIMATOR, store=store)
         synced.clear()
         session.ingest(observations([("a", "s1", 1.0)]))
-        layout = StoreLayout(tmp_path)
-        active = tmp_path / SegmentLog.ACTIVE_NAME
-        # Each new file, then its directory entry; the names before the frame.
-        assert synced[:6] == [
-            inode(layout.entities_path),
-            inode(tmp_path),
-            inode(layout.sources_path),
-            inode(tmp_path),
-            inode(active),
-            inode(tmp_path),
-        ]
+        # The new file, then its directory entry; the names ride in the frame.
+        assert synced == [inode(tmp_path / SegmentLog.ACTIVE_NAME), inode(tmp_path)]
         session.close()
 
 
@@ -85,20 +77,7 @@ class TestSealOrder:
         synced.clear()
         assert store.seal()
         layout = StoreLayout(tmp_path)
-        # Under batch no fsync has run yet: the name logs and their new
-        # directory entries come first.
-        names = (
-            [
-                inode(layout.entities_path),
-                inode(tmp_path),
-                inode(layout.sources_path),
-                inode(tmp_path),
-            ]
-            if policy == "batch"
-            else []
-        )
         assert synced == [
-            *names,
             inode(tmp_path / "seg-00000001.seg"),
             inode(tmp_path),  # the rename
             inode(layout.checkpoint_path),
@@ -106,42 +85,6 @@ class TestSealOrder:
             inode(tmp_path),  # the manifest's replace
         ]
         session.close()
-
-
-class TestNameLogsBeforeSegments:
-    @pytest.mark.parametrize("policy,batch_every", [("batch", 3), ("always", 1)])
-    def test_no_segment_fsync_while_names_are_unsynced(
-        self, tmp_path, monkeypatch, policy, batch_every
-    ):
-        events: list[tuple[str, int]] = []
-
-        def fsync(fd, real=os.fsync):
-            events.append(("fsync", os.fstat(fd).st_ino))
-            real(fd)
-
-        def append(log, entries, real=NameLog.append):
-            real(log, entries)
-            events.append(("append", inode(log.path)))
-
-        monkeypatch.setattr(os, "fsync", fsync)
-        monkeypatch.setattr(NameLog, "append", append)
-        store = DiskStore(tmp_path, fsync=policy, batch_every=batch_every)
-        session = OpenWorldSession(ATTRIBUTE, estimator=ESTIMATOR, store=store)
-        for i in range(10):  # every chunk brings a new entity and source
-            session.ingest(observations([(f"e{i}", f"s{i}", float(i))]))
-        active = inode(tmp_path / SegmentLog.ACTIVE_NAME)
-        session.close()
-        unsynced: set[int] = set()
-        segment_syncs = 0
-        for kind, ino in events:
-            if kind == "append":
-                unsynced.add(ino)
-            elif ino == active:
-                assert not unsynced, "segment fsynced before the names it references"
-                segment_syncs += 1
-            else:
-                unsynced.discard(ino)
-        assert segment_syncs == 10 // batch_every + 1  # the last one at close
 
 
 class TestStateDirEntries:

@@ -1,15 +1,16 @@
-"""A read racing the lazy decode of a re-attached disk store.
+"""A read racing the lazy materialization of a re-attached disk store.
 
-A re-attached :class:`~repro.storage.store.DiskStore` decodes its two name
-tables and materializes its state on the first read that needs them.  Two
-readers (or a reader and the router's boot-time replica push) can trigger
-that together.  Without a lock the second one could see the entity table
-decoded and the source table still ``None``, and fail with ``len(None)``.
+A re-attached :class:`~repro.storage.store.DiskStore` reads its
+checkpoint and folds the frames past it, which name every entity and
+source, on the first read that needs its state or its names; that is
+its one lazy path.  Two readers (or a reader and the router's boot-time
+replica push) can trigger it together.  Without a lock the second one
+could see the state or the names before the fold had built them.
 
 The interleaving is forced with events: the first reader blocks inside
-the source-table read; the second reader starts and the test waits until
-it either finished or is waiting for the store's lock, then lets the
-first reader finish.
+the fold; the second reader starts and the test waits until it either
+finished or is waiting for the store's lock, then lets the first reader
+finish.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import threading
 import pytest
 
 from repro.storage.store import DiskStore
-from storage_helpers import CHUNKS, disk_session, memory_session
+from storage_helpers import CHUNKS, disk_session, memory_session, observations
 
 
 class _ObservedLock:
@@ -41,8 +42,15 @@ class _ObservedLock:
 
 
 def _reattached_store(directory) -> DiskStore:
-    session = disk_session(directory, CHUNKS)
+    """A re-attached store with a checkpoint and frames past it.
+
+    The first fold takes the tail frames, so a second, unlocked fold
+    would build the state and names without them.
+    """
+    session = disk_session(directory, CHUNKS[:2])
     session.store.seal()
+    for chunk in CHUNKS[2:]:
+        session.ingest(observations(chunk))
     session.close()
     store = DiskStore(directory)
     assert not store.materialized
@@ -56,21 +64,21 @@ READERS = {
 
 
 @pytest.mark.parametrize("reader", sorted(READERS))
-def test_second_reader_waits_for_the_first_decode(tmp_path, reader):
+def test_second_reader_waits_for_the_first_fold(tmp_path, reader):
     store = _reattached_store(tmp_path / "store")
     read = READERS[reader]
     first_blocked = threading.Event()
     release_first = threading.Event()
     second_progressed = threading.Event()
 
-    real_read_all = store._sources_log.read_all
+    real_fold = store._fold
 
-    def blocking_read_all():
+    def blocking_fold(state, frames):
         first_blocked.set()
         assert release_first.wait(timeout=30)
-        return real_read_all()
+        return real_fold(state, frames)
 
-    store._sources_log.read_all = blocking_read_all
+    store._fold = blocking_fold
     results: dict[str, object] = {}
     errors: list[Exception] = []
 
@@ -86,7 +94,7 @@ def test_second_reader_waits_for_the_first_decode(tmp_path, reader):
     first = threading.Thread(target=run, args=("first",))
     first.start()
     assert first_blocked.wait(timeout=30)
-    store._sources_log.read_all = real_read_all
+    del store._fold
 
     second_box: list[threading.Thread] = []
     store._lazy_lock = _ObservedLock(store._lazy_lock, second_box, second_progressed)

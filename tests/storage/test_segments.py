@@ -8,6 +8,7 @@ import zlib
 import numpy as np
 import pytest
 
+from repro.resilience.faults import InjectedFaultError, arm, disarm
 from repro.storage import segments as segments_module
 from repro.storage.layout import DEFAULT_BATCH_EVERY
 from repro.storage.segments import (
@@ -15,7 +16,9 @@ from repro.storage.segments import (
     FRAME_SEED,
     SegmentCorruptionError,
     SegmentLog,
+    decode_names,
     encode_frame,
+    encode_names,
     encode_seed_frame,
     read_frames,
     scan_frames,
@@ -24,14 +27,30 @@ from repro.storage.segments import (
 from repro.utils.exceptions import ValidationError
 
 
-def make_frame(version, n, offset=0):
+def make_frame(version, n, offset=0, **names):
     """A deterministic observation frame with ``n`` rows."""
     entity = np.arange(offset, offset + n, dtype="<u4")
     source = np.arange(n, dtype="<u4") % 3
     values = np.linspace(0.5, 9.5, n)
     sequences = np.arange(n, dtype="<i8") - 1
     flags = (np.arange(n) % 2).astype("u1")
-    return encode_frame(version, entity, source, values, sequences, flags)
+    return encode_frame(version, entity, source, values, sequences, flags, **names)
+
+
+#: Names with multi-byte UTF-8, an empty-looking one and separators.
+NAMES = {
+    "new_entities": ["a", "ünïcödé", "x\ny", "名前", " "],
+    "new_sources": ["s1", "s\x002"],
+}
+
+
+def payload_of(frame: bytes) -> bytes:
+    return frame[8:]
+
+
+def reframe(payload: bytes) -> bytes:
+    """``payload`` behind a header whose length and CRC match it."""
+    return len(payload).to_bytes(4, "big") + zlib.crc32(payload).to_bytes(4, "big") + payload
 
 
 class TestFraming:
@@ -70,6 +89,27 @@ class TestFraming:
         assert frame.n_rows == 0
         assert frame.seed == seed
 
+    def test_name_blocks_roundtrip_with_the_rows(self):
+        raw = make_frame(3, 4, **NAMES)
+        frames, clean = scan_frames(raw)
+        assert clean == len(raw)
+        (frame,) = frames
+        assert frame.new_entities == NAMES["new_entities"]
+        assert frame.new_sources == NAMES["new_sources"]
+        assert frame.entity_idx.tolist() == [0, 1, 2, 3]
+        assert frame.sequences.tolist() == [-1, 0, 1, 2]
+
+    def test_a_frame_without_new_names_has_empty_blocks(self):
+        (frame,), _ = scan_frames(make_frame(1, 2))
+        assert frame.new_entities == [] and frame.new_sources == []
+
+    def test_name_codec_roundtrip_at_an_offset(self):
+        block = encode_names(NAMES["new_entities"])
+        names, end = decode_names(b"pad" + block + b"rest", 3)
+        assert names == NAMES["new_entities"]
+        assert end == 3 + len(block)
+        assert decode_names(encode_names([]), 0) == ([], 4)
+
     def test_concatenated_frames_parse_in_order(self):
         raw = make_frame(1, 2) + make_frame(2, 3) + make_frame(3, 1)
         frames, clean = scan_frames(raw)
@@ -105,6 +145,34 @@ class TestTornTails:
         garbage = b"\xff\xff\xff\xff" + b"\x00" * 10
         frames, clean = scan_frames(good + garbage)
         assert len(frames) == 1
+        assert clean == len(good)
+
+    def test_torn_name_block_is_a_tail(self):
+        good = make_frame(1, 2, **NAMES)
+        torn = make_frame(2, 2, **NAMES)[:8 + 13 + 10]  # inside the names
+        frames, clean = scan_frames(good + torn)
+        assert [f.state_version for f in frames] == [1]
+        assert clean == len(good)
+
+    @pytest.mark.parametrize(
+        "damage",
+        ["count-overruns", "length-overruns", "not-utf8", "length-shrinks"],
+    )
+    def test_corrupt_name_block_under_a_valid_crc_is_a_tail(self, damage):
+        good = make_frame(1, 2, **NAMES)
+        payload = bytearray(payload_of(make_frame(2, 1, new_entities=["ab"])))
+        # meta (13 bytes), then the entity block: count, length, "ab".
+        if damage == "count-overruns":
+            payload[13:17] = (1 << 30).to_bytes(4, "little")
+        elif damage == "length-overruns":
+            payload[17:21] = (1 << 20).to_bytes(4, "little")
+        elif damage == "not-utf8":
+            payload[21:23] = b"\xff\xfe"
+        else:
+            # "b" then starts the source block, whose count overruns.
+            payload[17:21] = (1).to_bytes(4, "little")
+        frames, clean = scan_frames(good + reframe(bytes(payload)))
+        assert [f.state_version for f in frames] == [1]
         assert clean == len(good)
 
     def test_empty_input_is_no_frames(self):
@@ -260,6 +328,28 @@ class TestSegmentLog:
         frames, clean = scan_frames(recovered.active_path.read_bytes())
         assert [f.state_version for f in frames] == [1, 2]
         assert clean == recovered.active_path.stat().st_size
+
+    def test_a_refused_append_leaves_the_file_and_counters_as_they_were(
+        self, tmp_path
+    ):
+        log = SegmentLog(tmp_path, fsync="never")
+        first = make_frame(1, 2, new_entities=["a", "b"])
+        log.append(first, 2)
+        before = log.stats()
+        arm("storage.after_frame:raise")
+        try:
+            with pytest.raises(InjectedFaultError):
+                log.append(make_frame(2, 3, new_entities=["c"]), 3)
+        finally:
+            disarm()
+        assert log.active_path.read_bytes() == first
+        assert log.stats() == before
+        log.append(make_frame(2, 1), 1)
+        entry = log.seal(1)
+        frames = read_frames(tmp_path / segment_name(1), sealed=True)
+        assert [f.state_version for f in frames] == [1, 2]
+        assert [f.new_entities for f in frames] == [["a", "b"], []]
+        assert entry["frames"] == 2 and entry["rows"] == 3
 
     def test_seal_renames_and_reports_exact_entry(self, tmp_path):
         import zlib

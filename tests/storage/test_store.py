@@ -166,6 +166,29 @@ class TestAttach:
             DiskStore(directory)
         assert files() == before
 
+    def test_name_log_store_is_refused_untouched(self, tmp_path):
+        # repro.storage/v3 kept the names in two logs beside the segments.
+        session = disk_session(tmp_path / "store", CHUNKS)
+        session.store.seal()
+        session.close()
+        directory = tmp_path / "store"
+        manifest = json.loads((directory / "manifest.json").read_bytes())
+        manifest["schema"] = "repro.storage/v3"
+        (directory / "manifest.json").write_text(json.dumps(manifest))
+        for name in ("entities.dat", "sources.dat"):
+            (directory / name).write_bytes(b"\0\0\0\1a")
+
+        def files():
+            return {
+                path.name: (path.read_bytes(), path.stat().st_mtime_ns)
+                for path in directory.iterdir()
+            }
+
+        before = files()
+        with pytest.raises(StorageError, match="repro.storage/v3"):
+            DiskStore(directory)
+        assert files() == before
+
 
 def flip_byte(path, offset=32):
     """Flip a byte of ``path``; at 32, the first count of a checkpoint."""
@@ -235,11 +258,12 @@ class TestRecovery:
             DiskStore(tmp_path / "store")
 
 
-def _kill_after_frame(session, directory):
+def _refuse_after_frame(session, directory):
     arm("storage.after_frame:raise")
     with pytest.raises(InjectedFaultError):
-        session.ingest(observations(CHUNKS[-1]))  # durable, never acked
+        session.ingest(observations(CHUNKS[-1]))  # refused: its frame goes
     disarm()
+    session.ingest(observations(CHUNKS[-1]))  # the client resends it
 
 
 def _fail_between_checkpoint_and_manifest(session, directory):
@@ -284,7 +308,7 @@ def _seal_mid_stream(session, directory):
 
 #: Cuts past a checkpoint; TestRecovery covers the two seal fault points.
 CUTS = {
-    "kill-after-frame": _kill_after_frame,
+    "refuse-after-frame": _refuse_after_frame,
     "fail-between-checkpoint-and-manifest": _fail_between_checkpoint_and_manifest,
     "flipped-checkpoint": _flip_checkpoint_bytes,
     "checkpoint-at-an-older-version": _name_checkpoint_at_an_older_version,
@@ -296,9 +320,7 @@ CUTS = {
 class TestCheckpoint:
     """Only a seal writes the checkpoint; every cut attaches to the acked state."""
 
-    def test_an_ingest_writes_only_the_name_logs_and_the_active_segment(
-        self, tmp_path, monkeypatch
-    ):
+    def test_an_ingest_writes_only_the_active_segment(self, tmp_path, monkeypatch):
         monkeypatch.setattr(store_module, "SEAL_ROWS", 1_000)
         directory = tmp_path / "store"
         session = disk_session(directory, CHUNKS)
@@ -317,14 +339,14 @@ class TestCheckpoint:
         after = files()
         assert set(after) == set(before) | {"active.seg"}
         changed = {name for name in after if after[name] != before.get(name)}
-        assert changed == {"entities.dat", "sources.dat", "active.seg"}
+        assert changed == {"active.seg"}
         session.close()
 
     @pytest.mark.parametrize("cut", sorted(CUTS))
     def test_cut_attaches_to_the_acknowledged_state(self, tmp_path, cut):
         directory = tmp_path / "store"
         session = disk_session(
-            directory, CHUNKS if cut != "kill-after-frame" else CHUNKS[:-1]
+            directory, CHUNKS if cut != "refuse-after-frame" else CHUNKS[:-1]
         )
         CUTS[cut](session, directory)
         session.close()
@@ -374,6 +396,126 @@ class TestCheckpoint:
         assert not store.materialized  # O(1) attach on the checkpoint
         attached = OpenWorldSession.attach(store)
         assert_same_surfaces(attached, memory_session(CHUNKS))
+
+
+def _fsync_fails_once(monkeypatch):
+    """The next ``os.fsync`` raises; the ones after it succeed."""
+    real_fsync = os.fsync
+    calls = []
+
+    def fsync(fd):
+        calls.append(fd)
+        if len(calls) == 1:
+            raise OSError(5, "injected fsync error")
+        return real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+
+
+#: Ways an append fails after its frame reached the file.
+REFUSALS = {
+    "after-frame-raise": (
+        "batch",
+        lambda monkeypatch: arm("storage.after_frame:raise"),
+        InjectedFaultError,
+    ),
+    "fsync-error-under-always": ("always", _fsync_fails_once, OSError),
+}
+
+
+class TestRefusedAppend:
+    """A refused ingest leaves no frame and no name behind."""
+
+    @pytest.mark.parametrize("checkpoint", ["valid", "flipped"])
+    @pytest.mark.parametrize("refusal", sorted(REFUSALS))
+    def test_restart_serves_the_acknowledged_chunks_only(
+        self, tmp_path, monkeypatch, refusal, checkpoint
+    ):
+        policy, fail, error = REFUSALS[refusal]
+        directory = tmp_path / "store"
+        session = disk_session(directory, CHUNKS[:2], fsync=policy)
+        fail(monkeypatch)
+        with pytest.raises(error):
+            session.ingest(observations(CHUNKS[2]))
+        disarm()
+        monkeypatch.undo()
+        session.ingest(observations(CHUNKS[3]))
+        acknowledged = [CHUNKS[0], CHUNKS[1], CHUNKS[3]]
+        oracle = memory_session(acknowledged)
+        assert session.state_version == oracle.state_version == 3
+        assert_same_surfaces(session, oracle)
+        session.store.seal()
+        session.close()
+        if checkpoint == "flipped":
+            flip_byte(directory / "checkpoint.bin")
+        attached = OpenWorldSession.attach(DiskStore(directory))
+        assert attached.state_version == 3
+        assert_same_surfaces(attached, oracle)
+
+
+class TestFailedSeal:
+    @pytest.mark.parametrize("checkpoint", ["valid", "flipped"])
+    def test_a_seal_failed_after_its_rename_keeps_its_segment(
+        self, tmp_path, checkpoint
+    ):
+        directory = tmp_path / "store"
+        session = disk_session(directory, CHUNKS[:2])
+        session.store.seal()
+        session.ingest(observations(CHUNKS[2]))
+        arm("storage.after_seal:raise")
+        with pytest.raises(InjectedFaultError):
+            session.store.seal()  # seg-00000002.seg is renamed, not listed
+        disarm()
+        session.ingest(observations(CHUNKS[3]))
+        session.store.seal()  # adopts it, then seals seg-00000003.seg
+        assert_same_surfaces(session, memory_session(CHUNKS))
+        session.close()
+        manifest = json.loads((directory / "manifest.json").read_bytes())
+        assert [entry["segment"] for entry in manifest["sealed"]] == [
+            "seg-00000001.seg",
+            "seg-00000002.seg",
+            "seg-00000003.seg",
+        ]
+        if checkpoint == "flipped":
+            flip_byte(directory / "checkpoint.bin")
+        attached = OpenWorldSession.attach(DiskStore(directory))
+        assert attached.state_version == len(CHUNKS)
+        assert_same_surfaces(attached, memory_session(CHUNKS))
+
+
+class TestLogAlone:
+    """Frames carry every name: the log rebuilds a session without a checkpoint."""
+
+    @pytest.mark.usefixtures("early_seals")
+    def test_ingested_session_rebuilds_from_its_segments(self, tmp_path):
+        directory = tmp_path / "store"
+        session = disk_session(directory, CHUNKS)
+        session.store.seal()
+        session.close()
+        (directory / "checkpoint.bin").unlink()
+        attached = OpenWorldSession.attach(DiskStore(directory))
+        assert attached.state_version == len(CHUNKS)
+        assert_same_surfaces(attached, memory_session(CHUNKS))
+
+    def test_restored_session_rebuilds_from_its_segments(self, tmp_path):
+        directory = tmp_path / "store"
+        snapshot = memory_session(CHUNKS[:2]).snapshot().to_dict()
+        restored = OpenWorldSession.restore(snapshot, store=DiskStore(directory))
+        assert sorted(path.name for path in directory.iterdir()) == [
+            "active.seg",
+            "manifest.json",
+        ]
+        for chunk in CHUNKS[2:]:
+            restored.ingest(observations(chunk))
+        restored.store.seal()
+        restored.close()
+        (directory / "checkpoint.bin").unlink()
+        attached = OpenWorldSession.attach(DiskStore(directory))
+        oracle = OpenWorldSession.restore(snapshot)
+        for chunk in CHUNKS[2:]:
+            oracle.ingest(observations(chunk))
+        assert attached.state_version == oracle.state_version
+        assert_same_surfaces(attached, oracle)
 
 
 class TestSeedAdoption:
