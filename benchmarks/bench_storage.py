@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Storage-layer benchmark: ingest throughput, restart latency, replay.
+"""Storage-layer benchmark: ingest throughput and restart latency.
 
 Measures the disk store (:mod:`repro.storage`) against the in-memory
 default on the same deterministic stream, directly at the
@@ -7,9 +7,10 @@ default on the same deterministic stream, directly at the
 
 * ``ingest-*``: rows/second through ``session.ingest`` per store --
   memory, disk with the ``batch`` fsync policy (the serving default),
-  disk with ``never`` (page-cache only).  A disk ingest writes names
-  and one frame; the disk cells include the seals the store makes
-  itself each time its active segment reaches 65,536 rows.
+  disk with ``never`` (page-cache only).  A disk ingest writes one
+  frame, which carries the names the chunk introduces; the disk cells
+  include the seals the store makes itself each time its active
+  segment reaches 65,536 rows.
 * ``seal``: the disk-mode checkpoint after the full stream -- seal the
   active segment, write the checkpoint file, replace the manifest.
   O(active tail + c), not O(n).
@@ -22,8 +23,6 @@ default on the same deterministic stream, directly at the
 * ``first-read-materialize``: the deferred work the first
   estimator-facing read pays after an attach -- read and CRC-check the
   checkpoint and build the O(c) dicts (no frames follow a seal).
-* ``stream-replay``: a full pass over the segment observation reader
-  (the progressive-replay surface), rows/second off disk.
 
 Run standalone to emit ``BENCH_storage.json``::
 
@@ -185,20 +184,6 @@ def run_benchmark(quick: bool) -> dict:
                 "seconds": round(time.perf_counter() - begin, 6),
             }
         )
-
-        reader = attached.store.observation_reader()
-        begin = time.perf_counter()
-        replayed = sum(1 for _ in reader)
-        seconds = time.perf_counter() - begin
-        cells.append(
-            {
-                "workload": "stream-replay",
-                "rows": replayed,
-                "seconds": round(seconds, 6),
-                "rows_per_s": round(replayed / seconds, 1),
-            }
-        )
-        assert replayed == rows
         attached.close()
     return {
         "benchmark": "storage",

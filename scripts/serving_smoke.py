@@ -189,7 +189,7 @@ class ServerProcess:
                 env["REPRO_FAULTS_STAMP_DIR"] = str(stamp_dir)
         if cluster:
             argv = ["cluster", "--workers", str(cluster[0]),
-                    "--replicas", str(cluster[1]), "--worker-mode", "process"]
+                    "--replicas", str(cluster[1])]
         else:
             argv = ["serve"]
         if store:

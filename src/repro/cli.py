@@ -224,10 +224,11 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("always", "batch", "never"),
         default="batch",
         help=(
-            "fsync policy of the session segment logs under "
+            "fsync policy of the appends to the session segment logs under "
             "--state-dir: 'always' survives power loss, 'batch' (default) "
-            "fsyncs every 32 appends, 'never' flushes to the OS only -- all "
-            "three survive SIGKILL"
+            "fsyncs every 32 appends, 'never' flushes appends to the OS "
+            "only -- all three survive SIGKILL; seals (checkpoints) and "
+            "manifests are fsynced under every policy"
         ),
     )
     serve.add_argument(
@@ -295,24 +296,15 @@ def build_parser() -> argparse.ArgumentParser:
         "--wal-fsync",
         choices=("always", "batch", "never"),
         default="batch",
-        help="fsync policy of each worker's session segment logs "
-        "(see 'serve --wal-fsync')",
+        help="fsync policy of the appends to each worker's session segment "
+        "logs; seals and manifests are fsynced under every policy (see "
+        "'serve --wal-fsync')",
     )
     cluster.add_argument(
         "--max-inflight",
         type=int,
         default=None,
         help="per-worker admission bound (503 + Retry-After beyond it)",
-    )
-    cluster.add_argument(
-        "--worker-mode",
-        choices=("process", "thread"),
-        default="process",
-        help=(
-            "'process' (default) spawns each worker as its own interpreter "
-            "-- N cold misses use N cores; 'thread' runs them in-process "
-            "(tests/demos)"
-        ),
     )
     cluster.add_argument(
         "--backend",
@@ -587,7 +579,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         workers=args.workers,
         replicas=args.replicas,
         state_dir=args.state_dir,
-        mode=args.worker_mode,
         wal_fsync=args.wal_fsync,
         cache_entries=args.cache_size,
         max_inflight=args.max_inflight,

@@ -35,6 +35,13 @@ respawned on its same state-dir shard -- the worker's own recovery
 then re-attaches every session store it owned, byte-identically.
 Graceful stops (:meth:`Worker.stop`) SIGTERM the worker so it
 checkpoints first.
+
+After boot the monitor thread makes every start -- respawns, scale-out
+and rolling restarts alike -- and stops the workers when the fleet
+stops.  ``PR_SET_PDEATHSIG`` fires when the *thread* that forked a
+child exits, so a worker forked on a short-lived request thread would
+be killed as soon as that request ended; and with one starting thread
+no worker is ever started twice at once.
 """
 
 from __future__ import annotations
@@ -48,6 +55,7 @@ import subprocess
 import sys
 import threading
 import time
+from concurrent.futures import Future
 from pathlib import Path
 from typing import Any, Callable
 
@@ -394,6 +402,13 @@ class Fleet:
         self._next_index = 0
         self._monitor: "threading.Thread | None" = None
         self._stop_monitor = threading.Event()
+        self._stop_graceful = True
+        # Starts other threads hand to the monitor, each with the future
+        # its caller waits on.
+        self._calls: "collections.deque[tuple[Callable[[], Any], Future]]" = (
+            collections.deque()
+        )
+        self._wake = threading.Event()
         self.on_worker_restart: "Callable[[Worker], None] | None" = None
 
     # ------------------------------------------------------------------ #
@@ -401,16 +416,43 @@ class Fleet:
     # ------------------------------------------------------------------ #
 
     def spawn(self) -> Worker:
-        """Start one new worker (used at boot and for scale-out)."""
+        """Start one new worker (used at boot and for scale-out).
+
+        The worker joins the fleet once it is up, so a start that fails
+        leaves no member for the supervisor to revive.
+        """
         with self._lock:
             name = f"w{self._next_index}"
             self._next_index += 1
-            worker = Worker(
-                name, self.state_dir / name, **self._worker_kwargs
-            )
-            self._workers[name] = worker
-        worker.start()
+        worker = Worker(name, self.state_dir / name, **self._worker_kwargs)
+
+        def start() -> None:
+            worker.start()
+            with self._lock:
+                self._workers[name] = worker
+
+        self._run_start(start)
         return worker
+
+    def _run_start(self, start: "Callable[[], None]") -> None:
+        """Run ``start`` on the thread that makes every start.
+
+        That is the calling thread during boot, and the monitor thread
+        once :meth:`start` has launched it.
+        """
+        with self._lock:
+            if self._monitor is None:
+                done = None
+            elif self._stop_monitor.is_set():
+                raise WorkerUnavailableError("the fleet is stopping")
+            else:
+                done = Future()
+                self._calls.append((start, done))
+        if done is None:
+            start()
+            return
+        self._wake.set()
+        done.result()
 
     def start(self, n_workers: int) -> list[Worker]:
         """Boot the initial fleet and the supervision thread."""
@@ -444,45 +486,76 @@ class Fleet:
     # ------------------------------------------------------------------ #
 
     def _supervise(self) -> None:
-        while not self._stop_monitor.wait(SUPERVISE_INTERVAL):
-            for worker in self.workers():
-                if worker.stopping or worker.alive():
-                    continue
+        while not self._stop_monitor.is_set():
+            self._wake.wait(SUPERVISE_INTERVAL)
+            self._wake.clear()
+            while True:
+                with self._lock:
+                    if not self._calls:
+                        break
+                    start, done = self._calls.popleft()
                 try:
-                    worker.tail.append(
-                        f"[supervisor] worker {worker.name} died; restarting"
-                    )
-                    worker.start()
-                except WorkerUnavailableError:  # pragma: no cover - retried
-                    continue  # next tick retries
-                callback = self.on_worker_restart
-                if callback is not None:
-                    callback(worker)
+                    start()
+                except Exception as exc:  # the waiting caller re-raises it
+                    done.set_exception(exc)
+                else:
+                    done.set_result(None)
+            self._respawn_dead()
+        with self._lock:
+            pending, self._calls = self._calls, collections.deque()
+        for _, done in pending:
+            done.set_exception(WorkerUnavailableError("the fleet is stopping"))
+        # The workers this thread started die with it, so stop them first.
+        for worker in self.workers():
+            worker.stop(graceful=self._stop_graceful)
+
+    def _respawn_dead(self) -> None:
+        for worker in self.workers():
+            if self._stop_monitor.is_set():
+                return
+            if worker.stopping or worker.alive():
+                continue
+            try:
+                worker.tail.append(
+                    f"[supervisor] worker {worker.name} died; restarting"
+                )
+                worker.start()
+            except WorkerUnavailableError:  # pragma: no cover - retried
+                continue  # next tick retries
+            callback = self.on_worker_restart
+            if callback is not None:
+                callback(worker)
 
     def restart_worker(self, name: str, *, graceful: bool = True) -> Worker:
         """Stop-and-start one worker in place (the rolling-restart step).
 
         A graceful restart checkpoints the shard first; the respawned
         worker re-attaches whatever its stores hold.  The
-        ``stopping`` flag parks the supervisor so the deliberate stop is
-        not double-restarted.
+        ``stopping`` flag parks the supervisor's liveness check until its
+        thread makes the start.
         """
         worker = self.worker(name)
         worker.stop(graceful=graceful)
-        worker.start()
+        self._run_start(worker.start)
         callback = self.on_worker_restart
         if callback is not None:
             callback(worker)
         return worker
 
     def stop(self, graceful: bool = True) -> None:
-        """Stop supervision, then every worker (graceful = checkpointed)."""
+        """Stop every worker (graceful = checkpointed), then supervision.
+
+        The monitor thread stops the workers on its way out: a worker it
+        started is SIGKILLed when the thread exits, checkpoint or not.
+        """
+        self._stop_graceful = graceful
         self._stop_monitor.set()
-        if self._monitor is not None:
-            self._monitor.join(timeout=START_TIMEOUT)
-            self._monitor = None
-        for worker in self.workers():
-            worker.stop(graceful=graceful)
+        self._wake.set()
+        if self._monitor is None:
+            for worker in self.workers():
+                worker.stop(graceful=graceful)
+        else:
+            self._monitor.join()
 
     # ------------------------------------------------------------------ #
     # Health

@@ -70,7 +70,6 @@ def run_cluster(
     workers: int = 2,
     replicas: int = 1,
     state_dir: "str | None" = None,
-    mode: str = "process",
     wal_fsync: str = "batch",
     cache_entries: "int | None" = None,
     max_inflight: "int | None" = None,
@@ -84,6 +83,7 @@ def run_cluster(
     placement, and only then is ``READY http://host:port`` printed.
     Shutdown is graceful end to end -- each worker checkpoints its shard
     -- so a subsequent boot restores every session byte-identically.
+    Every worker is its own ``serve`` process.
     """
     server, router, fleet = make_cluster(
         host,
@@ -91,7 +91,6 @@ def run_cluster(
         workers=workers,
         replicas=replicas,
         state_dir=state_dir,
-        mode=mode,
         wal_fsync=wal_fsync,
         cache_entries=cache_entries,
         max_inflight=max_inflight,
@@ -113,7 +112,7 @@ def run_cluster(
     bound_host, bound_port = server.server_address[:2]
     print(
         f"cluster: {workers} worker(s) x {replicas} replica(s), "
-        f"mode={mode}, state_dir={fleet.state_dir}",
+        f"state_dir={fleet.state_dir}",
         flush=True,
     )
     print(f"READY http://{bound_host}:{bound_port}", flush=True)

@@ -16,7 +16,6 @@ from repro.data.cleaning import FusionStrategy, MeanFusion, MedianFusion, FirstV
 from repro.data.sample import ObservedSample
 from repro.data.integration import IntegrationPipeline, IntegrationResult, integrate
 from repro.data.lineage import LineageTracker
-from repro.data.progressive import ProgressiveIntegrator
 from repro.data.io import (
     read_observations_csv,
     read_sample_csv,
@@ -39,7 +38,6 @@ __all__ = [
     "IntegrationResult",
     "integrate",
     "LineageTracker",
-    "ProgressiveIntegrator",
     "read_observations_csv",
     "read_sample_csv",
     "read_sources_csv",

@@ -1,35 +1,30 @@
-"""Incremental integration of an arrival-ordered observation stream.
+"""The first-seen integration state every prefix replay and store folds.
 
 Every progressive experiment ("estimate quality after k crowd answers",
-i.e. every figure of Section 6) replays the same stream at a ladder of
-prefix sizes.  Re-running :func:`repro.simulation.sampler.integrate_draws`
-for each prefix re-scans the stream from the start, which makes a replay
-over ``k`` prefixes cost O(n·k).  :class:`ProgressiveIntegrator` consumes
-each observation exactly once and snapshots the integrated state on demand,
-bringing the whole replay down to O(n) stream work plus the unavoidable
-O(c) per-snapshot copy -- the incremental-evaluation idea of maintaining a
-view under appends rather than recomputing it.
+i.e. every figure of Section 6) replays one arrival-ordered stream at a
+ladder of prefix sizes.  :meth:`repro.simulation.sampler.SamplingRun.
+samples_at` folds the stream once into one :class:`IntegrationState` and
+snapshots it at each size, so a replay over ``k`` prefixes costs O(n)
+stream work plus the O(c) copy per snapshot instead of O(n·k) -- the
+FO+MOD idea of maintaining a view under appends rather than evaluating
+it again.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
 from repro.data.records import Observation
-from repro.data.sample import ObservedSample
-from repro.utils.exceptions import InsufficientDataError, ValidationError
 
 
 class IntegrationState:
     """Incrementally maintained first-seen integration state.
 
     One implementation of the "chunked == batch, bit-identical" invariant
-    (DESIGN.md), shared by :class:`ProgressiveIntegrator` (prefix replay
-    over a fixed stream) and :class:`~repro.api.session.OpenWorldSession`
-    (open-ended appends): per-entity counts and first-seen fused values in
-    first-seen order, per-source contribution sizes in first-seen-source
-    order, plus the frequency histogram ``{j: f_j}`` maintained under each
-    append.
+    (DESIGN.md), shared by :meth:`~repro.simulation.sampler.SamplingRun.
+    samples_at` (prefix replay over a fixed stream) and both session
+    stores (open-ended appends): per-entity counts and first-seen fused
+    values in first-seen order, per-source contribution sizes in
+    first-seen-source order, plus the frequency histogram ``{j: f_j}``
+    maintained under each append.
     """
 
     __slots__ = ("counts", "values", "per_source", "frequencies", "n")
@@ -57,89 +52,3 @@ class IntegrationState:
         self.frequencies[old + 1] = self.frequencies.get(old + 1, 0) + 1
         self.per_source[obs.source_id] = self.per_source.get(obs.source_id, 0) + 1
         self.n += 1
-
-
-class ProgressiveIntegrator:
-    """Integrates a stream prefix by prefix without re-reading it.
-
-    The integration state (per-entity counts, first-seen values, per-source
-    contribution sizes) is maintained incrementally; :meth:`advance_to`
-    consumes only the observations between the previous prefix and the new
-    one.  Snapshots are therefore exactly what
-    :func:`~repro.simulation.sampler.integrate_draws` would produce for the
-    same prefix, at a fraction of the cost.
-
-    Parameters
-    ----------
-    observations:
-        The arrival-ordered stream (never mutated).
-    attribute:
-        The attribute every snapshot carries.
-    """
-
-    def __init__(self, observations: Sequence[Observation], attribute: str) -> None:
-        self._observations = observations
-        self._attribute = attribute
-        self._position = 0
-        self._state = IntegrationState()
-
-    @property
-    def position(self) -> int:
-        """Number of observations integrated so far."""
-        return self._position
-
-    @property
-    def total_observations(self) -> int:
-        """Length of the underlying stream."""
-        return len(self._observations)
-
-    def advance_to(self, n_observations: int) -> None:
-        """Integrate the stream up to (and including) arrival ``n_observations``.
-
-        The stream can only move forward; rewinding would require keeping
-        per-prefix state and defeats the purpose.  Prefixes beyond the end
-        of the stream are clamped.
-        """
-        if n_observations < self._position:
-            raise ValidationError(
-                f"cannot rewind the integrator from {self._position} "
-                f"to {n_observations}; create a new one instead"
-            )
-        target = min(n_observations, len(self._observations))
-        attribute = self._attribute
-        for index in range(self._position, target):
-            self._state.integrate(self._observations[index], attribute)
-        self._position = target
-
-    def snapshot(self) -> ObservedSample:
-        """The integrated sample of the current prefix.
-
-        ``ObservedSample`` copies its inputs at construction, so snapshots
-        are independent of further advances.
-        """
-        if self._position == 0:
-            raise InsufficientDataError("cannot snapshot an empty prefix")
-        state = self._state
-        return ObservedSample(
-            state.counts, state.values, source_sizes=list(state.per_source.values())
-        )
-
-    def samples_at(self, prefix_sizes: Sequence[int]) -> list[ObservedSample]:
-        """Snapshots at each prefix size, in one O(n) pass over the stream.
-
-        ``prefix_sizes`` must be positive and non-decreasing (the runner's
-        ladders always are); sizes beyond the stream length are clamped.
-        """
-        samples: list[ObservedSample] = []
-        previous = 0
-        for size in prefix_sizes:
-            if size < 1:
-                raise ValidationError(f"prefix sizes must be >= 1, got {size}")
-            if size < previous:
-                raise ValidationError(
-                    f"prefix sizes must be non-decreasing, got {size} after {previous}"
-                )
-            previous = size
-            self.advance_to(size)
-            samples.append(self.snapshot())
-        return samples

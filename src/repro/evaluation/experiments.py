@@ -493,8 +493,7 @@ def _figure7c_cell(cell, seed, shared):
     sizes = run.prefix_sizes(max(1, run.total_observations // cell["n_points"]))
     bucket = BucketEstimator()
     rows = []
-    for size in sizes:
-        sample = run.sample_at(size)
+    for size, sample in zip(sizes, run.samples_at(sizes)):
         bound = sum_upper_bound(
             sample, scenario.attribute, epsilon=cell["epsilon"], z=cell["z"]
         )
@@ -547,8 +546,7 @@ def _figure7d_cell(cell, seed, shared):
     sizes = run.prefix_sizes(max(1, run.total_observations // cell["n_points"]))
     bucket = BucketEstimator()
     rows = []
-    for size in sizes:
-        sample = run.sample_at(size)
+    for size, sample in zip(sizes, run.samples_at(sizes)):
         estimate = estimate_avg(sample, attribute, bucket_estimator=bucket)
         rows.append(
             {
@@ -599,8 +597,7 @@ def _extreme_cell(cell, seed, shared):
     )
     sizes = run.prefix_sizes(max(1, run.total_observations // n_points))
     entries = []
-    for size in sizes:
-        sample = run.sample_at(size)
+    for size, sample in zip(sizes, run.samples_at(sizes)):
         estimate = (
             estimate_min(sample, attribute)
             if which == "min"

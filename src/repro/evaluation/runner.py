@@ -3,10 +3,10 @@
 Every figure of the paper is a curve "estimate after k crowd answers".  The
 :class:`ProgressiveRunner` replays the arrival-ordered stream of a
 :class:`~repro.simulation.sampler.SamplingRun` (or a
-:class:`~repro.datasets.base.CrowdDataset`) over an
-:class:`~repro.api.session.OpenWorldSession`: each prefix step ingests only
-the new observations (incremental state maintenance instead of per-prefix
-rebuilds) and snapshots the maintained sample.  The estimation work -- one
+:class:`~repro.datasets.base.CrowdDataset`) through
+:meth:`~repro.simulation.sampler.SamplingRun.samples_at`, which folds the
+stream once and snapshots the sample at every prefix size (incremental
+state maintenance instead of per-prefix rebuilds).  The estimation work -- one
 (prefix × estimator) cell per estimate -- is then fanned out over a
 :mod:`repro.parallel` execution backend; :meth:`ProgressiveRunner.run_all`
 extends the same fan-out across several datasets at once
@@ -30,7 +30,6 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.api.session import OpenWorldSession
 from repro.api.specs import EstimatorSpec, build_estimator
 from repro.core.estimator import Estimate, SumEstimator
 from repro.data.sample import ObservedSample
@@ -245,8 +244,8 @@ class ProgressiveRunner:
         Execution backend the (prefix × estimator) estimation cells are
         fanned out over: a :data:`repro.parallel.BACKENDS` name, an
         :class:`~repro.parallel.ExecutionBackend` instance, or ``None`` for
-        the process-wide default (serial unless overridden).  Stream
-        ingestion is inherently sequential and always runs inline; only the
+        the process-wide default (serial unless overridden).  The stream
+        fold is inherently sequential and always runs inline; only the
         independent estimation cells are sharded.
     n_workers:
         Worker count of the backend (``None``: backend default).
@@ -330,8 +329,8 @@ class ProgressiveRunner:
         backend = resolve_backend(self._backend, self._n_workers)
         start = time.perf_counter()
 
-        # Phase 1, inline: sequential O(stream) ingestion per source, one
-        # incremental session each, snapshotting the sample at every prefix.
+        # Phase 1, inline: one O(stream) fold per source, snapshotting
+        # the sample at every prefix.
         replays: dict[str, dict[str, Any]] = {}
         tasks: list[tuple[ObservedSample, str, dict[str, SumEstimator]]] = []
         task_keys: list[tuple[str, int]] = []
@@ -352,14 +351,9 @@ class ProgressiveRunner:
                     else f"the observation stream of {key!r} is empty"
                 )
             sizes = self._resolve_prefix_sizes(total, prefix_sizes, step, min_prefix)
-            session = OpenWorldSession(attribute)
-            observed: list[float] = []
-            position = 0
-            for index, size in enumerate(sizes):
-                session.ingest(run.stream[position:size])
-                position = size
-                sample = session.sample()
-                observed.append(sample.sum(attribute))
+            samples = run.samples_at(sizes)
+            observed = [sample.sum(attribute) for sample in samples]
+            for index, sample in enumerate(samples):
                 tasks.append((sample, attribute, self.estimators))
                 task_keys.append((key, index))
             replays[key] = {

@@ -5,10 +5,9 @@ thread, so under overload the failure mode is silent: thousands of
 threads pile onto the session locks, every request gets slower, and no
 client can tell load shedding from a hang.  The :class:`AdmissionGate`
 makes the bound explicit -- at most ``max_inflight`` requests execute at
-once, and a request that cannot be admitted within ``queue_timeout``
-seconds is *shed* with :class:`OverloadedError` (HTTP 503 plus a
-``Retry-After`` hint) while the server stays healthy for the admitted
-ones.
+once, and a request that finds every slot taken is *shed* at once with
+:class:`OverloadedError` (HTTP 503 plus a ``Retry-After`` hint) while
+the server stays healthy for the admitted ones.
 
 :class:`DeadlineExceededError` is the per-request companion: a request
 carrying ``?timeout_ms=`` that cannot be answered in time gets a clean
@@ -49,10 +48,9 @@ class AdmissionGate:
         Concurrent-request bound (>= 1).
     retry_after:
         The ``Retry-After`` hint (seconds) attached to shed requests.
-    queue_timeout:
-        How long an arriving request may wait for a slot before being
-        shed.  0 (the default) sheds immediately -- the bounded "queue"
-        is the set of admitted-but-not-yet-scheduled threads.
+
+    Admission never blocks: the bounded "queue" is the set of
+    admitted-but-not-yet-scheduled threads.
     """
 
     def __init__(
@@ -60,7 +58,6 @@ class AdmissionGate:
         max_inflight: int,
         *,
         retry_after: float = 1.0,
-        queue_timeout: float = 0.0,
     ) -> None:
         if max_inflight < 1:
             raise ValidationError(
@@ -68,7 +65,6 @@ class AdmissionGate:
             )
         self.max_inflight = int(max_inflight)
         self.retry_after = float(retry_after)
-        self.queue_timeout = float(queue_timeout)
         self._slots = threading.BoundedSemaphore(self.max_inflight)
         self._lock = threading.Lock()
         self._admitted = 0
@@ -85,11 +81,7 @@ class AdmissionGate:
 
     def admit(self) -> None:
         """Claim a slot or raise :class:`OverloadedError`."""
-        acquired = (
-            self._slots.acquire(timeout=self.queue_timeout)
-            if self.queue_timeout > 0
-            else self._slots.acquire(blocking=False)
-        )
+        acquired = self._slots.acquire(blocking=False)
         with self._lock:
             if not acquired:
                 self._shed += 1

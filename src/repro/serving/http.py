@@ -924,7 +924,6 @@ def make_server(
     state_dir: "str | None" = None,
     wal_fsync: "str | None" = None,
     max_inflight: "int | None" = None,
-    queue_timeout: float = 0.0,
     defer_restore: bool = False,
 ) -> ReproServer:
     """Build a bound (not yet serving) server; restores ``state_dir``.
@@ -957,11 +956,7 @@ def make_server(
         if wal_fsync is not None:
             kwargs["wal_fsync"] = wal_fsync
         registry = SessionRegistry(**kwargs)
-    gate = (
-        AdmissionGate(max_inflight, queue_timeout=queue_timeout)
-        if max_inflight is not None
-        else None
-    )
+    gate = AdmissionGate(max_inflight) if max_inflight is not None else None
     server = ReproServer((host, port), registry, gate=gate)
     if state_dir:
         if defer_restore:

@@ -169,9 +169,9 @@ class ServedSession:
         # state_version counters both start at 0).
         self._cache_name = f"{name}#{epoch}"
         # THE freshness primitive of this session: every "has version v
-        # arrived yet?" question -- long-poll waits, subscription pushes,
-        # the cluster router's replica gate -- goes through this one
-        # VersionGate rather than growing another ad-hoc mechanism.
+        # arrived yet?" wait -- long-polls and subscription pushes --
+        # goes through this one VersionGate.  (The cluster router's
+        # replica gate compares versions its _RoutingTable recorded.)
         self._gate = VersionGate(session.state_version)
         self._stats_lock = threading.Lock()
         self._ingest_requests = 0
@@ -242,11 +242,11 @@ class ServedSession:
         """Block until ``state_version`` reaches ``version``.
 
         THE freshness wait of the serving layer (see
-        :mod:`repro.serving.versions`): long-poll ``?wait_version=``,
-        the subscription stream, and the cluster router's replica gate
-        all funnel through this method.  Returns the published version
-        once reached, the current (possibly lower) version if the
-        session is retired mid-wait, or ``None`` on timeout.
+        :mod:`repro.serving.versions`): long-poll ``?wait_version=`` and
+        the subscription stream both funnel through this method.
+        Returns the published version once reached, the current
+        (possibly lower) version if the session is retired mid-wait, or
+        ``None`` on timeout.
 
         Never waits under the session's reader/writer lock -- an
         abandoned waiter can therefore never block an ingest.
@@ -543,7 +543,7 @@ class SessionRegistry:
         :meth:`save_state`.  Without it the registry keeps sessions in
         memory and :meth:`save_state` / :meth:`load_state` refuse to
         run.
-    wal_fsync / wal_batch_every:
+    wal_fsync:
         Durability policy of the stores' segment logs (see
         :class:`~repro.storage.segments.SegmentLog`).
     breaker_threshold / breaker_cooldown:
@@ -560,7 +560,6 @@ class SessionRegistry:
         cache_entries: int = DEFAULT_CACHE_ENTRIES,
         state_dir: "str | os.PathLike[str] | None" = None,
         wal_fsync: str = "batch",
-        wal_batch_every: "int | None" = None,
         breaker_threshold: int = 5,
         breaker_cooldown: float = 30.0,
         breaker_clock: Any = None,
@@ -579,7 +578,6 @@ class SessionRegistry:
         self._epochs = itertools.count(1)
         self._state_dir = Path(state_dir) if state_dir is not None else None
         self._wal_fsync = wal_fsync
-        self._wal_batch_every = wal_batch_every
         self._breaker_threshold = int(breaker_threshold)
         self._breaker_cooldown = float(breaker_cooldown)
         self._breaker_clock = breaker_clock
@@ -700,10 +698,7 @@ class SessionRegistry:
             return self._promote_incoming(name, incoming, 0)
 
     def _disk_store(self, directory: Path) -> DiskStore:
-        kwargs: dict[str, Any] = {"fsync": self._wal_fsync}
-        if self._wal_batch_every is not None:
-            kwargs["batch_every"] = self._wal_batch_every
-        return DiskStore(directory, **kwargs)
+        return DiskStore(directory, fsync=self._wal_fsync)
 
     def adopt(self, name: str, session: OpenWorldSession) -> ServedSession:
         """Register an existing in-memory session object under ``name``.

@@ -1,19 +1,19 @@
-"""The one versioned wait/notify primitive of the serving layer.
+"""The one versioned wait/notify primitive of a served session.
 
-Serving grew three ad-hoc freshness mechanisms over time: the
-``state_version``-keyed request key of :mod:`repro.serving.cache`, the
-pushed-version gate the cluster router keeps per replica, and now the
-subscription push path.  All three answer the same question -- *"has the
-session reached version v yet?"* -- so they are unified here on a single
-condition-variable primitive:
+The long-poll (``?wait_version=``) and the subscription push path both
+ask *"has the session reached version v yet?"*, and both wait on one
+condition-variable primitive per session:
 
 * the cache derives its keys from the same monotonic ``state_version``
   the gate publishes (a payload cached at version ``v`` is exactly the
   payload a waiter released at ``v`` would compute);
 * :meth:`repro.serving.registry.ServedSession.wait_for_version` is a
-  thin delegation to :meth:`VersionGate.wait_for`;
-* the router's replica gate compares the versions it recorded from
-  ingest responses against the same counter the gate advances.
+  thin delegation to :meth:`VersionGate.wait_for`.
+
+The cluster router's replica gate does not go through a
+:class:`VersionGate`: it compares the primary's acked version with the
+version last pushed to each replica, both recorded in its
+``_RoutingTable`` (:mod:`repro.cluster.router`), and waits on nothing.
 
 A :class:`VersionGate` never blocks writers: :meth:`advance` takes the
 condition lock only long enough to publish and notify.  Waiters never

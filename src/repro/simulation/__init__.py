@@ -29,7 +29,6 @@ from repro.simulation.publicity import (
 from repro.simulation.sampler import (
     MultiSourceSampler,
     SamplingRun,
-    integrate_draws,
     simulate_integration,
 )
 from repro.simulation.streaker import (
@@ -49,7 +48,6 @@ __all__ = [
     "correlate_values_with_publicity",
     "MultiSourceSampler",
     "SamplingRun",
-    "integrate_draws",
     "simulate_integration",
     "successive_streakers_run",
     "inject_streaker_run",

@@ -5,17 +5,20 @@ ground truth according to a publicity distribution; the draws are then
 integrated into the multiset sample ``S``.  The resulting
 :class:`SamplingRun` keeps the full arrival-ordered observation stream so
 the evaluation harness can replay "estimate quality over time" experiments
-(every figure of Section 6 is such a replay).
+(every figure of Section 6 is such a replay).  :meth:`SamplingRun.
+samples_at` is the one prefix replay: it folds the stream once and
+snapshots the integrated sample at each prefix size.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
+from repro.data.progressive import IntegrationState
 from repro.data.records import Observation
 from repro.data.sources import DataSource
 from repro.data.sample import ObservedSample
@@ -24,31 +27,6 @@ from repro.simulation.publicity import PublicityModel, UniformPublicity
 from repro.utils.exceptions import InsufficientDataError, ValidationError
 from repro.utils.rng import ensure_rng
 from repro.utils.sampling import gumbel_topk_indices
-
-
-def integrate_draws(
-    observations: Sequence[Observation], attribute: str
-) -> ObservedSample:
-    """Integrate an arrival-ordered observation stream into an ObservedSample.
-
-    Counts are per-entity observation counts, values come from the first
-    observation of each entity (simulated sources report the ground-truth
-    value, so there is nothing to fuse), and source sizes are recovered from
-    the observations' ``source_id``.
-    """
-    if len(observations) == 0:
-        raise InsufficientDataError("cannot integrate an empty observation stream")
-    counts: dict[str, int] = defaultdict(int)
-    values: dict[str, dict[str, float]] = {}
-    per_source: dict[str, int] = defaultdict(int)
-    for obs in observations:
-        counts[obs.entity_id] += 1
-        per_source[obs.source_id] += 1
-        if obs.entity_id not in values:
-            values[obs.entity_id] = {attribute: float(obs.value(attribute))}
-    return ObservedSample(
-        dict(counts), values, source_sizes=list(per_source.values())
-    )
 
 
 @dataclass
@@ -79,30 +57,48 @@ class SamplingRun:
 
     def sample(self) -> ObservedSample:
         """The fully integrated sample over all observations."""
-        return integrate_draws(self.stream, self.attribute)
+        if not self.stream:
+            raise InsufficientDataError("cannot integrate an empty observation stream")
+        return self.sample_at(len(self.stream))
 
     def sample_at(self, n_observations: int) -> ObservedSample:
         """The integrated sample after the first ``n_observations`` arrivals."""
-        if n_observations < 1:
-            raise ValidationError(
-                f"n_observations must be >= 1, got {n_observations}"
-            )
-        prefix = self.stream[: min(n_observations, len(self.stream))]
-        return integrate_draws(prefix, self.attribute)
+        return self.samples_at([n_observations])[0]
 
     def samples_at(self, prefix_sizes: Sequence[int]) -> list[ObservedSample]:
-        """Integrated samples at several prefix sizes in one stream pass.
+        """The integrated sample at each prefix size, in one pass over the stream.
 
-        Equivalent to ``[self.sample_at(k) for k in prefix_sizes]`` but O(n)
-        total instead of O(n·k): the stream is consumed once by a
-        :class:`~repro.data.progressive.ProgressiveIntegrator`.  Sizes must
-        be non-decreasing.
+        The one prefix replay: every observation is folded once into one
+        :class:`~repro.data.progressive.IntegrationState` (the rule both
+        session stores fold with: counts and first-seen values in
+        first-seen order, per-source sizes in first-seen-source order),
+        and each size snapshots it.  ``ObservedSample`` copies its
+        inputs, so the snapshots are independent of each other.  Sizes
+        must be >= 1 and non-decreasing; sizes past the stream's end are
+        clamped to it.
         """
-        from repro.data.progressive import ProgressiveIntegrator
-
-        return ProgressiveIntegrator(self.stream, self.attribute).samples_at(
-            prefix_sizes
-        )
+        state = IntegrationState()
+        observations = iter(self.stream)
+        samples: list[ObservedSample] = []
+        previous = 0
+        for size in prefix_sizes:
+            if size < 1:
+                raise ValidationError(f"prefix sizes must be >= 1, got {size}")
+            if size < previous:
+                raise ValidationError(
+                    f"prefix sizes must be non-decreasing, got {size} after {previous}"
+                )
+            previous = size
+            for obs in islice(observations, size - state.n):
+                state.integrate(obs, self.attribute)
+            samples.append(
+                ObservedSample(
+                    state.counts,
+                    state.values,
+                    source_sizes=list(state.per_source.values()),
+                )
+            )
+        return samples
 
     def prefix_sizes(self, step: int) -> list[int]:
         """Evenly spaced prefix sizes ``step, 2·step, ..., total`` for replay."""

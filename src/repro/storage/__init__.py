@@ -3,10 +3,9 @@
 The package behind ``OpenWorldSession(store=...)`` and every session of
 ``repro.cli serve --state-dir``: an append-only columnar segment log for
 observations whose frames carry the names they introduce (the only file
-an ingest writes), a checkpoint of the aggregate state and its names
-that each seal writes for O(1) restart, and streaming readers for
-progressive replay.  See DESIGN.md ("Storage layer") for the format
-specification and the crash-consistency argument.
+an ingest writes), and a checkpoint of the aggregate state and its names
+that each seal writes for O(1) restart.  See DESIGN.md ("Storage layer")
+for the format specification and the crash-consistency argument.
 """
 
 from repro.storage.layout import (
@@ -29,7 +28,6 @@ from repro.storage.segments import (
     segment_name,
 )
 from repro.storage.store import DiskStore, MemoryStore
-from repro.storage.stream import SegmentObservationReader
 from repro.storage.transfer import (
     ARCHIVE_SCHEMA,
     archive_header,
@@ -49,7 +47,6 @@ __all__ = [
     "MemoryStore",
     "SegmentCorruptionError",
     "SegmentLog",
-    "SegmentObservationReader",
     "StorageError",
     "StoreLayout",
     "archive_header",

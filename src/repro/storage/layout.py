@@ -41,7 +41,6 @@ from typing import Any
 from repro.utils.exceptions import ReproError
 
 __all__ = [
-    "DEFAULT_BATCH_EVERY",
     "FSYNC_POLICIES",
     "MANIFEST_NAME",
     "MANIFEST_SCHEMA",
@@ -54,9 +53,6 @@ __all__ = [
 
 #: Accepted values of the fsync policy (``--wal-fsync``).
 FSYNC_POLICIES = ("always", "batch", "never")
-
-#: Appends between fsyncs under the "batch" policy.
-DEFAULT_BATCH_EVERY = 32
 
 MANIFEST_NAME = "manifest.json"
 #: v1 kept segments, names and per-ack arrays in subdirectories, v2 kept

@@ -59,10 +59,11 @@ import numpy as np
 
 from repro.data.records import Observation
 from repro.resilience.faults import fault_point
-from repro.storage.layout import DEFAULT_BATCH_EVERY, FSYNC_POLICIES, fsync_directory
+from repro.storage.layout import FSYNC_POLICIES, fsync_directory
 from repro.utils.exceptions import ReproError, ValidationError
 
 __all__ = [
+    "BATCH_EVERY",
     "FRAME_OBSERVATIONS",
     "FRAME_SEED",
     "Frame",
@@ -80,6 +81,9 @@ __all__ = [
 
 _HEADER = struct.Struct(">II")  # (payload length, payload crc32)
 _FRAME_META = struct.Struct(">BQI")  # (kind, state_version, n_rows)
+
+#: Appends between fsyncs under the "batch" policy.
+BATCH_EVERY = 32
 
 #: Frame kinds.
 FRAME_OBSERVATIONS = 0
@@ -349,18 +353,14 @@ class SegmentLog:
         directory: "str | os.PathLike[str]",
         *,
         fsync: str = "batch",
-        batch_every: int = DEFAULT_BATCH_EVERY,
     ) -> None:
         if fsync not in FSYNC_POLICIES:
             raise ValidationError(
                 f"unknown fsync policy {fsync!r}; expected one of "
                 f"{', '.join(FSYNC_POLICIES)}"
             )
-        if batch_every < 1:
-            raise ValidationError(f"batch_every must be >= 1, got {batch_every}")
         self.directory = Path(directory)
         self.fsync_policy = fsync
-        self.batch_every = int(batch_every)
         self.active_path = self.directory / self.ACTIVE_NAME
         self._file: "Any | None" = None
         # True from creating active.seg until its directory entry is fsynced.
@@ -395,7 +395,7 @@ class SegmentLog:
     def sync_due(self) -> bool:
         """Whether the policy fsyncs the next :meth:`append`."""
         return self.fsync_policy == "always" or (
-            self.fsync_policy == "batch" and self._unsynced + 1 >= self.batch_every
+            self.fsync_policy == "batch" and self._unsynced + 1 >= BATCH_EVERY
         )
 
     def append(self, frame_bytes: bytes, n_rows: int, *, sync: "bool | None" = None) -> None:

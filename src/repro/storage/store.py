@@ -30,7 +30,7 @@ Crash consistency (the order of operations per ingest chunk):
 1. the frame, names included, is appended whole or not at all -- **this
    is the durability point**; ``storage.after_frame`` fires here, and
    an append that raises truncates its frame away;
-2. the chunk's names join the store's name lists, and the chunk is
+2. the chunk's names join the store's name tables, and the chunk is
    folded into the in-memory state.
 
 A SIGKILL before (1) completes loses the unacknowledged chunk only;
@@ -60,7 +60,6 @@ from repro.data.progressive import IntegrationState
 from repro.data.records import Observation
 from repro.storage.checkpoint import read_checkpoint, write_checkpoint
 from repro.storage.layout import (
-    DEFAULT_BATCH_EVERY,
     StorageError,
     StoreLayout,
     make_directories,
@@ -172,13 +171,10 @@ class DiskStore:
         directory: "str | os.PathLike[str]",
         *,
         fsync: str = "batch",
-        batch_every: int = DEFAULT_BATCH_EVERY,
     ) -> None:
         self._layout = StoreLayout(directory)
         make_directories(self._layout.directory, sync=fsync != "never")
-        self._segments = SegmentLog(
-            self._layout.directory, fsync=fsync, batch_every=batch_every
-        )
+        self._segments = SegmentLog(self._layout.directory, fsync=fsync)
 
         self._config: "dict[str, Any] | None" = None
         self._seed_sizes: "tuple[int, ...]" = ()
@@ -192,13 +188,11 @@ class DiskStore:
 
         # Materialized lazily (the O(c) part restart must not pay), under
         # one double-checked lock; ``_materialized`` is published last, so
-        # a reader that sees it True sees the names and folded tail.
-        # Name i of a kind has index i; the lists only ever grow.
+        # a reader that sees it True sees the name tables and folded tail.
+        # The name tables map name -> first-seen index; they only grow.
         self._lazy_lock = threading.RLock()
         self._materialized = False
         self._state_obj: "IntegrationState | None" = None
-        self._entity_names: "list[str]" = []
-        self._source_names: "list[str]" = []
         self._entity_index: "dict[str, int]" = {}
         self._source_index: "dict[str, int]" = {}
 
@@ -414,7 +408,8 @@ class DiskStore:
         """Put ``frames`` onto ``state`` in log order: the one replay routine.
 
         The state's names (a checkpoint's, or none) come first, then
-        each frame's; the store then serves ``state`` and these names.
+        each frame's; frame indices resolve through these local lists,
+        and the store then serves ``state`` and their name tables.
         """
         attribute = self.attribute
         entity_names = list(state.counts)
@@ -444,8 +439,6 @@ class DiskStore:
                     attribute,
                 )
         self._state_obj = state
-        self._entity_names = entity_names
-        self._source_names = source_names
         self._entity_index = {name: i for i, name in enumerate(entity_names)}
         self._source_index = {name: i for i, name in enumerate(source_names)}
 
@@ -510,9 +503,7 @@ class DiskStore:
         )
         self._segments.append(frame, count)
         entity_index.update(new_entities)
-        self._entity_names.extend(new_entities)
         source_index.update(new_sources)
-        self._source_names.extend(new_sources)
         state = self._state_obj
         for obs in chunk:
             state.integrate(obs, attribute)
@@ -617,33 +608,6 @@ class DiskStore:
             n_ingested=self._n_ingested,
             checkpoint=self._checkpoint,
         )
-
-    # ------------------------------------------------------------------ #
-    # Streaming reads (progressive replay)
-    # ------------------------------------------------------------------ #
-
-    def observation_reader(self):
-        """A lazy ``Sequence[Observation]`` over every persisted frame.
-
-        Covers the rows durable at call time; see
-        :class:`repro.storage.stream.SegmentObservationReader`.
-        """
-        from repro.storage.stream import SegmentObservationReader
-
-        return SegmentObservationReader(self)
-
-    def reader_inputs(self):
-        """(segment entries, names, attribute) snapshot for a reader."""
-        self._materialize()
-        entries: list[tuple[Any, int]] = []
-        for entry in self._sealed_entries:
-            entries.append(
-                (self._layout.directory / entry["segment"], None)
-            )
-        active = self._segments.active_path
-        if active.is_file() and active.stat().st_size:
-            entries.append((active, active.stat().st_size))
-        return entries, self._entity_names, self._source_names, self.attribute
 
     # ------------------------------------------------------------------ #
     # Lifecycle

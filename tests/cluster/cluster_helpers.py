@@ -73,7 +73,12 @@ def retrying_call(base, method, path, body=None, deadline=60.0):
             return status, payload, headers
         if time.monotonic() > end:
             raise AssertionError(f"{method} {path} still 503 after {deadline}s")
-        time.sleep(min(0.2, float(headers.get("Retry-After", 0.2) or 0.2)))
+        pause_for_retry(headers)
+
+
+def pause_for_retry(headers):
+    """Wait as a 503's ``Retry-After`` asks, at most 0.2 s."""
+    time.sleep(min(0.2, float(headers.get("Retry-After", 0.2) or 0.2)))
 
 
 @contextlib.contextmanager

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import threading
-import time
 
 from cluster_helpers import (
     create_session,
@@ -12,7 +11,9 @@ from cluster_helpers import (
     http_call,
     ingest,
     observation_bodies,
+    pause_for_retry,
     thread_cluster,
+    wait_for,
 )
 
 SESSIONS = ["roll-a", "roll-b", "roll-c", "roll-d"]
@@ -42,19 +43,22 @@ def session_bodies(base, name):
 
 def committed_version(base, name, deadline=30.0):
     """The session's state_version per the router's merged listing."""
-    end = time.monotonic() + deadline
-    while True:
+    versions = []
+
+    def listed():
         try:
             status, payload, _ = http_call(base, "GET", "/sessions")
         except (ConnectionError, OSError):
-            status = 503
+            return False
         if status == 200:
             for entry in json.loads(payload)["sessions"]:
                 if entry["session"] == name:
-                    return entry["state_version"]
-        if time.monotonic() > end:
-            raise AssertionError(f"could not read state_version of {name}")
-        time.sleep(0.1)
+                    versions.append(entry["state_version"])
+                    return True
+        return False
+
+    wait_for(listed, timeout=deadline, message=f"state_version of {name}")
+    return versions[-1]
 
 
 def checked_writer(base, name, chunks, errors, start_version=0):
@@ -70,11 +74,11 @@ def checked_writer(base, name, chunks, errors, start_version=0):
             target = expected + 1
             while True:
                 try:
-                    status, payload, _ = http_call(
+                    status, payload, headers = http_call(
                         base, "POST", f"/sessions/{name}/ingest", {"observations": chunk}
                     )
                 except (ConnectionError, OSError):
-                    status = 503
+                    status, headers = 503, {}
                 if status == 200:
                     acked = json.loads(payload)["state_version"]
                     assert acked == target, (name, acked, target)
@@ -82,7 +86,7 @@ def checked_writer(base, name, chunks, errors, start_version=0):
                 assert status == 503, (name, status)
                 if committed_version(base, name) >= target:
                     break  # applied; only the response was lost
-                time.sleep(0.05)
+                pause_for_retry(headers)
             expected = target
     except BaseException as exc:  # pragma: no cover - failure path
         errors.append(exc)

@@ -37,26 +37,8 @@ def test_context_manager_releases_on_exception():
         pass
 
 
-def test_queue_timeout_waits_for_a_slot():
-    gate = AdmissionGate(1, queue_timeout=5.0)
-    gate.admit()
-    admitted = threading.Event()
-
-    def waiter() -> None:
-        gate.admit()
-        admitted.set()
-
-    thread = threading.Thread(target=waiter)
-    thread.start()
-    assert not admitted.wait(0.05)  # genuinely queued, not shed
-    gate.leave()
-    assert admitted.wait(5)
-    thread.join()
-    gate.leave()
-
-
 def test_stats_identities_under_hammer():
-    gate = AdmissionGate(4, queue_timeout=0.0)
+    gate = AdmissionGate(4)
     outcomes = []
     lock = threading.Lock()
 

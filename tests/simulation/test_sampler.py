@@ -10,7 +10,7 @@ from repro.simulation.population import linear_value_population
 from repro.simulation.publicity import ExponentialPublicity
 from repro.simulation.sampler import (
     MultiSourceSampler,
-    integrate_draws,
+    SamplingRun,
     simulate_integration,
 )
 from repro.utils.exceptions import InsufficientDataError, ValidationError
@@ -185,27 +185,36 @@ class TestOrderingPerformance:
         assert len(first_300) == 3
 
 
-class TestIntegrateDraws:
+def _stream_run(observations):
+    """A run over a hand-written stream (the population is not consulted)."""
+    return SamplingRun(
+        population=linear_value_population(size=3),
+        attribute="v",
+        stream=list(observations),
+    )
+
+
+class TestSample:
     def test_counts_and_source_sizes(self):
         observations = [
             Observation("a", {"v": 1.0}, source_id="s1"),
             Observation("b", {"v": 2.0}, source_id="s1"),
             Observation("a", {"v": 1.0}, source_id="s2"),
         ]
-        sample = integrate_draws(observations, "v")
+        sample = _stream_run(observations).sample()
         assert sample.count("a") == 2
-        assert sorted(sample.source_sizes) == [1, 2]
+        assert sample.source_sizes == (2, 1)
 
     def test_empty_stream_rejected(self):
         with pytest.raises(InsufficientDataError):
-            integrate_draws([], "v")
+            _stream_run([]).sample()
 
     def test_first_value_wins(self):
         observations = [
             Observation("a", {"v": 1.0}, source_id="s1"),
             Observation("a", {"v": 99.0}, source_id="s2"),
         ]
-        sample = integrate_draws(observations, "v")
+        sample = _stream_run(observations).sample()
         assert sample.value("a", "v") == pytest.approx(1.0)
 
 

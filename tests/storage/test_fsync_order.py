@@ -4,8 +4,9 @@ An ``os.fsync`` spy records the inode of every synced file or directory.
 A created or renamed file or directory is only durable once its parent
 directory is fsynced.  A segment frame carries the names it introduces,
 so an ingest fsyncs nothing but ``active.seg`` (and, once, its
-directory entry).  A store on its way out (deleted, or replaced by a
-newer copy) is closed without any fsync of its own files.
+directory entry).  A seal makes the same fsyncs under every policy.  A
+store on its way out (deleted, or replaced by a newer copy) is closed
+without any fsync of its own files.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from storage_helpers import ATTRIBUTE, CHUNKS, ESTIMATOR, observations
 from storage_helpers import early_seals  # noqa: F401 - a fixture
 from repro.api.session import OpenWorldSession
 from repro.serving.registry import SessionRegistry
+from repro.storage import segments
 from repro.storage.layout import StoreLayout
 from repro.storage.transfer import iter_archive
 from repro.storage.segments import SegmentLog, encode_seed_frame
@@ -45,8 +47,11 @@ def inode(path) -> int:
 
 class TestDirectoryEntries:
     @pytest.mark.parametrize("policy", ["always", "batch"])
-    def test_active_segment_recreated_after_a_seal(self, tmp_path, synced, policy):
-        log = SegmentLog(tmp_path, fsync=policy, batch_every=1)
+    def test_active_segment_recreated_after_a_seal(
+        self, tmp_path, synced, monkeypatch, policy
+    ):
+        monkeypatch.setattr(segments, "BATCH_EVERY", 1)
+        log = SegmentLog(tmp_path, fsync=policy)
         log.append(encode_seed_frame(1, {}), 0)
         log.seal(1)
         synced.clear()
@@ -66,7 +71,9 @@ class TestDirectoryEntries:
 
 
 class TestSealOrder:
-    @pytest.mark.parametrize("policy", ["always", "batch"])
+    # The policy governs appends only: a seal is the checkpoint, and it
+    # makes the same fsyncs under ``never`` as under ``always``.
+    @pytest.mark.parametrize("policy", ["always", "batch", "never"])
     def test_checkpoint_is_durable_after_the_segment_and_before_the_manifest(
         self, tmp_path, synced, policy
     ):

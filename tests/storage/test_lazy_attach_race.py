@@ -2,10 +2,11 @@
 
 A re-attached :class:`~repro.storage.store.DiskStore` reads its
 checkpoint and folds the frames past it, which name every entity and
-source, on the first read that needs its state or its names; that is
-its one lazy path.  Two readers (or a reader and the router's boot-time
-replica push) can trigger it together.  Without a lock the second one
-could see the state or the names before the fold had built them.
+source, on the first read that needs its state or its name tables; that
+is its one lazy path.  Two readers (or a reader and the router's
+boot-time replica push) can trigger it together.  Without a lock the
+second one could see the state or the name tables before the fold had
+built them.
 
 The interleaving is forced with events: the first reader blocks inside
 the fold; the second reader starts and the test waits until it either
@@ -57,9 +58,21 @@ def _reattached_store(directory) -> DiskStore:
     return store
 
 
+def _name_tables(store):
+    """The store's name -> index tables once a first read has built them."""
+    store.state  # noqa: B018 - the read that materializes
+    return list(store._entity_index.items()), list(store._source_index.items())
+
+
+def _indexed(names):
+    return [(name, index) for index, name in enumerate(names)]
+
+
 READERS = {
-    "reader_inputs": lambda store: store.reader_inputs()[1:3],
-    "state": lambda store: (list(store.state.counts), list(store.state.per_source)),
+    "name_tables": _name_tables,
+    "state": lambda store: (
+        _indexed(store.state.counts), _indexed(store.state.per_source)
+    ),
 }
 
 
@@ -111,10 +124,9 @@ def test_second_reader_waits_for_the_first_fold(tmp_path, reader):
 
     assert not errors, errors
     oracle = memory_session(CHUNKS).store.state
-    expected = (list(oracle.counts), list(oracle.per_source))
+    expected = (_indexed(oracle.counts), _indexed(oracle.per_source))
     for name in ("first", "second"):
-        entity_names, source_names = results[name]
-        assert (list(entity_names), list(source_names)) == expected, name
+        assert results[name] == expected, name
     store.close()
 
 
@@ -122,28 +134,23 @@ def test_many_concurrent_first_reads_agree(tmp_path):
     """More readers than cores, switching threads as often as possible."""
     store = _reattached_store(tmp_path / "store")
     oracle = memory_session(CHUNKS).store.state
-    expected = (list(oracle.counts), list(oracle.per_source), oracle.n)
+    expected = (_indexed(oracle.counts), _indexed(oracle.per_source), oracle.n)
     start = threading.Barrier(8)
     results: list[tuple] = []
     errors: list[Exception] = []
 
-    def run(index: int) -> None:
+    def run() -> None:
         try:
             start.wait(timeout=30)
-            if index % 2:
-                _, entity_names, source_names, _ = store.reader_inputs()
-                state = store.state
-            else:
-                state = store.state
-                _, entity_names, source_names, _ = store.reader_inputs()
-            results.append((list(entity_names), list(source_names), state.n))
+            entity_table, source_table = _name_tables(store)
+            results.append((entity_table, source_table, store.state.n))
         except Exception as exc:  # reported by the main thread
             errors.append(exc)
 
     previous = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=run, args=(i,)) for i in range(8)]
+        threads = [threading.Thread(target=run) for _ in range(8)]
         for thread in threads:
             thread.start()
         for thread in threads:

@@ -10,7 +10,6 @@ import pytest
 
 from repro.resilience.faults import InjectedFaultError, arm, disarm
 from repro.storage import segments as segments_module
-from repro.storage.layout import DEFAULT_BATCH_EVERY
 from repro.storage.segments import (
     FRAME_OBSERVATIONS,
     FRAME_SEED,
@@ -397,8 +396,9 @@ class TestSegmentLog:
     def test_read_frames_missing_file_is_empty(self, tmp_path):
         assert read_frames(tmp_path / "nope.seg") == []
 
-    def test_batch_policy_counts_syncs(self, tmp_path):
-        log = SegmentLog(tmp_path, fsync="batch", batch_every=2)
+    def test_batch_policy_counts_syncs(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(segments_module, "BATCH_EVERY", 2)
+        log = SegmentLog(tmp_path, fsync="batch")
         log.append(make_frame(1, 1), 1)
         assert log.stats()["syncs"] == 0
         log.append(make_frame(2, 1), 1)
@@ -423,8 +423,9 @@ class TestSegmentLog:
             pytest.param("never", [False, False, False], id="never"),
         ],
     )
-    def test_sync_due_follows_the_policy(self, tmp_path, policy, due):
-        log = SegmentLog(tmp_path, fsync=policy, batch_every=2)
+    def test_sync_due_follows_the_policy(self, tmp_path, monkeypatch, policy, due):
+        monkeypatch.setattr(segments_module, "BATCH_EVERY", 2)
+        log = SegmentLog(tmp_path, fsync=policy)
         seen = []
         for version in (1, 2, 3):
             seen.append(log.sync_due())
@@ -462,14 +463,9 @@ class TestSegmentLog:
         with pytest.raises(ValidationError, match="unknown fsync policy"):
             SegmentLog(tmp_path, fsync="sometimes")
 
-    def test_bad_batch_every_rejected(self, tmp_path):
-        with pytest.raises(ValidationError, match="batch_every"):
-            SegmentLog(tmp_path, fsync="batch", batch_every=0)
-
     def test_default_policy_is_batch(self, tmp_path):
         log = SegmentLog(tmp_path)
         assert log.fsync_policy == "batch"
-        assert log.batch_every == DEFAULT_BATCH_EVERY
 
     def test_never_still_flushes_to_the_os(self, tmp_path):
         log = SegmentLog(tmp_path, fsync="never")

@@ -73,6 +73,12 @@ class TestParser:
             build_parser().parse_args([*command.split(), "--backend", "thread"])
         assert "(choose from 'serial', 'process')" in capsys.readouterr().err
 
+    def test_cluster_has_no_worker_mode(self, capsys):
+        """Cluster workers are always processes; thread mode is a test fake."""
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["cluster", "--worker-mode", "process"])
+        assert "unrecognized arguments: --worker-mode" in capsys.readouterr().err
+
     def test_experiment_choices_cover_all_figures(self):
         expected = {
             "figure2", "figure4", "figure5a", "figure5b", "figure5c", "figure6",
