@@ -25,7 +25,8 @@ Concurrency contract (relied on by :mod:`repro.serving`):
 
 * every ingest that commits observations bumps the monotonic
   :attr:`state_version` **atomically** with the invalidation of the sample
-  and database caches (one internal lock covers both), so a reader that
+  and database caches and the advance of the delta state, once a delta
+  read opened it (one internal lock covers all three), so a reader that
   observes version ``v`` and then reads a cache never sees state from a
   later version filed under ``v``;
 * concurrent *readers* (``estimate``/``query``/``sample``/``snapshot``) are
@@ -39,7 +40,7 @@ Concurrency contract (relied on by :mod:`repro.serving`):
 from __future__ import annotations
 
 import threading
-from collections import Counter, deque
+from collections import Counter
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from typing import Any
@@ -47,7 +48,7 @@ from typing import Any
 from repro.api.specs import EstimatorSpec, incremental_estimators
 from repro.core.estimator import Estimate, SumEstimator
 from repro.core.fstatistics import FrequencyStatistics
-from repro.core.incremental import SampleDelta
+from repro.core.incremental import IncrementalSampleState
 from repro.data.progressive import IntegrationState
 from repro.data.records import Observation
 from repro.data.sample import ObservedSample
@@ -65,26 +66,17 @@ __all__ = ["OpenWorldSession", "SessionSnapshot", "DEFAULT_ESTIMATOR_CACHE_SIZE"
 #: number of distinct specs a long-lived server has ever seen.
 DEFAULT_ESTIMATOR_CACHE_SIZE = 32
 
-#: How many committed :class:`~repro.core.incremental.SampleDelta` digests
-#: the session retains.  A delta reader that has fallen further behind than
-#: this rebuilds its handle from the full sample instead of catching up --
-#: correct either way, the log only bounds the cheap path.
-DELTA_LOG_ENTRIES = 64
-
 #: Estimate modes accepted by :meth:`OpenWorldSession.estimate`.
 ESTIMATE_MODES = ("batch", "delta", "auto")
 
 
-class _DeltaEntry:
-    """One estimator's incremental handle plus its committed position."""
-
-    __slots__ = ("lock", "handle", "version", "estimate")
-
-    def __init__(self) -> None:
-        self.lock = threading.Lock()
-        self.handle: Any = None
-        self.version = -1
-        self.estimate: "Estimate | None" = None
+def check_estimate_mode(mode: "str | None") -> None:
+    """Raise :class:`ValidationError` unless ``mode`` is ``None`` or a known mode."""
+    if mode is not None and mode not in ESTIMATE_MODES:
+        raise ValidationError(
+            f"unknown estimate mode {mode!r}; expected one of "
+            f"{', '.join(ESTIMATE_MODES)}"
+        )
 
 
 def _parallel_overrides(
@@ -327,11 +319,10 @@ class OpenWorldSession:
         self._estimator_cache = LRUCache(DEFAULT_ESTIMATOR_CACHE_SIZE)
         self._state_version = 0
         self._mutation_lock = threading.Lock()
-        # Delta-mode machinery: the bounded log of committed ingest digests
-        # (appended atomically with the version bump) and the per-spec
-        # incremental handles that consume it.
-        self._delta_log: "deque[SampleDelta]" = deque(maxlen=DELTA_LOG_ENTRIES)
-        self._delta_entries = LRUCache(DEFAULT_ESTIMATOR_CACHE_SIZE)
+        # The one incremental state every delta read shares: opened by the
+        # first delta read, then advanced by every ingest atomically with
+        # the version bump.
+        self._delta_state: IncrementalSampleState | None = None
         # Raw spec string -> canonical spec string.  Push-driven estimates
         # resolve the same spec once per state_version bump, so the parse
         # must not ride on the per-answer cost of the delta path.
@@ -504,8 +495,8 @@ class OpenWorldSession:
             chunk = observations
         else:
             chunk = list(observations)
-        # Validation pass, which also digests the chunk for the delta log
-        # *before* the store mutates the membership dict: the digest
+        # Validation pass, which also digests the chunk for the delta
+        # state *before* the store mutates the membership dict: the digest
         # mirrors the integration rule exactly (first occurrence appends
         # with the fused value, every repeat re-observes).  Only
         # first-seen observations carry the fused value, so those are the
@@ -546,20 +537,15 @@ class OpenWorldSession:
             )
             # Atomic with respect to readers: nobody can observe the new
             # state_version while a stale sample/database cache is still
-            # installed (or vice versa), and the delta log never lags the
-            # version it describes.
+            # installed (or vice versa), and an open delta state never
+            # lags the version it describes.
             with self._mutation_lock:
                 self._n_ingested += len(chunk)
                 self._sample_cache = None
                 self._database_cache = None
                 self._state_version += 1
-                self._delta_log.append(
-                    SampleDelta(
-                        version=self._state_version,
-                        appended=tuple(appended),
-                        reobserved=tuple(reobserved),
-                    )
-                )
+                if self._delta_state is not None:
+                    self._delta_state.apply(appended, reobserved)
         return len(chunk)
 
     # ------------------------------------------------------------------ #
@@ -615,45 +601,33 @@ class OpenWorldSession:
 
         * ``None`` / ``"batch"`` -- recompute over the full sample (the
           parity oracle; always available).
-        * ``"delta"`` -- require the incremental path: the estimator keeps
-          a handle positioned at an earlier ``state_version`` and advances
-          it by the committed ingest digests in O(|delta|).  Raises
-          :class:`ValidationError` (listing the update-capable estimators)
-          when the estimator does not support updates or ``attribute`` is
-          not the maintained session attribute -- there is no silent
-          fallback.
+        * ``"delta"`` -- require the incremental path: the estimator reads
+          the session's one :class:`~repro.core.incremental.
+          IncrementalSampleState`, which the first delta read opens from
+          the current sample and every later ingest advances in
+          O(|chunk|).  Raises :class:`ValidationError` (listing the
+          update-capable estimators) when the estimator does not support
+          updates or ``attribute`` is not the maintained session
+          attribute -- there is no silent fallback.
         * ``"auto"`` -- the incremental path when available, batch
           otherwise.
 
         Both paths return byte-identical results; delta mode is purely a
         cost optimization.
         """
-        if mode is not None and mode not in ESTIMATE_MODES:
-            raise ValidationError(
-                f"unknown estimate mode {mode!r}; expected one of "
-                f"{', '.join(ESTIMATE_MODES)}"
-            )
+        check_estimate_mode(mode)
         estimator = self._resolve_estimator(
             spec, overrides=_parallel_overrides(backend, workers)
         )
         target = attribute or self._attribute
-        if mode in ("delta", "auto"):
-            key = self._delta_key(spec)
-            if mode == "delta":
-                self._require_delta_capable(estimator, target)
-                if key is None:
-                    raise ValidationError(
-                        "delta mode requires a spec-identified estimator (a "
-                        "spec string / EstimatorSpec or the session default); "
-                        "a per-call estimator instance has no stable handle "
-                        "identity"
-                    )
-            if (
-                key is not None
-                and target == self._attribute
-                and getattr(estimator, "supports_updates", False)
-            ):
-                return self._estimate_delta(estimator, key)
+        if mode == "delta":
+            self._require_delta_capable(estimator, target)
+        if (
+            mode in ("delta", "auto")
+            and target == self._attribute
+            and estimator.supports_updates
+        ):
+            return estimator.update(self._open_delta_state(estimator))
         return estimator.estimate(self.sample(), target)
 
     def validate_delta(
@@ -670,7 +644,7 @@ class OpenWorldSession:
         self._require_delta_capable(estimator, attribute or self._attribute)
 
     def _require_delta_capable(self, estimator: SumEstimator, target: str) -> None:
-        if not getattr(estimator, "supports_updates", False):
+        if not estimator.supports_updates:
             raise ValidationError(
                 f"estimator {estimator.name!r} does not support delta "
                 "(incremental) estimation; update-capable estimators: "
@@ -683,62 +657,26 @@ class OpenWorldSession:
                 f"{target!r}"
             )
 
-    def _delta_key(self, spec: "str | EstimatorSpec | SumEstimator | None") -> str | None:
-        """Stable identity of the estimator a delta handle belongs to."""
-        if spec is None:
-            if self._default_estimator is not None:
-                # The default instance lives as long as the session, so
-                # identity-by-construction is stable.
-                return "\x00default-instance"
-            spec = self._default_spec
-        if isinstance(spec, SumEstimator):
-            return None
-        if isinstance(spec, str):
-            return self._canonical_spec_string(spec)
-        return spec.to_string()
-
     def _canonical_spec_string(self, spec: str) -> str:
         return self._spec_string_cache.get_or_create(
             spec, lambda: EstimatorSpec.of(spec).to_string()
         )
 
-    def _estimate_delta(self, estimator: SumEstimator, key: str) -> Estimate:
-        """The incremental path: catch the spec's handle up to the head.
+    def _open_delta_state(self, estimator: SumEstimator) -> IncrementalSampleState:
+        """The session's delta state, opened from the current sample once.
 
-        The handle either advances through the contiguous run of logged
-        deltas since its version (O(|delta|) per step) or, when it has
-        fallen behind the bounded log, rebuilds from the current sample.
+        No ingest runs concurrently (see the concurrency contract), so
+        the state adopts exactly the current version; from then on
+        :meth:`ingest` advances it.
         """
-        entry: _DeltaEntry = self._delta_entries.get_or_create(key, _DeltaEntry)
-        with entry.lock:
-            if entry.handle is not None and entry.estimate is not None:
-                with self._mutation_lock:
-                    current = self._state_version
-                    pending = [d for d in self._delta_log if d.version > entry.version]
-                if entry.version == current:
-                    return entry.estimate
-                if (
-                    pending
-                    and pending[0].version == entry.version + 1
-                    and len(pending) == current - entry.version
-                ):
-                    estimate = entry.estimate
-                    for delta in pending:
-                        estimate = estimator.update(entry.handle, delta)
-                    entry.version = current
-                    entry.estimate = estimate
-                    return estimate
-                # Gap in the log (log bound exceeded or restored session):
-                # fall through to a rebuild.
-                entry.handle = None
-                entry.estimate = None
-            # No ingest runs concurrently (see the concurrency contract),
-            # so the sample the handle adopts is exactly this version.
-            version = self._state_version
-            handle = estimator.begin(self.sample(), self._attribute)
-            estimate = estimator.update(handle)
-            entry.handle, entry.version, entry.estimate = handle, version, estimate
-            return estimate
+        state = self._delta_state
+        if state is None:
+            with self._mutation_lock:
+                state = self._delta_state
+                if state is None:
+                    state = estimator.begin(self.sample(), self._attribute)
+                    self._delta_state = state
+        return state
 
     def query(
         self,

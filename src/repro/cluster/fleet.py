@@ -558,28 +558,8 @@ class Fleet:
             self._monitor.join()
 
     # ------------------------------------------------------------------ #
-    # Health
+    # Introspection
     # ------------------------------------------------------------------ #
-
-    def wait_ready(self, timeout: float = START_TIMEOUT) -> None:
-        """Block until every worker's ``/readyz`` answers 200."""
-        deadline = time.monotonic() + timeout
-        for worker in self.workers():
-            while True:
-                if worker.base is not None:
-                    try:
-                        status, _ = worker_request_json(
-                            worker.base, "GET", "/readyz", timeout=5.0
-                        )
-                        if status == 200:
-                            break
-                    except WorkerUnavailableError:
-                        pass
-                if time.monotonic() > deadline:
-                    raise WorkerUnavailableError(
-                        f"worker {worker.name} not ready within {timeout}s"
-                    )
-                time.sleep(0.05)
 
     def describe(self) -> list[dict[str, Any]]:
         return [worker.describe() for worker in self.workers()]

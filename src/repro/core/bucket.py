@@ -34,7 +34,7 @@ import numpy as np
 
 from repro.core.estimator import Estimate, SumEstimator
 from repro.core.fstatistics import FrequencyStatistics
-from repro.core.incremental import SampleDelta
+from repro.core.incremental import IncrementalSampleState
 from repro.core.naive import NaiveEstimator
 from repro.core.pieces import UNIT_ROUNDOFF, PieceStatistics
 from repro.data.sample import ObservedSample
@@ -516,33 +516,6 @@ class _SortedSearch:
         ), delta_min
 
 
-class _BucketHandle:
-    """Incremental handle of :class:`BucketEstimator`.
-
-    Maintains the raw sample content (counts / fused values) under
-    deltas; every update runs the batch decomposition on the maintained
-    sample, so delta mode and batch share one search.  Its sample has
-    no source sizes: no update-capable base estimator reads them.
-    """
-
-    __slots__ = ("attribute", "counts", "values")
-
-    def __init__(self, sample: ObservedSample, attribute: str) -> None:
-        self.attribute = attribute
-        self.counts: dict[str, int] = dict(sample.counts)
-        self.values = sample.values_by_entity()
-
-    def apply(self, delta: SampleDelta) -> None:
-        for entity_id, value in delta.appended:
-            self.counts[entity_id] = 1
-            self.values[entity_id] = {self.attribute: value}
-        for entity_id in delta.reobserved:
-            self.counts[entity_id] += 1
-
-    def sample(self) -> ObservedSample:
-        return ObservedSample(self.counts, self.values)
-
-
 class BucketEstimator(SumEstimator):
     """Per-bucket unknown-unknowns estimation (Section 3.3).
 
@@ -599,32 +572,16 @@ class BucketEstimator(SumEstimator):
         self._check_attribute(sample, attribute)
         return self._summarize(sample, attribute, self._buckets_for(sample, attribute))
 
-    # ------------------------------------------------------------------ #
-    # Incremental seam
-    # ------------------------------------------------------------------ #
+    def _estimate_state(self, state: IncrementalSampleState) -> Estimate:
+        """The batch decomposition of the maintained sample.
 
-    def begin(self, sample: ObservedSample, attribute: str) -> _BucketHandle:
-        """Open an incremental handle positioned at ``sample``."""
-        if not self.supports_updates:
-            raise EstimationError(
-                f"estimator {self.name!r} does not support incremental updates: "
-                "its base estimator is not update-capable"
-            )
-        self._check_attribute(sample, attribute)
-        return _BucketHandle(sample, attribute)
-
-    def update(self, handle: _BucketHandle, delta: "SampleDelta | None" = None) -> Estimate:
-        """Advance ``handle`` by ``delta`` and return the fresh estimate.
-
-        The bucket decomposition is rebuilt from the maintained sample
-        content with the batch search: a small ingest changes the totals
-        of most candidate splits, so caching per-bucket results buys
-        little.
+        Bucket boundaries are a global property of the value
+        distribution: a small ingest changes the totals of most
+        candidate splits, so the delta path reruns the batch search on
+        ``state.sample()`` rather than keeping per-bucket results.
         """
-        if delta is not None:
-            handle.apply(delta)
-        sample = handle.sample()
-        return self._summarize(sample, handle.attribute, self._buckets_for(sample, handle.attribute))
+        sample = state.sample()
+        return self._summarize(sample, state.attribute, self._buckets_for(sample, state.attribute))
 
     # ------------------------------------------------------------------ #
     # Shared decomposition + summary (batch and incremental paths)

@@ -22,6 +22,7 @@ from typing import Any
 import math
 
 from repro.core.fstatistics import FrequencyStatistics
+from repro.core.incremental import IncrementalSampleState
 from repro.data.sample import ObservedSample
 from repro.utils.exceptions import EstimationError
 from repro.utils.serialization import envelope, unwrap
@@ -145,18 +146,21 @@ class SumEstimator(ABC):
     Subclasses implement :meth:`estimate` and report a stable :attr:`name`
     used by the experiment harness and the estimator registry.
 
-    Estimators that can maintain their result under updates additionally
-    set :attr:`supports_updates` and implement the incremental seam
-    (:meth:`begin` / :meth:`update`).  The batch :meth:`estimate` always
-    remains available and is the parity oracle: for any sequence of
-    deltas, ``update`` must return an :class:`Estimate` identical to what
-    ``estimate`` would compute over the equivalent full sample.
+    Estimators that can answer from the maintained
+    :class:`~repro.core.incremental.IncrementalSampleState` additionally
+    set :attr:`supports_updates` and implement :meth:`_estimate_state`,
+    which the incremental seam (:meth:`begin` / :meth:`update`) calls.
+    The batch :meth:`estimate` always remains available and is the
+    parity oracle: after any sequence of ingests, ``update`` must return
+    an :class:`Estimate` identical to what ``estimate`` computes over
+    the equivalent full sample.
     """
 
     #: Stable identifier of the estimator (overridden by subclasses).
     name: str = "abstract"
 
-    #: True when the estimator implements the incremental seam below.
+    #: True when the estimator answers from the incremental state
+    #: (implements :meth:`_estimate_state`; see the seam below).
     #: Class-level default; :class:`~repro.core.bucket.BucketEstimator`
     #: overrides it with a property derived from its base estimators.
     supports_updates: bool = False
@@ -166,27 +170,34 @@ class SumEstimator(ABC):
         """Estimate the unknown-unknowns impact on ``SUM(attribute)``."""
 
     # ------------------------------------------------------------------ #
-    # Incremental seam (optional; see supports_updates)
+    # Incremental seam (see supports_updates)
     # ------------------------------------------------------------------ #
 
-    def begin(self, sample: ObservedSample, attribute: str) -> Any:
-        """Open an incremental handle positioned at ``sample``.
+    def begin(self, sample: ObservedSample, attribute: str) -> IncrementalSampleState:
+        """Open the incremental state of ``sample`` for ``attribute``.
 
-        The handle is opaque to callers; feed it back to :meth:`update`
-        together with the :class:`~repro.core.incremental.SampleDelta`
-        digests committed since.  Estimators with
-        ``supports_updates = False`` raise :class:`EstimationError`.
+        A session opens one state at its first delta read and advances
+        it with :meth:`IncrementalSampleState.apply` at every ingest;
+        every update-capable estimator reads that state through
+        :meth:`update`.  Estimators with ``supports_updates = False``
+        raise :class:`EstimationError`.
         """
-        raise EstimationError(
-            f"estimator {self.name!r} does not support incremental updates"
-        )
+        if not self.supports_updates:
+            raise EstimationError(
+                f"estimator {self.name!r} does not support incremental updates"
+            )
+        self._check_attribute(sample, attribute)
+        return IncrementalSampleState(sample, attribute)
 
-    def update(self, handle: Any, delta: Any = None) -> Estimate:
-        """Advance ``handle`` by ``delta`` and return the fresh estimate.
+    def update(self, state: IncrementalSampleState) -> Estimate:
+        """The estimate over the state's current sample."""
+        return self._estimate_state(state)
 
-        ``delta=None`` recomputes from the handle's current state without
-        advancing it (used right after :meth:`begin` and for reads with
-        no intervening ingest).
+    def _estimate_state(self, state: Any) -> Estimate:
+        """The estimate from any state exposing the maintained inputs.
+
+        Update-capable estimators override this; the batch
+        :meth:`estimate` over the equivalent sample is its parity oracle.
         """
         raise EstimationError(
             f"estimator {self.name!r} does not support incremental updates"

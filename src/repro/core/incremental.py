@@ -1,23 +1,26 @@
-"""Incremental sample maintenance for delta-aware estimators.
+"""The one incremental sample state a session's delta reads share.
 
 The session layer (:class:`~repro.api.session.OpenWorldSession`) already
 maintains per-entity counts, per-source tallies and the frequency
 histogram incrementally under ``ingest``.  This module packages the part
 of that state the closed-form estimators actually consume --
-f-statistics, the observed SUM, and the singleton SUM -- behind two
-small types:
+f-statistics, the observed SUM, and the singleton SUM -- as
+:class:`IncrementalSampleState`.
 
-* :class:`SampleDelta` -- the immutable digest of one ingest commit:
-  which entities were appended (first observation, with their fused
-  attribute value) and which were re-observed.  One delta per
-  ``state_version`` bump.
-* :class:`IncrementalSampleState` -- the handle state the naive and
-  frequency estimators update in O(|delta|) instead of recomputing in
-  O(n).  It mirrors :class:`~repro.data.sample.ObservedSample` *exactly*
-  (same insertion order, same dtypes, same summation order) so the
-  delta path is bit-identical to the batch path -- the batch estimator
-  stays the parity oracle, the delta path must never drift from it.
+A session opens one state at its first delta read (through
+:meth:`~repro.core.estimator.SumEstimator.begin`) and then advances it
+with :meth:`IncrementalSampleState.apply` inside every ingest's version
+bump, passing the ``(appended, reobserved)`` digest the ingest's
+validation pass builds: which entities were observed for the first time
+(with their fused attribute value) and which were re-observed.  Every
+update-capable estimator reads that one state in O(1) or
+O(distinct frequencies); the bucket estimator rebuilds its sample from
+it (:meth:`IncrementalSampleState.sample`).
 
+The state mirrors :class:`~repro.data.sample.ObservedSample` *exactly*
+(same insertion order, same dtypes, same summation order) so the delta
+path is bit-identical to the batch path -- the batch estimator stays
+the parity oracle, the delta path must never drift from it.
 Byte-parity invariants this module maintains (and the parity tests in
 ``tests/core/test_incremental.py`` enforce):
 
@@ -36,52 +39,27 @@ Byte-parity invariants this module maintains (and the parity tests in
   (:class:`~repro.core.fstatistics.FrequencyStatistics` sorts and
   re-derives its scalars), so maintaining ``{j: f_j}`` with
   decrement/increment moves is exact.
+
+The two lazy sums are shared by every reader of the state.  Reads run
+concurrently with each other but never with ``apply`` (the session's
+concurrency contract), so two readers that both find a sum dirty
+compute the same value, and a reader that finds it clean reads a sum
+that was stored before the flag was cleared.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 
 import numpy as np
 
 from repro.core.fstatistics import FrequencyStatistics
 from repro.data.sample import ObservedSample
 
-__all__ = ["SampleDelta", "IncrementalSampleState"]
+__all__ = ["IncrementalSampleState"]
 
 #: Initial capacity of the contiguous value buffer.
 _MIN_CAPACITY = 256
-
-
-@dataclass(frozen=True)
-class SampleDelta:
-    """Digest of one ingest commit (one ``state_version`` bump).
-
-    Attributes
-    ----------
-    version:
-        The ``state_version`` the session reached when this delta was
-        committed.  Deltas are contiguous: applying versions
-        ``v+1 .. w`` to a handle at version ``v`` reproduces the sample
-        at version ``w``.
-    appended:
-        ``(entity_id, value)`` pairs for entities observed for the first
-        time in this commit, in stream order.  ``value`` is the fused
-        attribute value (first observation wins), exactly as the
-        integration rule stores it.
-    reobserved:
-        One entity id per repeat observation in this commit, in stream
-        order (an entity re-observed twice appears twice).
-    """
-
-    version: int
-    appended: "tuple[tuple[str, float], ...]"
-    reobserved: "tuple[str, ...]"
-
-    @property
-    def n_observations(self) -> int:
-        """Number of raw observations the delta carries."""
-        return len(self.appended) + len(self.reobserved)
 
 
 class IncrementalSampleState:
@@ -96,7 +74,6 @@ class IncrementalSampleState:
     __slots__ = (
         "attribute",
         "_counts",
-        "_index",
         "_values",
         "_freq",
         "_n",
@@ -109,8 +86,9 @@ class IncrementalSampleState:
 
     def __init__(self, sample: ObservedSample, attribute: str) -> None:
         self.attribute = attribute
+        # Slot i of the value buffer belongs to the i-th entity of
+        # ``_counts`` (both in first-seen order).
         self._counts: dict[str, int] = dict(sample.counts)
-        self._index = {eid: slot for slot, eid in enumerate(self._counts)}
         values = sample.values(attribute)  # float64, counts insertion order
         capacity = max(_MIN_CAPACITY, 2 * len(values))
         buffer = np.empty(capacity, dtype=np.float64)
@@ -119,7 +97,7 @@ class IncrementalSampleState:
         self._c = len(values)
         self._freq = dict(sample.frequency_counts())
         self._n = sample.n
-        # Seeded from the sample's own reductions so the handle starts
+        # Seeded from the sample's own reductions so the state starts
         # bit-identical to the batch path, not merely close.
         self._observed_sum = sample.sum(attribute)
         self._sum_stale = False
@@ -130,9 +108,18 @@ class IncrementalSampleState:
     # Update
     # ------------------------------------------------------------------ #
 
-    def apply(self, delta: SampleDelta) -> None:
-        """Advance the state by one committed delta (O(|delta|))."""
-        appended = delta.appended
+    def apply(
+        self,
+        appended: "Sequence[tuple[str, float]]",
+        reobserved: "Sequence[str]",
+    ) -> None:
+        """Advance the state by one ingest commit (O(|delta|)).
+
+        ``appended`` holds the ``(entity_id, fused value)`` pairs of the
+        entities the commit observed for the first time, in stream order;
+        ``reobserved`` holds one entity id per repeat observation, in
+        stream order (an entity re-observed twice appears twice).
+        """
         if appended:
             needed = self._c + len(appended)
             if needed > self._values.shape[0]:
@@ -140,11 +127,9 @@ class IncrementalSampleState:
                 grown[: self._c] = self._values[: self._c]
                 self._values = grown
             for entity_id, value in appended:
-                slot = self._c
-                self._values[slot] = value
-                self._index[entity_id] = slot
+                self._values[self._c] = value
                 self._counts[entity_id] = 1
-                self._c = slot + 1
+                self._c += 1
                 if not self._singleton_stale:
                     # A brand-new singleton is *last* in insertion order,
                     # so extending the running sum matches a sequential
@@ -153,10 +138,9 @@ class IncrementalSampleState:
             self._freq[1] = self._freq.get(1, 0) + len(appended)
             self._n += len(appended)
             self._sum_stale = True
-        reobserved = delta.reobserved
         if reobserved:
-            # Bound hot names once: this loop is the per-push cost of the
-            # delta path, so attribute lookups matter here.
+            # Bound hot names once: this loop is the per-ingest cost of
+            # an open state, so attribute lookups matter here.
             counts = self._counts
             freq = self._freq
             freq_get = freq.get
@@ -205,13 +189,25 @@ class IncrementalSampleState:
     def singleton_sum(self) -> float:
         """Sum over entities observed exactly once, in insertion order."""
         if self._singleton_stale:
-            values = self._values
-            index = self._index
+            values = self._values[: self._c]
             self._singleton_sum = float(
-                sum(values[index[eid]] for eid, count in self._counts.items() if count == 1)
+                sum(value for value, count in zip(values, self._counts.values()) if count == 1)
             )
             self._singleton_stale = False
         return float(self._singleton_sum)
+
+    def sample(self) -> ObservedSample:
+        """The maintained sample: counts and fused values, in first-seen order.
+
+        It carries the one maintained attribute and no source sizes; no
+        update-capable estimator reads them.
+        """
+        attribute = self.attribute
+        values = self._values[: self._c].tolist()
+        return ObservedSample(
+            self._counts,
+            {eid: {attribute: value} for eid, value in zip(self._counts, values)},
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.core.estimator import Estimate, SumEstimator
 from repro.core.fstatistics import FrequencyStatistics
-from repro.core.incremental import IncrementalSampleState, SampleDelta
+from repro.core.incremental import IncrementalSampleState
 from repro.core.pieces import PieceStatistics, abs_delta_bound
 from repro.core.species import chao92_estimate
 from repro.data.sample import ObservedSample
@@ -41,23 +41,6 @@ class NaiveEstimator(SumEstimator):
         """
         self._check_attribute(sample, attribute)
         return self._estimate_from(self._statistics(sample), sample.sum(attribute))
-
-    # ------------------------------------------------------------------ #
-    # Incremental seam
-    # ------------------------------------------------------------------ #
-
-    def begin(self, sample: ObservedSample, attribute: str) -> IncrementalSampleState:
-        """Open an incremental handle positioned at ``sample``."""
-        self._check_attribute(sample, attribute)
-        return IncrementalSampleState(sample, attribute)
-
-    def update(
-        self, handle: IncrementalSampleState, delta: "SampleDelta | None" = None
-    ) -> Estimate:
-        """Advance ``handle`` by ``delta`` and return the fresh estimate."""
-        if delta is not None:
-            handle.apply(delta)
-        return self._estimate_state(handle)
 
     # ------------------------------------------------------------------ #
     # Shared math (the batch path is the parity oracle)

@@ -133,10 +133,6 @@ class ProgressiveResult:
     ground_truth: float | None = None
     runtime: dict[str, Any] | None = None
 
-    def estimator_names(self) -> list[str]:
-        """Names of all replayed estimators."""
-        return list(self.series)
-
     def final_estimates(self) -> dict[str, float]:
         """Final corrected answer per estimator."""
         return {name: s.final_estimate() for name, s in self.series.items()}

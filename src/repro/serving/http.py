@@ -16,9 +16,9 @@ Routes::
     POST   /sessions/<name>/ingest       {"observations": [{...}, ...]}
     GET    /sessions/<name>/estimate     ?spec=...&attribute=...&timeout_ms=...
                                          &mode=batch|delta|auto&wait_version=N
-                                         (long-poll: block until state_version
-                                         >= N; 304 + X-Repro-State-Version on
-                                         timeout)
+                                         (no mode: batch; long-poll: block
+                                         until state_version >= N; 304 +
+                                         X-Repro-State-Version on timeout)
     GET    /sessions/<name>/subscribe    Server-Sent Events: one fresh
                                          ``repro.result/v1`` envelope per
                                          state_version bump (?spec, ?attribute,
@@ -27,7 +27,8 @@ Routes::
     POST   /sessions/<name>/query        {"sql", "spec"?, "closed_world"?}
     GET    /sessions/<name>/snapshot     the session-snapshot envelope
     POST   /sessions/<name>/restore      materialize from a snapshot envelope
-                                         (migration/replica push; replace-if-newer)
+                                         (the replica push and the public
+                                         transfer; replace-if-newer)
     GET    /sessions/<name>/store        stream a persisted session's store
                                          archive (exact Content-Length)
     POST   /sessions/<name>/restore-store  receive a store archive (the

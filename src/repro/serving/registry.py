@@ -61,7 +61,7 @@ import threading
 from pathlib import Path
 from typing import Any
 
-from repro.api.session import OpenWorldSession, SessionSnapshot
+from repro.api.session import OpenWorldSession, SessionSnapshot, check_estimate_mode
 from repro.data.records import Observation
 from repro.resilience.breaker import CircuitBreaker
 from repro.serving.batcher import CoalescingBatcher
@@ -314,11 +314,13 @@ class ServedSession:
         ``mode`` selects the estimation path (see
         :meth:`repro.api.session.OpenWorldSession.estimate`): delta-vs-
         batch parity makes the payloads byte-identical, so the cache key
-        deliberately excludes the mode -- but ``mode="delta"`` still
-        validates estimator capability *before* the cache lookup, so an
-        unsupported request fails loudly instead of riding a warm entry.
+        deliberately excludes the mode -- but the mode value, and for
+        ``mode="delta"`` the estimator's capability, are checked *before*
+        the cache lookup, so a bad request fails loudly instead of riding
+        a warm entry.
         """
         detail = attribute or self._session.attribute
+        check_estimate_mode(mode)
         if mode == "delta":
             for spec in specs:
                 self._session.validate_delta(spec, attribute)

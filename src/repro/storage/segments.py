@@ -232,8 +232,13 @@ def encode_frame(
 
 
 def encode_seed_frame(state_version: int, seed: "dict[str, Any]") -> bytes:
-    """Encode an aggregate-baseline seed frame (compact JSON payload)."""
-    body = json.dumps(seed, separators=(",", ":"), allow_nan=False).encode("utf-8")
+    """Encode an aggregate-baseline seed frame (compact JSON payload).
+
+    Non-finite values are written as ``NaN`` / ``Infinity`` /
+    ``-Infinity``, which :func:`json.loads` reads back: a session may
+    hold them, so its restore must round-trip them.
+    """
+    body = json.dumps(seed, separators=(",", ":")).encode("utf-8")
     return _framed(_FRAME_META.pack(FRAME_SEED, state_version, 0) + body)
 
 

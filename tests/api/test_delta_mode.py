@@ -11,13 +11,18 @@ from __future__ import annotations
 
 import json
 import random
+import sys
+import threading
 
 import pytest
 
 from repro.api.session import OpenWorldSession
 from repro.api.specs import EstimatorSpec, describe_estimators, incremental_estimators
 from repro.core.naive import NaiveEstimator
+from repro.data.records import Observation
 from repro.datasets.registry import available_datasets, load_dataset
+from repro.storage import store as store_module
+from repro.storage.store import DiskStore
 from repro.utils.exceptions import ValidationError
 
 
@@ -51,19 +56,105 @@ class TestParityMatrix:
                 f"state_version {session.state_version}"
             )
 
-    def test_parity_survives_delta_log_overflow(self):
-        # More commits between two delta reads than the bounded log holds:
-        # the handle must rebuild (not drift, not fail) and stay identical.
+    def test_parity_after_many_commits_between_delta_reads(self):
+        # The open state advances at every ingest, read or not.
         dataset = load_dataset("us-tech-employment")
         session = OpenWorldSession(dataset.attribute, estimator="naive")
         stream = dataset.run.stream
         session.ingest(stream[:100])
-        session.estimate(mode="delta")  # position a handle at version 1
-        for row in stream[100:300]:  # 200 one-row commits > DELTA_LOG_ENTRIES
+        session.estimate(mode="delta")  # open the state at version 1
+        for row in stream[100:300]:  # 200 one-row commits, no read between
             session.ingest([row])
         delta = session.estimate(mode="delta")
         batch = session.estimate(mode="batch")
         assert envelope_bytes(delta) == envelope_bytes(batch)
+
+    def test_one_state_serves_every_spec_at_every_version(self):
+        dataset = load_dataset("us-tech-revenue")
+        rng = random.Random(29)
+        session = OpenWorldSession(dataset.attribute, estimator="naive")
+        specs = ("naive", "frequency", "frequency-uniform", "bucket/frequency")
+        states = set()
+        for chunk in random_chunks(dataset.run.stream, rng):
+            session.ingest(chunk)
+            for spec in rng.sample(specs, len(specs)):
+                delta = session.estimate(spec=spec, mode="delta")
+                batch = session.estimate(spec=spec, mode="batch")
+                assert envelope_bytes(delta) == envelope_bytes(batch), (
+                    f"{spec} diverged at state_version {session.state_version}"
+                )
+                states.add(id(session._delta_state))
+        assert len(states) == 1
+
+    def test_concurrent_delta_reads_share_the_lazy_sums(self):
+        # The promotion leaves the singleton sum to re-sum on the next
+        # read; every thread's read races for it on the one state.
+        session = OpenWorldSession("v", estimator="frequency")
+        session.ingest([Observation(f"e{i}", {"v": 0.1 * i + 0.01}, "s1") for i in range(60)])
+        session.ingest([Observation("e1", {"v": 0.11}, "s2")])
+        session.estimate(mode="delta")  # open the state
+        session.ingest(
+            [Observation("e30", {"v": 3.01}, "s3"), Observation("e60", {"v": 6.01}, "s3")]
+        )
+        specs = ("frequency", "frequency-uniform")
+        expected = {
+            spec: envelope_bytes(session.estimate(spec=spec, mode="batch")) for spec in specs
+        }
+        barrier = threading.Barrier(8)
+        answers: list = []
+
+        def read(spec):
+            barrier.wait(timeout=10)
+            answers.append((spec, envelope_bytes(session.estimate(spec=spec, mode="delta"))))
+
+        threads = [threading.Thread(target=read, args=(specs[i % 2],)) for i in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(answers) == 8
+        for spec, answer in answers:
+            assert answer == expected[spec], spec
+
+    def test_disk_session_keeps_parity_across_seal_and_reattach(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(store_module, "SEAL_ROWS", 50)  # ingests seal mid-stream
+        dataset = load_dataset("us-tech-employment")
+        stream = dataset.run.stream
+        session = OpenWorldSession(
+            dataset.attribute,
+            estimator="frequency",
+            store=DiskStore(tmp_path / "s", fsync="never"),
+        )
+
+        def assert_parity(each):
+            for spec in ("naive", "frequency", "bucket/frequency"):
+                assert envelope_bytes(each.estimate(spec=spec, mode="delta")) == envelope_bytes(
+                    each.estimate(spec=spec, mode="batch")
+                ), (spec, each.state_version)
+
+        session.ingest(stream[:40])
+        assert_parity(session)  # opens the state
+        for start in range(40, 200, 20):
+            session.ingest(stream[start : start + 20])
+            assert_parity(session)
+        assert list((tmp_path / "s").glob("seg-*.seg")), "no ingest sealed"
+        assert session.store.seal()
+        session.ingest(stream[200:230])
+        assert_parity(session)
+        before = envelope_bytes(session.estimate(mode="delta"))
+        session.close()
+        attached = OpenWorldSession.attach(DiskStore(tmp_path / "s", fsync="never"))
+        assert envelope_bytes(attached.estimate(mode="delta")) == before
+        for start in range(230, 290, 15):
+            attached.ingest(stream[start : start + 15])
+            assert_parity(attached)
+        attached.close()
 
     def test_auto_mode_is_byte_identical_on_both_kinds(self):
         dataset = load_dataset("us-gdp")
@@ -109,10 +200,12 @@ class TestDeltaValidation:
         with pytest.raises(ValidationError):
             session.estimate(attribute="other", spec="naive", mode="delta")
 
-    def test_delta_with_estimator_instance_is_rejected(self, session):
-        # A per-call instance has no stable handle identity.
-        with pytest.raises(ValidationError):
-            session.estimate(spec=NaiveEstimator(), mode="delta")
+    def test_delta_with_estimator_instance_equals_batch(self, session):
+        # Every estimator reads the session's one state, whoever built it.
+        delta = session.estimate(spec=NaiveEstimator(), mode="delta")
+        assert envelope_bytes(delta) == envelope_bytes(
+            session.estimate(spec="naive", mode="batch")
+        )
 
     def test_unknown_mode_is_rejected(self, session):
         with pytest.raises(ValidationError):

@@ -153,6 +153,26 @@ def test_replica_fanout_serves_byte_identical_reads(tmp_path):
         assert counters["primary_reads"] > 0, "round-robin skipped the primary"
 
 
+def test_a_replica_follows_an_ingest_of_non_finite_values(tmp_path):
+    with thread_cluster(tmp_path, workers=2, replicas=2) as (base, router, fleet):
+        create_session(base, "odd")
+        ingest(base, "odd", observation_bodies([("a", "s1", 1.0), ("b", "s1", 2.0)]))
+        ingest(
+            base,
+            "odd",
+            observation_bodies([("c", "s2", float("nan")), ("d", "s2", float("-inf"))]),
+        )
+        assert router.replicate_now("odd") == 1
+        primary, replica = router.table.preference("odd")
+        assert router.table.primary_version("odd") == 2
+        assert router.table._replica_version.get(("odd", replica)) == 2
+        snapshots = {
+            http_call(fleet.worker(name).base, "GET", "/sessions/odd/snapshot")[1]
+            for name in (primary, replica)
+        }
+        assert len(snapshots) == 1
+
+
 def test_stats_and_sessions_aggregate_across_workers(tmp_path):
     with thread_cluster(tmp_path, workers=3) as (base, router, fleet):
         for name in SESSIONS:

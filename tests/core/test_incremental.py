@@ -9,14 +9,17 @@ computation over the equivalent sample with ``==``, never ``approx``.
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
 
+from repro.core.bucket import BucketEstimator
 from repro.core.estimator import SumEstimator
 from repro.core.frequency import FrequencyEstimator
 from repro.core.fstatistics import FrequencyStatistics
-from repro.core.incremental import IncrementalSampleState, SampleDelta
+from repro.core.incremental import IncrementalSampleState
+from repro.core.montecarlo import MonteCarloEstimator
 from repro.core.naive import NaiveEstimator
 from repro.data.sample import ObservedSample
 from repro.utils.exceptions import EstimationError
@@ -30,20 +33,20 @@ def sample_from(counts_values, attribute="v"):
 class Ledger:
     """Grows a sample the way the session's ingest commits do.
 
-    Tracks entity order / counts / values, emits the matching
-    :class:`SampleDelta` per commit, and can materialize the equivalent
-    batch :class:`ObservedSample` at any point -- the oracle the
-    incremental state must match bit for bit.
+    Tracks entity order / counts / values, returns the matching
+    ``(appended, reobserved)`` digest per commit (the arguments of
+    :meth:`IncrementalSampleState.apply`), and can materialize the
+    equivalent batch :class:`ObservedSample` at any point -- the oracle
+    the incremental state must match bit for bit.
     """
 
     def __init__(self):
         self.order: list[str] = []
         self.counts: dict[str, int] = {}
         self.values: dict[str, float] = {}
-        self.version = 0
 
     def commit(self, rows):
-        """rows: (entity_id, value) pairs; returns the SampleDelta."""
+        """rows: (entity_id, value) pairs; returns ``(appended, reobserved)``."""
         appended = []
         reobserved = []
         for entity_id, value in rows:
@@ -55,12 +58,7 @@ class Ledger:
                 self.counts[entity_id] = 1
                 self.values[entity_id] = float(value)
                 appended.append((entity_id, float(value)))
-        self.version += 1
-        return SampleDelta(
-            version=self.version,
-            appended=tuple(appended),
-            reobserved=tuple(reobserved),
-        )
+        return appended, reobserved
 
     def batch_sample(self, attribute="v"):
         return sample_from(
@@ -81,12 +79,12 @@ class TestIncrementalSampleState:
 
     def test_apply_appended_and_reobserved_matches_batch(self):
         ledger = Ledger()
-        first = ledger.commit([("a", 10.0), ("b", 20.0), ("a", 10.0)])
+        ledger.commit([("a", 10.0), ("b", 20.0), ("a", 10.0)])
         state = IncrementalSampleState(ledger.batch_sample(), "v")
-        second = ledger.commit([("c", 7.0), ("b", 20.0), ("d", 1.5)])
-        state.apply(second)
+        appended, reobserved = ledger.commit([("c", 7.0), ("b", 20.0), ("d", 1.5)])
+        assert appended == [("c", 7.0), ("d", 1.5)] and reobserved == ["b"]
+        state.apply(appended, reobserved)
         batch = ledger.batch_sample()
-        assert first.version == 1 and second.version == 2
         assert state.c == batch.c and state.n == batch.n
         assert state.observed_sum() == batch.sum("v")
         assert state.singleton_sum() == batch.singleton_sum("v")
@@ -97,11 +95,11 @@ class TestIncrementalSampleState:
         ledger.commit([("a", 0.1), ("b", 0.2), ("c", 0.3)])
         state = IncrementalSampleState(ledger.batch_sample(), "v")
         # "b" leaves the middle of the singleton summation order.
-        state.apply(ledger.commit([("b", 0.2)]))
+        state.apply(*ledger.commit([("b", 0.2)]))
         batch = ledger.batch_sample()
         assert state.singleton_sum() == batch.singleton_sum("v")
         # A fresh singleton after the re-sum extends the running total.
-        state.apply(ledger.commit([("d", 0.4)]))
+        state.apply(*ledger.commit([("d", 0.4)]))
         assert state.singleton_sum() == ledger.batch_sample().singleton_sum("v")
 
     def test_value_buffer_growth_preserves_pairwise_sum(self):
@@ -112,19 +110,23 @@ class TestIncrementalSampleState:
         state = IncrementalSampleState(ledger.batch_sample(), "v")
         for start in range(0, 600, 75):
             rows = [(f"e{i}", 0.1 * (i % 13) + 0.01) for i in range(start, start + 75)]
-            state.apply(ledger.commit(rows))
+            state.apply(*ledger.commit(rows))
         batch = ledger.batch_sample()
         assert state.c == batch.c
         assert state.observed_sum() == batch.sum("v")
         assert state.singleton_sum() == batch.singleton_sum("v")
 
-    def test_delta_observation_count(self):
-        delta = SampleDelta(
-            version=3,
-            appended=(("x", 1.0),),
-            reobserved=("a", "a", "b"),
-        )
-        assert delta.n_observations == 4
+    def test_maintained_sample_matches_batch_counts_and_values(self):
+        # The bucket estimator's delta path decomposes this sample.
+        ledger = Ledger()
+        ledger.commit([("a", 1.5), ("b", -0.0), ("a", 1.5)])
+        state = IncrementalSampleState(ledger.batch_sample(), "v")
+        state.apply(*ledger.commit([("c", 2.5), ("b", -0.0), ("c", 2.5), ("d", 4.0)]))
+        sample, batch = state.sample(), ledger.batch_sample()
+        assert sample.counts == batch.counts
+        assert list(sample.counts) == list(batch.counts)
+        assert sample.values_by_entity() == batch.values_by_entity()
+        assert math.copysign(1.0, sample.value("b", "v")) == -1.0
 
 
 class TestEstimatorSeam:
@@ -141,10 +143,21 @@ class TestEstimatorSeam:
         with pytest.raises(EstimationError):
             estimator.begin(sample, "v")
         with pytest.raises(EstimationError):
-            estimator.update(object())
+            estimator.update(IncrementalSampleState(sample, "v"))
+
+    def test_begin_checks_the_attribute(self):
+        sample = sample_from([("a", 1.0, 1), ("b", 2.0, 2)])
+        with pytest.raises(EstimationError):
+            NaiveEstimator().begin(sample, "missing")
+
+    def test_bucket_over_a_batch_only_base_refuses_to_begin(self):
+        estimator = BucketEstimator(base=MonteCarloEstimator())
+        assert estimator.supports_updates is False
+        with pytest.raises(EstimationError):
+            estimator.begin(sample_from([("a", 1.0, 1), ("b", 2.0, 2)]), "v")
 
     @pytest.mark.parametrize(
-        "estimator_cls", [NaiveEstimator, FrequencyEstimator]
+        "estimator_cls", [NaiveEstimator, FrequencyEstimator, BucketEstimator]
     )
     def test_update_bit_identical_to_batch_over_random_schedule(self, estimator_cls):
         rng = random.Random(20260807)
@@ -155,14 +168,15 @@ class TestEstimatorSeam:
             [(f"e{i}", float(1 + i % 7)) for i in range(10)]
             + [("e0", 1.0), ("e1", 2.0)]
         )
-        handle = estimator.begin(ledger.batch_sample(), "v")
-        assert estimator.update(handle).to_dict() == estimator.estimate(
+        state = estimator.begin(ledger.batch_sample(), "v")
+        assert estimator.update(state).to_dict() == estimator.estimate(
             ledger.batch_sample(), "v"
         ).to_dict()
         pool = [f"e{i}" for i in range(40)]
         for _ in range(12):
             chosen = [rng.choice(pool) for _ in range(rng.randint(1, 9))]
             rows = [(entity, float(1 + int(entity[1:]) % 7)) for entity in chosen]
-            incremental = estimator.update(handle, ledger.commit(rows))
+            state.apply(*ledger.commit(rows))
+            incremental = estimator.update(state)
             batch = estimator.estimate(ledger.batch_sample(), "v")
             assert incremental.to_dict() == batch.to_dict()

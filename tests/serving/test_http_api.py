@@ -210,6 +210,19 @@ class TestErrors:
             assert status == 400, (method, path, raw)
             assert "error" in json.loads(raw)
 
+    def test_unknown_mode_is_400_after_a_warm_read(self, hops):
+        # The answer cache's key leaves the mode out, so a warm entry
+        # must not answer a request whose mode is unknown.
+        create_and_fill(hops)
+        assert call(hops, "GET", "/sessions/s/estimate")[0] == 200
+        for path in (
+            "/sessions/s/estimate?mode=bogus",
+            "/sessions/s/subscribe?mode=bogus&max_events=1",
+        ):
+            status, raw = call(hops, "GET", path)
+            assert status == 400, (path, raw)
+            assert "bogus" in json.loads(raw)["error"]
+
     def test_malformed_json_body_is_400(self, hops):
         assert call(hops, "POST", "/sessions", b"{not json")[0] == 400
 
@@ -338,6 +351,20 @@ class TestMalformedSnapshots:
             status, raw = call(hops, "POST", "/sessions/r/restore", body)
             assert status == 400, raw
             assert call(hops, "GET", "/sessions/r")[0] == 404
+
+
+class TestNonFiniteRestore:
+    """A snapshot holding NaN or an infinity restores into a persisted server."""
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_restored_with_the_source_snapshot_bytes(self, tmp_path, value):
+        source = OpenWorldSession("value", estimator="bucket/frequency")
+        source.ingest(make_observations(SIX_ROWS + [("x", "s4", float(value))]))
+        snapshot = dumps_result(source.snapshot().to_dict())
+        with http_hops(tmp_path, persisted=True) as hops:
+            status, raw = call(hops, "POST", "/sessions/r/restore", snapshot)
+            assert status == 200, raw
+            assert call(hops, "GET", "/sessions/r/snapshot") == (200, snapshot)
 
 
 class TestKeepAliveSafety:

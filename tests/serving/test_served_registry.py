@@ -187,6 +187,16 @@ class TestVersionKeyedCache:
         stats = registry.cache.stats()
         assert stats["hits"] == 1 and stats["misses"] == 1
 
+    def test_unknown_mode_is_refused_on_a_warm_cache(self):
+        registry, served = registry_with_session()
+        with pytest.raises(ValidationError):
+            served.estimate_payload(mode="bogus")
+        served.estimate_payload()
+        with pytest.raises(ValidationError):
+            served.estimate_payload(mode="bogus")
+        with pytest.raises(ValidationError):
+            served.estimate_payloads(["naive", None], mode="bogus")
+
     def test_runtime_metadata_is_nulled_in_served_payloads(self):
         registry, served = registry_with_session()
         payload = served.estimate_payload("monte-carlo?n_runs=2&n_count_steps=2")
@@ -318,6 +328,20 @@ class TestStatePersistence:
             resumed.query_payload("SELECT AVG(value) FROM data")
             == reference.query_payload("SELECT AVG(value) FROM data")
         )
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_values_survive_a_persisted_restore(self, tmp_path, value):
+        source = OpenWorldSession("value", estimator="bucket/frequency")
+        source.ingest(make_observations(SIX_ROWS + [("x", "s4", value)]))
+        envelope = source.snapshot().to_dict()
+        registry = SessionRegistry(state_dir=tmp_path)
+        served = registry.restore_session("r", envelope)
+        expected = json.dumps(envelope)
+        assert json.dumps(served.snapshot_payload()) == expected
+        registry.save_state()
+        again = SessionRegistry(state_dir=tmp_path)
+        assert again.load_state() == ["r"]
+        assert json.dumps(again.get("r").snapshot_payload()) == expected
 
     def test_load_missing_state_dir_is_empty(self, tmp_path):
         assert SessionRegistry(state_dir=tmp_path / "none").load_state() == []
